@@ -72,9 +72,12 @@ def _verify_pipeline(s, samples):
 
 def cmd_verify(s, args, outdir):
     beta_sol, series, om = _verify_pipeline(s, args.samples)
-    g0, dg0, ddg0 = gamma_ics_from_beta(s)
-    gamma_sol = integrate_gamma(s, g0, dg0, ddg0)
-    sigma_sol = integrate_sigma(s, gamma_sol)
+    gamma0, dgamma0, ddgamma0 = gamma_ics_from_beta(s)
+    gamma_sol = integrate_gamma(s, gamma0, dgamma0, ddgamma0)
+    # sigma = -2 Re(beta* F) starts at 0 with sigma' = -gamma e^G F at t0,
+    # where G(t0) = 0
+    sigma_sol = integrate_sigma(s, gamma_sol, sigma0=0.0,
+                                dsigma0=-gamma0 * s.force(s.t0))
     ts = series["ts"]
     gv = gamma_sol(ts)[:, 0]
     fr = frame_from_beta(s, beta_sol, ts)

@@ -7,7 +7,7 @@ operation here is elementwise, so a "vector frame" sampled on a time grid
 evaluates whole drift series in one call.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -43,6 +43,12 @@ class InvariantFrame:
     F_sigma: object
     phase: object = 0.0
     phase_integral: object = 0.0
+
+    def at(self, k):
+        """The frame at sample k of a vector frame."""
+        return replace(self, **{f.name: getattr(self, f.name)[k]
+                                for f in fields(self)
+                                if np.ndim(getattr(self, f.name))})
 
 
 def frame_from_beta(s, beta_sol, t):

@@ -34,6 +34,20 @@ def test_verify_passes_on_bundled_scenarios(tmp_path, capsys):
     assert report[-1].startswith("# max_drift_I=")
 
 
+def test_verify_passes_with_force_at_t0(tmp_path, capsys):
+    # F(t0) = 0.5: the sigma ODE starts with sigma'(t0) = -gamma(t0) F(t0)
+    text = (SCENARIO_DIR / "underdamped_driven.cfg").read_text()
+    cfg = tmp_path / "phase.cfg"
+    cfg.write_text(text.replace("frequency = 0.9",
+                                "frequency = 0.9\nphase = 1.5707963267948966"))
+    with pytest.warns(RuntimeWarning, match="side condition"):
+        rc = main(["verify", "--scenario", str(cfg), "--out", str(tmp_path),
+                   "--rtol", "1e-12", "--atol", "1e-14", "--tol", "1e-8"])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert out.count("PASS") == 7 and "FAIL" not in out
+
+
 def test_verify_reports_omega_value(tmp_path, capsys):
     rc = main(["verify", "--scenario", DRIVEN, "--out", str(tmp_path)])
     assert rc == 0

@@ -1,6 +1,7 @@
 """Time functions, scenario validation, document parsing and round-trips."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from bckosc import (InvalidIC, OutOfDomain, ParseError, Scenario,
                     TimeFunction, ValidationError, eval_G, parse_scenario,
                     serialize_scenario, twice_integral)
 from bckosc.core import KIND_POLY
+
+from conftest import SCENARIO_DIR
 
 TS = np.array([-2.0, -0.3, 0.0, 0.7, 1.5, 3.2, 6.0])
 
@@ -306,6 +309,14 @@ def test_parse_inline_tabulated_samples():
                        "samples = 0:1.0, 1:1.1, 2:1.2, 3:1.3\n")
     assert_allclose(s.omega(1.0), 1.1, rtol=1e-15)
     assert_allclose(s.omega(1.5), 1.15, rtol=0, atol=1e-9)
+
+
+def test_parse_readme_inline_samples_example():
+    readme = (SCENARIO_DIR.parent / "README.md").read_text()
+    line = re.search(r"`(samples = [^`]*)`", readme).group(1)
+    s = parse_scenario("[scenario]\nt0 = 0\nt1 = 3\n[omega]\n"
+                       f"type = tabulated\n{line}\n")
+    assert_allclose(s.omega(1.0), 1.1, rtol=1e-15)
 
 
 def test_parse_tabulated_file(tmp_path):

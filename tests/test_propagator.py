@@ -3,6 +3,7 @@ small-system anchors, unitarity, fidelity against the analytic states and
 the documented failure modes."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -13,7 +14,9 @@ from scipy.linalg import eigh_tridiagonal
 
 from bckosc import (OutOfDomain, Scenario, SolverBreakdown, TimeFunction,
                     build_hamiltonian, crank_nicolson_step, eval_psi0,
-                    eval_psin, frame_from_beta, inner, propagate_and_compare)
+                    eval_psin, frame_from_beta, inner, integrate_beta,
+                    propagate_and_compare)
+from bckosc.propagator import BLOCK
 from bckosc.quantum import WaveFunction
 
 
@@ -37,6 +40,17 @@ def test_hamiltonian_entries(driven):
     ref = (2.0 * kin / dq ** 2 + 0.5 * eg * qs ** 2
            - eg * 0.5 * math.sin(0.9) * qs)
     assert_allclose(diag, ref, rtol=0, atol=1e-12)
+
+
+def test_hamiltonian_rows_match_scalar_calls(driven, ramp):
+    ts = np.array([0.0, 0.37, 1.0, 2.5, 7.25])
+    for s in (driven, ramp):
+        diag, off = build_hamiltonian(s, ts)
+        assert diag.shape == (ts.size, s.npoints) and off.shape == ts.shape
+        for k, t in enumerate(ts):
+            d, o = build_hamiltonian(s, t)
+            assert_allclose(diag[k], d, rtol=1e-15, atol=0)
+            assert_allclose(off[k], o, rtol=1e-15, atol=0)
 
 
 def test_free_particle_discrete_dispersion():
@@ -112,6 +126,26 @@ def test_non_finite_hamiltonian_is_a_breakdown():
             crank_nicolson_step(psi, s, 2.0, 1e-3)
 
 
+def test_breakdown_in_a_later_block_is_quiet():
+    # G = 800 t: 0.5 omega^2 e^G q^2 overflows at the grid ends once
+    # t > 0.8815, so only the midpoint of the last step, in a block after
+    # the first, sees a non-finite Hamiltonian
+    s = Scenario(omega=TimeFunction.constant(1.0), t0=0.0, t1=0.885,
+                 damping=TimeFunction.constant(400.0), beta0=(1.0, 1.0j),
+                 npoints=64)
+    nsteps, dt = 177, 0.005
+    with np.errstate(over="ignore"):
+        diag, _ = build_hamiltonian(s, (np.arange(nsteps) + 0.5) * dt)
+    finite = np.isfinite(diag).all(axis=1)
+    assert finite[:-1].all() and not finite[-1] and nsteps > BLOCK
+    beta_sol = integrate_beta(s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverBreakdown):
+            propagate_and_compare(s, 0, 0.0, s.t1, dt, max_slices=2,
+                                  beta_sol=beta_sol)
+
+
 # ---------- propagation against the analytic states ----------
 
 def test_propagate_sho_ground_state(sho):
@@ -129,6 +163,45 @@ def test_propagate_driven_ground_state(driven, driven_beta):
     assert run.min_overlap > 1.0 - 1e-4
     assert np.max(run.fidelity_defects) < 1e-4
     assert_allclose(run.slice_norms, 1.0, rtol=0, atol=1e-6)
+
+
+def test_blocks_match_single_steps(driven, driven_beta):
+    # two full blocks and a partial one against one step at a time
+    s = replace(driven, npoints=256)
+    nsteps = 2 * BLOCK + 3
+    t0, dt = 0.5, 0.01
+    run = propagate_and_compare(s, 1, t0, t0 + nsteps * dt, dt,
+                                beta_sol=driven_beta)
+    assert run.step_norms.shape == (nsteps,)
+    assert_allclose(run.slice_ts, t0 + run.dt * np.arange(nsteps + 1),
+                    rtol=0, atol=0)
+    psi = eval_psin(1, s, frame_from_beta(s, driven_beta, t0), t0)
+    assert_allclose(run.initial.values, psi.values, rtol=0, atol=1e-15)
+    norms, overlaps = [], []
+    for k in range(nsteps):
+        psi = crank_nicolson_step(psi, s, t0 + k * run.dt, run.dt)
+        t = float(run.slice_ts[k + 1])
+        ana = eval_psin(1, s, frame_from_beta(s, driven_beta, t), t)
+        norms.append(psi.norm)
+        overlaps.append(abs(inner(ana, psi)) / (ana.norm * psi.norm))
+    assert_allclose(run.step_norms, norms, rtol=0, atol=1e-13)
+    assert_allclose(run.slice_norms[1:], norms, rtol=0, atol=1e-13)
+    assert_allclose(run.overlaps[1:], overlaps, rtol=0, atol=1e-13)
+
+
+def test_propagation_memory_does_not_grow_with_steps(driven, driven_beta):
+    # compared slices are not kept, so 4x the steps (65 against 202
+    # slices) must not raise the peak allocation
+    peaks = []
+    for nsteps in (64, 256):
+        tracemalloc.start()
+        try:
+            propagate_and_compare(driven, 0, 0.0, nsteps * 2e-3, 2e-3,
+                                  beta_sol=driven_beta)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def test_unitarity_over_many_steps(driven):
