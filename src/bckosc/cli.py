@@ -21,10 +21,10 @@ from .errors import (BckoscError, DegenerateSolutions, DegreeTooLarge,
                      InvalidIC, NotUnderdamped, OmegaNotPositive, OutOfDomain,
                      ParseError, SolverBreakdown, StepSizeUnderflow,
                      UnsupportedForceShape, ValidationError)
-from .invariants import (compute_omega, frame_from_beta, verification_series,
-                         write_verification_report)
-from .ode import (gamma_ics_from_beta, integrate_beta, integrate_classical,
-                  integrate_gamma, integrate_sigma)
+from .invariants import (compute_omega, envelope_ics, frame_from_beta,
+                         verification_series, write_verification_report)
+from .ode import (integrate_beta, integrate_classical, integrate_gamma,
+                  integrate_sigma)
 from .propagator import propagate_and_compare
 from .quantum import (build_spectrum, eval_psin, expectation_qp,
                       uncertainty_product, write_spectrum_csv)
@@ -72,18 +72,12 @@ def _verify_pipeline(s, samples):
 
 def cmd_verify(s, args, outdir):
     beta_sol, series, om = _verify_pipeline(s, args.samples)
-    gamma0, dgamma0, ddgamma0 = gamma_ics_from_beta(s)
-    gamma_sol = integrate_gamma(s, gamma0, dgamma0, ddgamma0)
-    # sigma = -2 Re(beta* F) starts at 0 with sigma' = -gamma e^G F at t0,
-    # where G(t0) = 0
-    sigma_sol = integrate_sigma(s, gamma_sol, sigma0=0.0,
-                                dsigma0=-gamma0 * s.force(s.t0))
-    ts = series["ts"]
-    gv = gamma_sol(ts)[:, 0]
-    fr = frame_from_beta(s, beta_sol, ts)
-    gamma_dev = float(np.max(np.abs(gv - fr.gamma)))
-    sv = sigma_sol(ts)[:, 0]
-    sigma_dev = float(np.max(np.abs(sv - fr.sigma)))
+    gamma_ics, sigma_ics = envelope_ics(s)
+    gamma_sol = integrate_gamma(s, *gamma_ics)
+    sigma_sol = integrate_sigma(s, gamma_sol, *sigma_ics)
+    ts, fr = series["ts"], series["frame"]
+    gamma_dev = float(np.max(np.abs(gamma_sol(ts)[:, 0] - fr.gamma)))
+    sigma_dev = float(np.max(np.abs(sigma_sol(ts)[:, 0] - fr.sigma)))
     path = outdir / "verify_report.csv"
     write_verification_report(path, series)
     ok = True

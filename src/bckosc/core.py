@@ -209,12 +209,17 @@ class TimeFunction:
         return TimeFunction(KIND_PPOLY, [], breaks=self.breaks, coefs=coefs)
 
     def __eq__(self, other):
+        """Equal when the encoded functions are; ``label`` and ``meta`` only
+        record how one was built."""
         if not isinstance(other, TimeFunction):
             return NotImplemented
-        return self.label == other.label and self.meta == other.meta
+        return (self.kind == other.kind
+                and np.array_equal(self.params, other.params)
+                and np.array_equal(self.breaks, other.breaks)
+                and np.array_equal(self.coefs, other.coefs))
 
     def __hash__(self):
-        return hash((self.label, self.meta))
+        return hash((self.kind, *self.params.tolist()))
 
 
 def eval_time_function(f, t):

@@ -1,6 +1,13 @@
 """Linear and quadratic invariants, the conserved normalization Omega,
 the envelope first integral and its Ermakov-type residual.
 
+This module owns the quantities the paper derives from the amplitude beta:
+the envelope group (``envelope_group``, ``envelope_ics``), the five
+coefficients of I_Q (``iq_coefficients``) and Omega (``omega_of_frame``).
+The other modules call these definitions rather than restate them; the
+closed forms in ``quantum.underdamped_closed_forms`` stay independent on
+purpose, as the oracle they are compared with.
+
 An InvariantFrame collects everything needed to evaluate the invariants at
 one instant.  Fields may be scalars or equally-shaped arrays; every
 operation here is elementwise, so a "vector frame" sampled on a time grid
@@ -8,6 +15,7 @@ evaluates whole drift series in one call.
 """
 
 from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -22,6 +30,7 @@ class InvariantFrame:
     of sigma, ``phase`` the continuously unwrapped argument of beta and
     ``phase_integral`` the accumulated Gaussian phase
     int e^{-G} (F/beta)^2; the last two feed the wavefunction construction.
+    A scalar frame holds Python or numpy scalars.
     """
 
     t: object
@@ -51,46 +60,52 @@ class InvariantFrame:
                                 if np.ndim(getattr(self, f.name))})
 
 
-def frame_from_beta(s, beta_sol, t):
-    """Build a frame (or vector frame) from a dense amplitude solution.
+def envelope_group(b, bd, Fc, omega, damping, expG, force):
+    """The envelope group of the amplitude, elementwise:
 
-    The envelope group is derived algebraically: gamma = 2 beta* beta,
-    sigma = -(beta* F + F* beta), F_sigma = -|F|^2.
+    gamma = 2 beta* beta with gamma' and gamma'' (the latter through the
+    amplitude equation), sigma = -(beta* F + F* beta) with sigma', and
+    F_sigma = -|F|^2, from beta, beta' and the force functional F.
     """
-    v = beta_sol(t)
-    b = v[..., 0] + 1j * v[..., 1]
-    bd = v[..., 2] + 1j * v[..., 3]
-    Fc = v[..., 4] + 1j * v[..., 5]
-    P = v[..., 6] + 1j * v[..., 7]
-    phase = v[..., 8]
+    gamma = 2.0 * (b.conjugate() * b).real
+    dgamma = 4.0 * (b.conjugate() * bd).real
+    ddgamma = 4.0 * (bd.conjugate() * bd).real - 2.0 * damping * dgamma \
+        - 2.0 * omega * omega * gamma
+    sigma = -2.0 * (b.conjugate() * Fc).real
+    dsigma = -2.0 * (bd.conjugate() * Fc).real - gamma * expG * force
+    F_sigma = -(Fc.conjugate() * Fc).real
+    return gamma, dgamma, ddgamma, sigma, dsigma, F_sigma
+
+
+def envelope_ics(s):
+    """((gamma, gamma', gamma''), (sigma, sigma')) at t0 for the scenario's
+    amplitude ICs, where F(beta, t0) = 0 and e^{G(t0)} = 1."""
+    b0, db0 = s.resolved_beta0()
+    group = envelope_group(b0, db0, 0j, s.omega(s.t0), s.damping(s.t0), 1.0,
+                           s.force(s.t0))
+    return group[:3], group[3:5]
+
+
+def frame_from_beta(s, beta_sol, t):
+    """Build a frame (or vector frame) from a dense amplitude solution,
+    with the envelope group derived algebraically by ``envelope_group``."""
+    re_b, im_b, re_bd, im_bd, re_F, im_F, re_P, im_P, phase = beta_sol(t).T
+    b = re_b + 1j * im_b
+    bd = re_bd + 1j * im_bd
+    Fc = re_F + 1j * im_F
     t_arr = np.asarray(t, dtype=float)
     w = s.omega(t_arr)
     g = s.damping(t_arr)
     F = s.force(t_arr)
     G = s.G(t_arr)
     expG = np.exp(G)
-    gamma = 2.0 * (b.conjugate() * b).real
-    dgamma = 4.0 * (b.conjugate() * bd).real
-    ddgamma = 4.0 * (bd.conjugate() * bd).real - 2.0 * g * dgamma \
-        - 2.0 * w * w * gamma
-    sigma = -2.0 * (b.conjugate() * Fc).real
-    dsigma = -2.0 * (bd.conjugate() * Fc).real - gamma * expG * F
-    F_sigma = -(Fc.conjugate() * Fc).real
-    if np.asarray(t).ndim == 0:
-        conv = float
-    else:
-        conv = lambda x: x  # noqa: E731
+    gamma, dgamma, ddgamma, sigma, dsigma, F_sigma = envelope_group(
+        b, bd, Fc, w, g, expG, F)
     return InvariantFrame(
-        t=t, m=s.m, hbar=s.hbar,
-        omega=conv(w), damping=conv(g), force=conv(F),
-        G=conv(G), expG=conv(expG),
-        beta=b if np.ndim(b) else complex(b),
-        dbeta=bd if np.ndim(bd) else complex(bd),
-        F=Fc if np.ndim(Fc) else complex(Fc),
-        gamma=conv(gamma), dgamma=conv(dgamma), ddgamma=conv(ddgamma),
-        sigma=conv(sigma), dsigma=conv(dsigma), F_sigma=conv(F_sigma),
-        phase=conv(phase),
-        phase_integral=P if np.ndim(P) else complex(P))
+        t=t, m=s.m, hbar=s.hbar, omega=w, damping=g, force=F, G=G, expG=expG,
+        beta=b, dbeta=bd, F=Fc, gamma=gamma, dgamma=dgamma, ddgamma=ddgamma,
+        sigma=sigma, dsigma=dsigma, F_sigma=F_sigma, phase=phase,
+        phase_integral=re_P + 1j * im_P)
 
 
 def eval_linear_invariant(fr, q, p):
@@ -103,11 +118,17 @@ def eval_conjugate_invariant(fr, q, p):
     return np.conjugate(eval_linear_invariant(fr, q, p))
 
 
+def _wronskian_omega(fr):
+    """The Wronskian W = beta'* beta - beta* beta' and the complex
+    i m hbar e^G W whose real part is Omega."""
+    w = np.conjugate(fr.dbeta) * fr.beta - np.conjugate(fr.beta) * fr.dbeta
+    return w, 1j * fr.m * fr.hbar * fr.expG * w
+
+
 def omega_of_frame(fr):
     """Omega = i m hbar e^G (beta'* beta - beta* beta') evaluated on the
     frame; real by construction."""
-    w = np.conjugate(fr.dbeta) * fr.beta - np.conjugate(fr.beta) * fr.dbeta
-    return (1j * fr.m * fr.hbar * fr.expG * w).real
+    return _wronskian_omega(fr)[1].real
 
 
 @dataclass(frozen=True)
@@ -124,17 +145,12 @@ class OmegaReport:
 
 def compute_omega(s, beta_sol, samples=512):
     ts = np.linspace(s.t0, s.t1, samples)
-    v = beta_sol(ts)
-    b = v[:, 0] + 1j * v[:, 1]
-    bd = v[:, 2] + 1j * v[:, 3]
-    w = bd.conjugate() * b - b.conjugate() * bd
-    scale = np.abs(b) * np.abs(bd)
-    if np.any(np.abs(w) < 1e-12 * scale):
+    fr = frame_from_beta(s, beta_sol, ts)
+    w, om_c = _wronskian_omega(fr)
+    if np.any(np.abs(w) < 1e-12 * (np.abs(fr.beta) * np.abs(fr.dbeta))):
         raise DegenerateSolutions(
             "Wronskian of (beta, beta*) vanishes: the two solutions are "
             "linearly dependent and no ladder normalization exists")
-    expG = np.exp(s.G(ts))
-    om_c = 1j * s.m * s.hbar * expG * w
     om = om_c.real
     mean = float(np.mean(om))
     drift = float(np.max(np.abs(om - mean)) / max(abs(mean), 1e-300))
@@ -143,23 +159,34 @@ def compute_omega(s, beta_sol, samples=512):
                        wronskian=w, mean=mean, max_rel_drift=drift)
 
 
-def eval_quadratic_invariant(fr, q, p):
-    """Quadratic invariant in envelope form, classical realization
-    ({q,p} -> 2qp):
+def iq_coefficients(fr):
+    """The five coefficients of the quadratic invariant,
 
-    I_Q = (1/2)(m e^G)^2 (gamma''/2 + g gamma' + omega^2 gamma) q^2
-          - (m e^G / 2) gamma' q p + (gamma/2) p^2
-          - m e^G (sigma' + gamma e^G F) q + sigma p - F(sigma, t).
+    I_Q = c1 q^2/2 + c2 qp + c3 p^2/2 + c4 q + c5 p - F(sigma, t)
+
+    in its classical realization ({q,p} -> 2qp), from the envelope group:
+
+    c1 = (m e^G)^2 (gamma''/2 + g gamma' + omega^2 gamma),
+    c2 = -(m e^G/2) gamma', c3 = gamma,
+    c4 = -m e^G (sigma' + gamma e^G F), c5 = sigma.
+
+    ``fr`` is a frame, or any object with its fields m, expG, omega,
+    damping, force, gamma, dgamma, ddgamma, sigma and dsigma.
     """
     meG = fr.m * fr.expG
-    cq2 = 0.5 * meG ** 2 * (0.5 * fr.ddgamma + fr.damping * fr.dgamma
-                            + fr.omega ** 2 * fr.gamma)
-    return (cq2 * q * q
-            - 0.5 * meG * fr.dgamma * q * p
-            + 0.5 * fr.gamma * p * p
-            - meG * (fr.dsigma + fr.gamma * fr.expG * fr.force) * q
-            + fr.sigma * p
-            - fr.F_sigma)
+    return (meG ** 2 * (0.5 * fr.ddgamma + fr.damping * fr.dgamma
+                        + fr.omega ** 2 * fr.gamma),
+            -0.5 * meG * fr.dgamma,
+            fr.gamma,
+            -meG * (fr.dsigma + fr.gamma * fr.expG * fr.force),
+            fr.sigma)
+
+
+def eval_quadratic_invariant(fr, q, p):
+    """Quadratic invariant in envelope form (see ``iq_coefficients``)."""
+    c1, c2, c3, c4, c5 = iq_coefficients(fr)
+    return (0.5 * c1 * q * q + c2 * q * p + 0.5 * c3 * p * p + c4 * q
+            + c5 * p - fr.F_sigma)
 
 
 def first_integral_C(fr):
@@ -214,32 +241,21 @@ class CReductionReport:
 
 def verify_c_reduction(s, c_sol, gamma_sol, sigma_sol, samples=512):
     """Check the reduction of the five coefficient ODEs onto (gamma, sigma):
-
-    c3 = gamma, c2 = -(m e^G/2) gamma', c5 = sigma,
-    c4 = -m e^G (sigma' + gamma e^G F),
-    c1 = (m e^G)^2 (gamma''/2 + g gamma' + omega^2 gamma).
-    """
+    each c_k against ``iq_coefficients`` of the envelope solutions."""
     ts = np.linspace(s.t0, s.t1, samples)
     c = c_sol(ts)
     ga = gamma_sol(ts)
     si = sigma_sol(ts)
-    g = s.damping(ts)
-    w = s.omega(ts)
-    F = s.force(ts)
-    eG = np.exp(s.G(ts))
-    meG = s.m * eG
-    gamma, dgamma, ddgamma = ga[:, 0], ga[:, 1], ga[:, 2]
-    sigma, dsigma = si[:, 0], si[:, 1]
-    t1 = meG ** 2 * (0.5 * ddgamma + g * dgamma + w * w * gamma)
-    t2 = -0.5 * meG * dgamma
-    t4 = -meG * (dsigma + gamma * eG * F)
+    ref = iq_coefficients(SimpleNamespace(
+        m=s.m, expG=np.exp(s.G(ts)), omega=s.omega(ts), damping=s.damping(ts),
+        force=s.force(ts), gamma=ga[:, 0], dgamma=ga[:, 1], ddgamma=ga[:, 2],
+        sigma=si[:, 0], dsigma=si[:, 1]))
 
-    def dev(col, ref):
-        return float(np.max(np.abs(col - ref)) / (1.0 + np.max(np.abs(ref))))
+    def dev(k):
+        return float(np.max(np.abs(c[:, k] - ref[k]))
+                     / (1.0 + np.max(np.abs(ref[k]))))
 
-    return CReductionReport(ts=ts, dev_c1=dev(c[:, 0], t1),
-                            dev_c2=dev(c[:, 1], t2), dev_c3=dev(c[:, 2], gamma),
-                            dev_c4=dev(c[:, 3], t4), dev_c5=dev(c[:, 4], sigma))
+    return CReductionReport(ts, *(dev(k) for k in range(5)))
 
 
 def drift(series, reference=None):
@@ -252,7 +268,8 @@ def drift(series, reference=None):
 
 def verification_series(s, beta_sol, trajectory, samples=512):
     """Everything cmd-verify reports: per-sample I, I_Q, Omega, C and the
-    Ermakov residual along one trajectory, plus summary drifts."""
+    Ermakov residual along one trajectory, plus summary drifts and the
+    vector frame they were evaluated on."""
     ts = np.linspace(s.t0, s.t1, samples)
     fr = frame_from_beta(s, beta_sol, ts)
     q = trajectory.q(ts)
@@ -263,7 +280,7 @@ def verification_series(s, beta_sol, trajectory, samples=512):
     C = first_integral_C(fr)
     erm = ermakov_residual(fr, float(np.mean(C)))
     return {
-        "ts": ts, "I": lin, "IQ": quad, "Omega": om, "C": C,
+        "ts": ts, "frame": fr, "I": lin, "IQ": quad, "Omega": om, "C": C,
         "ermakov": erm,
         "drift_I": drift(lin),
         "drift_IQ": drift(quad),

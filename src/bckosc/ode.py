@@ -26,11 +26,13 @@ method does with them as extra states, so no separate pass is needed.
 """
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 
 from .core import KIND_PPOLY
 from .errors import OutOfDomain, StepSizeUnderflow
+from .invariants import envelope_ics, iq_coefficients
 
 BETA_NAMES = ("re_beta", "im_beta", "re_dbeta", "im_dbeta",
               "re_F", "im_F", "re_P", "im_P", "phase")
@@ -301,16 +303,14 @@ class Trajectory(ODESolution):
         return self(t)[..., 1]
 
 
-def _integrate(s, name, coef, y0, nout, names, rtol=None, atol=None,
-               cls=ODESolution, rider=None):
-    """Solve one linear system (see _sweep) over the scenario window.
+def _integrate(s, name, coef, y0, nout, names, cls=ODESolution, rider=None):
+    """Solve one linear system (see _sweep) over the scenario window at
+    the scenario's tolerances.
 
     ``name`` names the system in errors.  A solution that leaves the float
     range while the steps before it were fine enough, or that needs more
     than MAX_STEPS steps, raises StepSizeUnderflow.
     """
-    rtol = s.rtol if rtol is None else float(rtol)
-    atol = s.atol if atol is None else float(atol)
     y0 = np.asarray(y0, dtype=float)
     bounds = _bounds(s)
     h = s.step_max
@@ -323,7 +323,8 @@ def _integrate(s, name, coef, y0, nout, names, rtol=None, atol=None,
                 raise StepSizeUnderflow(
                     f"{name} system needs more than {MAX_STEPS} steps "
                     f"over [{s.t0}, {s.t1}]")
-            ys, qs, errn, bad = _sweep(ts, coef, y0, nout, rtol, atol, rider)
+            ys, qs, errn, bad = _sweep(ts, coef, y0, nout, s.rtol, s.atol,
+                                       rider)
             nfev += _NODES * n
             done = n if bad is None else bad
             # the step count of a grid that equidistributes the error at
@@ -345,7 +346,7 @@ def _integrate(s, name, coef, y0, nout, names, rtol=None, atol=None,
     return cls(ts, ys[:, :nout], qs[:, :nout], names, stats)
 
 
-def integrate_beta(s, rtol=None, atol=None):
+def integrate_beta(s):
     """Integrate the amplitude equation beta'' + 2g beta' + omega^2 beta = 0
     together with the force functional, the Gaussian phase integral and the
     unwrapped phase of beta."""
@@ -374,11 +375,11 @@ def integrate_beta(s, rtol=None, atol=None):
 
     y0 = [[b0.real, b0.imag], [db0.real, db0.imag], [0.0, 0.0]]
     z0 = [0.0, 0.0, float(np.angle(b0))]
-    return _integrate(s, "amplitude", coef, y0, 9, BETA_NAMES, rtol, atol,
-                      BetaSolution, (z0, riders))
+    return _integrate(s, "amplitude", coef, y0, 9, BETA_NAMES, BetaSolution,
+                      (z0, riders))
 
 
-def integrate_classical(s, q0, p0, rtol=None, atol=None):
+def integrate_classical(s, q0, p0):
     """Integrate Hamilton's equations q' = e^{-G} p/m,
     p' = e^G (F - m omega^2 q)."""
     def coef(t):
@@ -389,23 +390,16 @@ def integrate_classical(s, q0, p0, rtol=None, atol=None):
             (1, 2): eG * s.force(t)})
 
     return _integrate(s, "classical", coef, [[q0], [p0], [1.0]], 2,
-                      ("q", "p"), rtol, atol, Trajectory)
+                      ("q", "p"), Trajectory)
 
 
 def gamma_ics_from_beta(s):
     """Envelope ICs matching gamma = 2 beta* beta for the scenario's
     amplitude ICs."""
-    b0, db0 = s.resolved_beta0()
-    g0 = s.damping(s.t0)
-    w0 = s.omega(s.t0)
-    gamma0 = 2.0 * abs(b0) ** 2
-    dgamma0 = 4.0 * (b0.conjugate() * db0).real
-    ddgamma0 = (4.0 * abs(db0) ** 2 - 2.0 * g0 * dgamma0
-                - 2.0 * w0 * w0 * gamma0)
-    return gamma0, dgamma0, ddgamma0
+    return envelope_ics(s)[0]
 
 
-def integrate_gamma(s, gamma0, dgamma0, ddgamma0, rtol=None, atol=None):
+def integrate_gamma(s, gamma0, dgamma0, ddgamma0):
     """Integrate the third-order envelope equation
     gamma''' + 6g gamma'' + 2(g' + 4g^2 + 2 omega^2) gamma'
     + 2((omega^2)' + 4 omega^2 g) gamma = 0."""
@@ -420,11 +414,10 @@ def integrate_gamma(s, gamma0, dgamma0, ddgamma0, rtol=None, atol=None):
             (2, 2): -6.0 * g})
 
     return _integrate(s, "envelope", coef, [[gamma0], [dgamma0], [ddgamma0]],
-                      3, GAMMA_NAMES, rtol, atol)
+                      3, GAMMA_NAMES)
 
 
-def integrate_sigma(s, gamma_sol, sigma0=0.0, dsigma0=0.0,
-                    rtol=None, atol=None):
+def integrate_sigma(s, gamma_sol, sigma0=0.0, dsigma0=0.0):
     """Integrate the driven envelope companion
     sigma'' + 2g sigma' + omega^2 sigma =
     -(3/2) e^G F gamma' - e^G (F' + 4 g F) gamma,
@@ -442,26 +435,20 @@ def integrate_sigma(s, gamma_sol, sigma0=0.0, dsigma0=0.0,
             (1, 2): drive})
 
     return _integrate(s, "companion", coef, [[sigma0], [dsigma0], [1.0]], 2,
-                      SIGMA_NAMES, rtol, atol)
+                      SIGMA_NAMES)
 
 
 def c_ics_from_gamma_sigma(s, gamma_ics, sigma_ics):
     """Coefficient ICs that reduce the five-ODE system to (gamma, sigma)."""
-    gamma0, dgamma0, ddgamma0 = gamma_ics
-    sigma0, dsigma0 = sigma_ics
-    g0 = s.damping(s.t0)
-    w0 = s.omega(s.t0)
-    F0 = s.force(s.t0)
+    (gamma, dgamma, ddgamma), (sigma, dsigma) = gamma_ics, sigma_ics
     # e^{G(t0)} = 1 by the gauge choice
-    c1 = (s.m ** 2) * (0.5 * ddgamma0 + g0 * dgamma0 + w0 * w0 * gamma0)
-    c2 = -0.5 * s.m * dgamma0
-    c3 = gamma0
-    c4 = -s.m * (dsigma0 + gamma0 * F0)
-    c5 = sigma0
-    return np.array([c1, c2, c3, c4, c5])
+    return np.array(iq_coefficients(SimpleNamespace(
+        m=s.m, expG=1.0, omega=s.omega(s.t0), damping=s.damping(s.t0),
+        force=s.force(s.t0), gamma=gamma, dgamma=dgamma, ddgamma=ddgamma,
+        sigma=sigma, dsigma=dsigma)))
 
 
-def integrate_c_system(s, c0, rtol=None, atol=None):
+def integrate_c_system(s, c0):
     """Integrate the five first-order coefficient ODEs of the quadratic
     invariant."""
     c0 = np.asarray(c0, dtype=float)
@@ -478,8 +465,7 @@ def integrate_c_system(s, c0, rtol=None, atol=None):
             (0, 1): 2.0 * pot, (1, 0): -kin, (1, 2): pot, (2, 1): -2.0 * kin,
             (3, 1): -drive, (3, 4): pot, (4, 2): -drive, (4, 3): -kin})
 
-    return _integrate(s, "coefficient", coef, c0[:, None], 5, C_NAMES, rtol,
-                      atol)
+    return _integrate(s, "coefficient", coef, c0[:, None], 5, C_NAMES)
 
 
 def accumulate_F(s, beta_sol):

@@ -20,14 +20,15 @@ time-dependent Schrodinger equation of the scaled-mass Hamiltonian.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (DegreeTooLarge, GridTooNarrow, InsufficientSlices,
                      NotUnderdamped, OmegaNotPositive, UnsupportedForceShape,
                      ValidationError)
-from .invariants import InvariantFrame, omega_of_frame
+from .invariants import InvariantFrame, iq_coefficients, omega_of_frame
 
 MAX_DEGREE = 200
 
@@ -40,19 +41,15 @@ class WaveFunction:
     values: np.ndarray
     t: float
     n: object = None            # quantum number when known, else None
-    _norm: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def dq(self):
         return float(self.qs[1] - self.qs[0])
 
-    @property
+    @cached_property
     def norm(self):
         """L2 norm by the trapezoid rule, cached after first use."""
-        if not self._norm:
-            dens = np.abs(self.values) ** 2
-            self._norm.append(float(np.sqrt(np.trapezoid(dens, dx=self.dq))))
-        return self._norm[0]
+        return l2_norm(self.values, self.dq)
 
     def to_csv(self, path, footer=None):
         """CSV columns q, re_psi, im_psi, abs2; optional comment footer."""
@@ -90,7 +87,9 @@ def hermite(n, x):
     """Physicists' Hermite polynomial H_n by the three-term recurrence.
 
     Values can overflow float64 for large n·x; the eigenfunction path uses
-    the scaled (normalized) recurrence instead and stays finite.
+    the scaled (normalized) recurrence instead and stays finite.  Kept
+    apart from that recurrence on purpose: it is the unscaled textbook
+    polynomial, a reference that shares no code with the eigenfunctions.
     """
     if n < 0 or int(n) != n:
         raise ValidationError("Hermite degree must be a nonnegative integer")
@@ -119,28 +118,26 @@ def _normalized_hermite(n, x):
     return h
 
 
-def _scalar_frame_omega(fr):
-    om = omega_of_frame(fr)
-    om = float(np.asarray(om))
+def _packet(s, fr):
+    """(Omega, a, q0) on a scalar frame: Omega, a = Omega/(2 hbar^2 beta*
+    beta) and the packet center q0 = -(2 hbar/Omega) Im(beta* F).  Raises
+    OmegaNotPositive unless Omega > 0."""
+    om = float(omega_of_frame(fr))
     if om <= 0.0:
         raise OmegaNotPositive(f"Omega = {om:g} is not positive; the ladder "
                                "construction requires Omega > 0")
-    return om
-
-
-def envelope_width(fr):
-    """Gaussian envelope width w = hbar sqrt(2 beta* beta / Omega)."""
-    om = _scalar_frame_omega(fr)
-    bb = float((np.conjugate(fr.beta) * fr.beta).real)
-    return fr.hbar * math.sqrt(2.0 * bb / om)
+    b = complex(fr.beta)
+    a = om / (2.0 * s.hbar ** 2 * (b.conjugate() * b).real)
+    q0 = -(2.0 * s.hbar / om) * (b.conjugate() * complex(fr.F)).imag
+    return om, a, q0
 
 
 def check_grid(s, fr, n):
-    """Require 8 sqrt(n+1) envelope widths on both sides of the packet
-    center; raise GridTooNarrow with a symmetric suggestion otherwise."""
-    om = _scalar_frame_omega(fr)
-    w = envelope_width(fr)
-    q0 = -(2.0 * s.hbar / om) * float((np.conjugate(fr.beta) * fr.F).imag)
+    """Require 8 sqrt(n+1) envelope widths 1/sqrt(a) on both sides of the
+    packet center; raise GridTooNarrow with a symmetric suggestion
+    otherwise.  Returns the packet (Omega, a, q0) of ``_packet``."""
+    om, a, q0 = _packet(s, fr)
+    w = 1.0 / math.sqrt(a)
     need = 8.0 * w * math.sqrt(n + 1.0)
     if s.qmax - q0 < need or q0 - s.qmin < need:
         suggested = math.ceil((abs(q0) + need) * 10.0) / 10.0
@@ -148,6 +145,7 @@ def check_grid(s, fr, n):
             f"grid [{s.qmin:g}, {s.qmax:g}] clips the envelope centered at "
             f"q = {q0:.4g} (width {w:.4g}, need +-{need:.4g}); "
             f"suggested qmax = {suggested:g}", suggested_qmax=suggested)
+    return om, a, q0
 
 
 def eval_psin(n, s, frame, t):
@@ -159,22 +157,15 @@ def eval_psin(n, s, frame, t):
         raise ValidationError("quantum number must be a nonnegative integer")
     if n > MAX_DEGREE:
         raise DegreeTooLarge(f"quantum number {n} exceeds {MAX_DEGREE}")
-    if not np.allclose(np.asarray(frame.t, dtype=float), t,
-                       rtol=1e-12, atol=1e-12):
+    if not abs(float(frame.t) - t) <= 1e-12 + 1e-12 * abs(t):
         raise ValidationError("frame timestamp does not match requested t")
-    om = _scalar_frame_omega(frame)
-    check_grid(s, frame, n)
-    b = complex(frame.beta)
-    bd = complex(frame.dbeta)
-    Fc = complex(frame.F)
-    bb = (b.conjugate() * b).real
-    a = om / (2.0 * s.hbar ** 2 * bb)
-    q0 = -(2.0 * s.hbar / om) * (b.conjugate() * Fc).imag
+    _, a, q0 = check_grid(s, frame, n)
     qs = s.grid()
     x = math.sqrt(a) * (qs - q0)
     h = _normalized_hermite(int(n), x)
-    ratio_bd = bd / b
-    ratio_F = Fc / b
+    b = complex(frame.beta)
+    ratio_bd = complex(frame.dbeta) / b
+    ratio_F = complex(frame.F) / b
     phi_q = (s.m * frame.expG * ratio_bd.real * qs ** 2
              + 2.0 * ratio_F.real * qs) / (2.0 * s.hbar)
     P = complex(frame.phase_integral)
@@ -225,7 +216,7 @@ def apply_ladder(direction, psi, frame, s):
     p realized as -i hbar d/dq on the grid.  The outermost two grid cells
     use zero padding; exclude them from error metrics.
     """
-    om = _scalar_frame_omega(frame)
+    om = _packet(s, frame)[0]
     if direction not in ("down", "up"):
         raise ValidationError('ladder direction must be "down" or "up"')
     b = complex(frame.beta)
@@ -249,21 +240,17 @@ def apply_IQ(psi, frame, s):
     The symmetrized product {q,p} acts as -i hbar (q d/dq + d/dq q); the
     kinetic part uses the 4th-order second-difference stencil.
     """
-    _scalar_frame_omega(frame)
+    _packet(s, frame)
+    c1, c2, c3, c4, c5 = iq_coefficients(frame)
     dpsi = _d1(psi.values, psi.dq)
     ddpsi = _d2(psi.values, psi.dq)
-    meG = s.m * frame.expG
     qs = psi.qs
-    cq2 = 0.5 * meG ** 2 * (0.5 * frame.ddgamma
-                            + frame.damping * frame.dgamma
-                            + frame.omega ** 2 * frame.gamma)
     anticomm = -1j * s.hbar * (2.0 * qs * dpsi + psi.values)
-    out = (cq2 * qs ** 2 * psi.values
-           - 0.25 * meG * frame.dgamma * anticomm
-           - 0.5 * frame.gamma * s.hbar ** 2 * ddpsi
-           - meG * (frame.dsigma + frame.gamma * frame.expG * frame.force)
-           * qs * psi.values
-           + frame.sigma * (-1j * s.hbar) * dpsi
+    out = (0.5 * c1 * qs ** 2 * psi.values
+           + 0.5 * c2 * anticomm
+           - 0.5 * c3 * s.hbar ** 2 * ddpsi
+           + c4 * qs * psi.values
+           + c5 * (-1j * s.hbar) * dpsi
            - frame.F_sigma * psi.values)
     return WaveFunction(qs=psi.qs, values=out, t=psi.t, n=psi.n)
 
@@ -274,6 +261,8 @@ def schrodinger_residual(series, s):
     The time derivative is a central difference over uniformly spaced
     slices; H applies the scaled-mass kinetic term with the 4th-order
     stencil.  Two boundary cells on each side are excluded from norms.
+    This H is kept apart from the propagator's Hamiltonian on purpose, so
+    the residual checks the eigenstates against an independent operator.
     """
     if len(series) < 3:
         raise InsufficientSlices("need at least 3 uniformly spaced slices")
@@ -301,10 +290,8 @@ def schrodinger_residual(series, s):
 
 def expectation_qp(n, frame, s):
     """Packet-center expectations (<q>, <p>); independent of n."""
-    om = _scalar_frame_omega(frame)
-    bF = np.conjugate(frame.beta) * frame.F
+    om, _, q_exp = _packet(s, frame)
     bdF = np.conjugate(frame.dbeta) * frame.F
-    q_exp = -(2.0 * s.hbar / om) * np.asarray(bF).imag
     p_exp = -(2.0 * s.m * s.hbar * frame.expG / om) * np.asarray(bdF).imag
     return float(q_exp), float(p_exp)
 
@@ -323,7 +310,7 @@ def uncertainty_product(n, frame, s, full=False):
     var_q = (hbar^2/Omega) beta* beta (2n+1)
     var_p = (hbar^2 m^2 e^{2G}/Omega) beta'* beta' (2n+1)
     """
-    om = _scalar_frame_omega(frame)
+    om = _packet(s, frame)[0]
     bb = float((np.conjugate(frame.beta) * frame.beta).real)
     dd = float((np.conjugate(frame.dbeta) * frame.dbeta).real)
     var_q = s.hbar ** 2 / om * bb * (2 * n + 1)
@@ -429,7 +416,11 @@ def _phase_integral_closed(p, t):
 
 def underdamped_closed_forms(s, t):
     """InvariantFrame from the constant-parameter closed forms, bypassing
-    ODE integration entirely.  Accepts scalar or array t."""
+    ODE integration entirely.  Accepts scalar or array t.
+
+    Its gamma, sigma and F_sigma are written out here rather than taken
+    from ``invariants.envelope_group`` on purpose: they are the oracle the
+    ODE frame is compared with."""
     p = underdamped_params(s)
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0

@@ -154,6 +154,19 @@ def test_affine_rescaling():
     assert_allclose(g(TS), 3.0 * f(TS) - 1.0, rtol=0, atol=1e-15)
 
 
+def test_equality_compares_the_encoded_function():
+    one = TimeFunction(KIND_POLY, [1.0])
+    two = TimeFunction(KIND_POLY, [2.0])
+    assert one != two
+    assert _minimal(omega=one) != _minimal(omega=two)
+    # the same function built two ways compares and hashes equal
+    built = TimeFunction.sinusoid(0.5, 0.9, 0.2).affine(2.0, 0.0)
+    direct = TimeFunction.sinusoid(1.0, 0.9, 0.2)
+    assert built == direct and hash(built) == hash(direct)
+    spline = TimeFunction.tabulated([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 0.0, 1.0])
+    assert spline != spline.affine(1.0, 1.0)
+
+
 def test_twice_integral_constant_damping():
     G = twice_integral(TimeFunction.constant(0.1), 0.0)
     assert_allclose(G(7.0), 1.4, rtol=1e-15)

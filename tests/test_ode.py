@@ -21,7 +21,8 @@ OMEGA_BAR = math.sqrt(0.99)
 def scipy_reference(s, t_eval):
     """The same augmented amplitude system integrated by scipy's DOP853:
     (beta, beta', force functional, Gaussian phase integral, unwrapped
-    phase) as a 9-component real state."""
+    phase) as a 9-component real state.  Its right-hand side is written
+    out here on purpose, sharing no code with the path it checks."""
 
     def rhs(t, y):
         w = s.omega(t)
@@ -134,6 +135,7 @@ def test_classical_sho_trajectory(sho):
 
 
 def test_classical_driven_matches_scipy(driven):
+    # written out here on purpose, sharing no code with bckosc.ode
     def rhs(t, y):
         G = driven.G(t)
         F = driven.force(t)

@@ -121,6 +121,10 @@ def test_frame_time_must_match(driven, driven_beta):
     fr = frame_from_beta(driven, driven_beta, 1.0)
     with pytest.raises(ValidationError):
         eval_psin(0, driven, fr, 2.0)
+    # the tolerance is 1e-12 absolute plus 1e-12 relative to t
+    with pytest.raises(ValidationError):
+        eval_psin(0, driven, fr, 1.0 + 1e-9)
+    eval_psin(0, driven, fr, 1.0 + 1e-13)
 
 
 def test_degree_limit(driven, driven_beta):
