@@ -22,7 +22,8 @@ from .errors import (BckoscError, DegenerateSolutions, DegreeTooLarge,
                      ParseError, SolverBreakdown, StepSizeUnderflow,
                      UnsupportedForceShape, ValidationError)
 from .invariants import (compute_omega, envelope_ics, frame_from_beta,
-                         verification_series, write_verification_report)
+                         omega_report, verification_series,
+                         write_verification_report)
 from .ode import (integrate_beta, integrate_classical, integrate_gamma,
                   integrate_sigma)
 from .propagator import propagate_and_compare
@@ -66,8 +67,7 @@ def _verify_pipeline(s, samples):
     beta_sol = integrate_beta(s)
     traj = integrate_classical(s, 1.0, 0.0)
     series = verification_series(s, beta_sol, traj, samples=samples)
-    om = compute_omega(s, beta_sol, samples=samples)
-    return beta_sol, series, om
+    return beta_sol, series, omega_report(series["frame"])
 
 
 def cmd_verify(s, args, outdir):

@@ -144,8 +144,15 @@ class OmegaReport:
 
 
 def compute_omega(s, beta_sol, samples=512):
+    """The OmegaReport of ``samples`` evenly spaced frames of the scenario
+    window."""
     ts = np.linspace(s.t0, s.t1, samples)
-    fr = frame_from_beta(s, beta_sol, ts)
+    return omega_report(frame_from_beta(s, beta_sol, ts))
+
+
+def omega_report(fr):
+    """The OmegaReport of a vector frame.  Raises DegenerateSolutions if
+    the Wronskian vanishes at any sample."""
     w, om_c = _wronskian_omega(fr)
     if np.any(np.abs(w) < 1e-12 * (np.abs(fr.beta) * np.abs(fr.dbeta))):
         raise DegenerateSolutions(
@@ -154,7 +161,7 @@ def compute_omega(s, beta_sol, samples=512):
     om = om_c.real
     mean = float(np.mean(om))
     drift = float(np.max(np.abs(om - mean)) / max(abs(mean), 1e-300))
-    return OmegaReport(ts=ts, omega=om,
+    return OmegaReport(ts=fr.t, omega=om,
                        imag_residue=float(np.max(np.abs(om_c.imag))),
                        wronskian=w, mean=mean, max_rel_drift=drift)
 

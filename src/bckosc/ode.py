@@ -25,7 +25,6 @@ stage values with the method's own weights, which is what the Runge-Kutta
 method does with them as extra states, so no separate pass is needed.
 """
 
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -349,14 +348,9 @@ def _integrate(s, name, coef, y0, nout, names, cls=ODESolution, rider=None):
 def integrate_beta(s):
     """Integrate the amplitude equation beta'' + 2g beta' + omega^2 beta = 0
     together with the force functional, the Gaussian phase integral and the
-    unwrapped phase of beta."""
+    unwrapped phase of beta.  The force functional starts at zero at t0
+    whether or not F(t0) vanishes."""
     b0, db0 = s.resolved_beta0()
-    F0 = s.force(s.t0)
-    if b0 != 0 and F0 != 0:
-        warnings.warn(
-            "beta(t0)*F(t0) != 0: the force-functional side condition is "
-            "violated at t0 (recorded, not enforced)",
-            RuntimeWarning, stacklevel=2)
 
     def coef(t):
         # (beta, beta', F_int)

@@ -6,14 +6,20 @@ Second-order spatial stencil (the tridiagonal solve requires it) with
 Dirichlet ends, midpoint-evaluated Hamiltonian for time dependence, and a
 Cayley step (1 + i dt H/2hbar) psi' = (1 - i dt H/2hbar) psi that is
 unitary up to round-off.  The tridiagonal system is solved by odd-even
-cyclic reduction, which works on whole arrays at every level.
+cyclic reduction, which works on whole arrays at every level, down to a
+reduced system of at most ``REDUCED`` unknowns that is solved by its
+inverse.
 
 H(t) does not depend on psi, so steps run in blocks of ``BLOCK``: one
 ``build_hamiltonian`` call evaluates the Hamiltonians at the block's
 midpoints, and one elimination of (1 + i dt H/2hbar) over the whole block
-keeps each level's factors and checks every pivot before the block's
-first step.  A step then only forms its right-hand side, reduces it and
-back-substitutes, in ``_cn_step``, which every caller steps with.
+keeps each level's factors, builds each step's reduced inverse from the
+reduced tridiagonal system and checks every pivot before the block's
+first step.  A step then only forms its right-hand side, reduces it,
+multiplies the reduced part by the stored inverse and back-substitutes,
+in ``_cn_step``, which every caller steps with.  The slices a block
+reaches are compared with the analytic states in one evaluation per
+block.
 """
 
 from dataclasses import dataclass
@@ -23,13 +29,19 @@ import numpy as np
 from .errors import OutOfDomain, SolverBreakdown, ValidationError
 from .invariants import frame_from_beta
 from .ode import integrate_beta
-from .quantum import WaveFunction, eval_psin, inner
+from .quantum import WaveFunction, eval_psin, l2_norm, psin_values
 
 # Steps factored together.  The factors take about 4 * BLOCK * npoints
 # complex values (1 MB at 1024 points).  Blocks of 32 and 64 ran within 3%
 # of 16 but raised the peak RSS of a 1024-point `bckosc propagate` from
 # 36 MB to 40 and 46 MB.
 BLOCK = 16
+
+# Unknowns at or below which the elimination stops and the stored inverse
+# of the reduced system takes over.  At 1024 points (a 2-vCPU Xeon VM), 8
+# and 16 ran level and 4 and 32 about 5% slower per propagation; at 8 the
+# inverse's product costs about the arithmetic of the levels it replaces.
+REDUCED = 8
 
 
 def build_hamiltonian(s, t):
@@ -55,30 +67,21 @@ def build_hamiltonian(s, t):
     return diag, (float(off[0]) if np.ndim(t) == 0 else off[..., 0])
 
 
-def _factor(s, ts, dt):
-    """Odd-even elimination of (1 + i a H(t)), a = dt/(2 hbar), for every
-    time of the 1-d array ts at once.
+def _eliminate(b, c, size):
+    """Odd-even elimination of the symmetric tridiagonal systems with
+    diagonals ``b[k]`` and off-diagonals ``c[k]`` down to at most ``size``
+    unknowns.
 
     Each level eliminates the odd-numbered unknowns from the equations of
     the even-numbered ones, which leaves a symmetric tridiagonal system of
     half the size; ``c[:, j]`` couples unknowns j and j+1.  A level keeps
     w, the inverse odd pivots, and lw, rw, the odd unknowns' couplings to
-    their left and right even neighbours times w.  Returns (diagonal of
-    1 - i a H, off-diagonal of i a H, levels, last pivot), each indexed by
-    time first.  Raises SolverBreakdown if any pivot vanishes or is not
-    finite.
+    their left and right even neighbours times w.  Returns the levels, the
+    magnitudes of the pivots they divided by, and the reduced system's
+    (b, c).
     """
-    diag, off = build_hamiltonian(s, ts)
-    a = 0.5 * dt / s.hbar
-    # built in place: a complex temporary fewer at the peak of a block
-    b = np.empty(diag.shape, dtype=np.complex128)
-    b.real = 1.0
-    np.multiply(a, diag, out=b.imag)
-    rdiag = b.conj()
-    c = np.broadcast_to(1j * a * off[:, None],
-                        (diag.shape[0], diag.shape[1] - 1))
     levels, pivots = [], []
-    while b.shape[1] > 1:
+    while b.shape[1] > size:
         m = b.shape[1]
         p, q = m // 2, m - m // 2
         pivots.append(np.abs(b[:, 1::2]))
@@ -90,35 +93,94 @@ def _factor(s, ts, dt):
         b[:, 1:] -= right * rw
         c = -(left[:, :q - 1] * rw)
         levels.append((w, lw, rw))
-    pivots.append(np.abs(b))
-    piv = np.concatenate(pivots, axis=1)
+    return levels, pivots, b, c
+
+
+def _split(x, size):
+    """The views of x that the elimination of x's last axis down to at most
+    ``size`` unknowns updates, built once for every solve into x.
+
+    Per level: the odd unknowns, the even ones that have an odd right
+    neighbour, the odd ones that have an even right neighbour, and those
+    even right neighbours.  Returns (x, the levels' views, the reduced
+    system's view)."""
+    views, evens = [], x
+    while evens.shape[-1] > size:
+        odd, evens = evens[..., 1::2], evens[..., 0::2]
+        views.append((odd, evens[..., :odd.shape[-1]],
+                      odd[..., :evens.shape[-1] - 1], evens[..., 1:]))
+    return x, views, evens
+
+
+def _reduce(levels, sel, views):
+    """Carry the elimination of ``levels`` over the right-hand sides behind
+    ``views`` (see ``_split``), in place; ``lw[sel]`` of a level
+    broadcasts against them."""
+    for (w, lw, rw), (odd, left, odd_r, right) in zip(levels, views):
+        left -= lw[sel] * odd
+        right -= rw[sel] * odd_r
+
+
+def _back(levels, sel, views):
+    """Back-substitute the odd unknowns of every level, innermost first,
+    once the reduced system's unknowns are in place."""
+    for (w, lw, rw), (odd, left, odd_r, right) in zip(reversed(levels),
+                                                      reversed(views)):
+        odd *= w[sel]
+        odd -= lw[sel] * left
+        odd_r -= rw[sel] * right
+
+
+def _factor(s, ts, dt):
+    """Factor (1 + i a H(t)), a = dt/(2 hbar), for every time of the 1-d
+    array ts at once.
+
+    The elimination stops at ``REDUCED`` unknowns or fewer.  The reduced
+    system is eliminated on to one unknown over the identity's columns,
+    which gives its inverse at O(REDUCED^2) per step.  Returns (diagonal
+    of 1 - i a H, off-diagonal of i a H, levels, inverses of the reduced
+    systems), each indexed by time first.  Raises SolverBreakdown if any
+    pivot of either elimination vanishes or is not finite.
+    """
+    diag, off = build_hamiltonian(s, ts)
+    a = 0.5 * dt / s.hbar
+    # built in place: a complex temporary fewer at the peak of a block
+    b = np.empty(diag.shape, dtype=np.complex128)
+    b.real = 1.0
+    np.multiply(a, diag, out=b.imag)
+    rdiag = b.conj()
+    c = np.broadcast_to(1j * a * off[:, None],
+                        (diag.shape[0], diag.shape[1] - 1))
+    levels, pivots, b, c = _eliminate(b, c, REDUCED)
+    inner_levels, inner_pivots, last, _ = _eliminate(b, c, 1)
+    piv = np.concatenate(pivots + inner_pivots + [np.abs(last)], axis=1)
     if not (piv.min() >= 1e-300 and piv.max() < np.inf):
         raise SolverBreakdown("tridiagonal elimination pivot vanished or "
                               "is not finite")
-    return rdiag, 1j * a * off, levels, b
+    # row k of cols[i] solves the reduced system i for unit vector k
+    r = b.shape[1]
+    cols = np.zeros((b.shape[0], r, r), dtype=np.complex128)
+    cols[:] = np.eye(r)
+    _, views, x = _split(cols, 1)
+    _reduce(inner_levels, np.s_[:, None], views)
+    x /= last[:, None]
+    _back(inner_levels, np.s_[:, None], views)
+    return rdiag, 1j * a * off, levels, cols.transpose(0, 2, 1)
 
 
-def _cn_step(factors, j, values):
+def _cn_step(factors, j, values, out):
     """Crank-Nicolson step j of a factored block:
-    (1 + i a H_j)^{-1} (1 - i a H_j) values, solved in place of the
-    right-hand side."""
-    rdiag, ioff, levels, last = factors
+    (1 + i a H_j)^{-1} (1 - i a H_j) values, written to x of
+    ``out = _split(x, REDUCED)``; x must not overlap ``values``."""
+    rdiag, ioff, levels, inv = factors
+    x, views, reduced = out
     o = ioff[j]
-    x = rdiag[j] * values
+    np.multiply(rdiag[j], values, out=x)
     x[1:] -= o * values[:-1]
     x[:-1] -= o * values[1:]
-    evens, split = x, []
-    for w, lw, rw in levels:
-        odd, evens = evens[1::2], evens[0::2]
-        split.append((odd, evens))
-        evens[:odd.shape[0]] -= lw[j] * odd
-        evens[1:] -= rw[j] * odd[:rw.shape[1]]
-    evens /= last[j]
-    for (w, lw, rw), (odd, evens) in zip(reversed(levels), reversed(split)):
-        xo = odd * w[j]
-        xo -= lw[j] * evens[:odd.shape[0]]
-        xo[:rw.shape[1]] -= rw[j] * evens[1:]
-        odd[...] = xo
+    _reduce(levels, j, views)
+    reduced[...] = (inv[j] * reduced).sum(axis=1)
+    _back(levels, j, views)
     return x
 
 
@@ -126,9 +188,11 @@ def crank_nicolson_step(psi, s, t, dt):
     """One unitary step from t to t + dt with H evaluated at t + dt/2."""
     if dt <= 0:
         raise ValidationError("dt must be positive")
+    values = np.asarray(psi.values, dtype=np.complex128)
     with np.errstate(all="ignore"):
         factors = _factor(s, np.array([t + 0.5 * dt]), dt)
-        out = _cn_step(factors, 0, psi.values.astype(np.complex128))
+        out = _cn_step(factors, 0, values,
+                       _split(np.empty_like(values), REDUCED))
     return WaveFunction(qs=psi.qs, values=out, t=t + dt, n=psi.n)
 
 
@@ -170,8 +234,9 @@ def propagate_and_compare(s, n, t0, t1, dt, max_slices=201, beta_sol=None):
 
     dt is adjusted to divide the window exactly.  ``max_slices`` bounds how
     many intermediate comparisons are made; every step's norm is kept
-    regardless.  Each slice is compared once its block of steps is done, so
-    at most ``BLOCK`` propagated states are held at a time.
+    regardless.  The slices a block of steps reaches are compared together
+    once the block is done, so at most ``BLOCK`` propagated states and as
+    many analytic ones are held at a time.
     """
     if not (s.t0 <= t0 < t1 <= s.t1):
         raise OutOfDomain("propagation window must lie inside the scenario "
@@ -181,45 +246,46 @@ def propagate_and_compare(s, n, t0, t1, dt, max_slices=201, beta_sol=None):
     nsteps = max(1, int(round((t1 - t0) / dt)))
     dt_eff = (t1 - t0) / nsteps
     stride = max(1, nsteps // max(1, max_slices - 1))
-    steps = list(range(0, nsteps + 1, stride))
+    steps = np.arange(0, nsteps + 1, stride)
     if steps[-1] != nsteps:
-        steps.append(nsteps)
-    slice_ts = t0 + dt_eff * np.array(steps)
+        steps = np.append(steps, nsteps)
+    slice_ts = t0 + dt_eff * steps
     # frames at slice times past a breakdown are never used: the pivot
     # check of the block that reaches them raises first
     with np.errstate(all="ignore"):
         frames = frame_from_beta(s, beta_sol, slice_ts)
     psi0 = eval_psin(n, s, frames.at(0), t0)
-    overlaps = np.empty(len(steps))
-    norms = np.empty(len(steps))
+    qs, dq = psi0.qs, psi0.dq
+    overlaps = np.empty(steps.shape[0])
+    norms = np.empty(steps.shape[0])
 
-    def compare(k, values):
-        tk = float(slice_ts[k])
-        num = WaveFunction(qs=psi0.qs, values=values, t=tk, n=n)
-        ana = eval_psin(n, s, frames.at(k), tk)
-        overlaps[k] = abs(inner(ana, num)) / (ana.norm * num.norm)
-        norms[k] = num.norm
+    def compare(ks, values, values_norms):
+        ana = psin_values(n, s, frames.at(ks), qs)
+        overlap = np.trapezoid(ana.conj() * values, dx=dq, axis=-1)
+        overlaps[ks] = np.abs(overlap) / (l2_norm(ana, dq) * values_norms)
+        norms[ks] = values_norms
 
-    psi = psi0.values.astype(np.complex128)
-    compare(0, psi)
+    compare(np.arange(1), psi0.values[None], psi0.norm)
     step_norms = np.empty(nsteps)
-    k_slice = 1
+    states = np.empty((BLOCK, qs.shape[0]), dtype=np.complex128)
+    rows = [_split(x, REDUCED) for x in states]
+    psi = psi0.values
+    # a block's last state, in its last row, is read by the next block's
+    # first step, which writes row 0
     for start in range(0, nsteps, BLOCK):
         ks = np.arange(start, min(start + BLOCK, nsteps))
-        reached = []
+        block = states[:ks.shape[0]]
         with np.errstate(all="ignore"):
             factors = _factor(s, t0 + ks * dt_eff + 0.5 * dt_eff, dt_eff)
-            for j, k in enumerate(ks):
-                psi = _cn_step(factors, j, psi)
-                dens = psi.real ** 2 + psi.imag ** 2
-                step_norms[k] = np.sqrt(psi0.dq * (
-                    np.sum(dens) - 0.5 * (dens[0] + dens[-1])))
-                if k + 1 == steps[k_slice]:
-                    reached.append((k_slice, psi))
-                    k_slice += 1
-        # outside errstate: the analytic states' warnings are not muted
-        for k, values in reached:
-            compare(k, values)
+            for j in range(ks.shape[0]):
+                psi = _cn_step(factors, j, psi, rows[j])
+            step_norms[ks] = l2_norm(block, dq)
+        # the slices at steps ks[0] + 1 .. ks[-1] + 1, compared outside
+        # errstate: the analytic states' warnings are not muted
+        reached = np.arange(*np.searchsorted(steps, (ks[0] + 1, ks[-1] + 2)))
+        if reached.size:
+            compare(reached, block[steps[reached] - 1 - start],
+                    step_norms[steps[reached] - 1])
     return PropagationRun(initial=psi0, dt=dt_eff, slice_ts=slice_ts,
                           slice_norms=norms, overlaps=overlaps,
                           fidelity_defects=1.0 - overlaps,

@@ -49,7 +49,7 @@ class WaveFunction:
     @cached_property
     def norm(self):
         """L2 norm by the trapezoid rule, cached after first use."""
-        return l2_norm(self.values, self.dq)
+        return float(l2_norm(self.values, self.dq))
 
     def to_csv(self, path, footer=None):
         """CSV columns q, re_psi, im_psi, abs2; optional comment footer."""
@@ -80,7 +80,8 @@ def inner(left, right):
 
 
 def l2_norm(values, dq):
-    return float(np.sqrt(np.trapezoid(np.abs(values) ** 2, dx=dq)))
+    """Trapezoid L2 norm of ``values`` along its last axis."""
+    return np.sqrt(np.trapezoid(np.abs(values) ** 2, dx=dq, axis=-1))
 
 
 def hermite(n, x):
@@ -118,34 +119,69 @@ def _normalized_hermite(n, x):
     return h
 
 
+def _first(mask):
+    """Index of the first true sample of ``mask`` (a scalar or 1-d array),
+    or None."""
+    hits = np.flatnonzero(mask)
+    return hits[0] if hits.size else None
+
+
 def _packet(s, fr):
-    """(Omega, a, q0) on a scalar frame: Omega, a = Omega/(2 hbar^2 beta*
-    beta) and the packet center q0 = -(2 hbar/Omega) Im(beta* F).  Raises
-    OmegaNotPositive unless Omega > 0."""
-    om = float(omega_of_frame(fr))
-    if om <= 0.0:
-        raise OmegaNotPositive(f"Omega = {om:g} is not positive; the ladder "
-                               "construction requires Omega > 0")
-    b = complex(fr.beta)
+    """(Omega, a, q0) on a scalar or vector frame: Omega,
+    a = Omega/(2 hbar^2 beta* beta) and the packet center
+    q0 = -(2 hbar/Omega) Im(beta* F).  Raises OmegaNotPositive for the
+    first sample where Omega > 0 fails."""
+    om = omega_of_frame(fr)
+    k = _first(om <= 0.0)
+    if k is not None:
+        raise OmegaNotPositive(f"Omega = {np.ravel(om)[k]:g} is not "
+                               "positive; the ladder construction requires "
+                               "Omega > 0")
+    b = fr.beta
     a = om / (2.0 * s.hbar ** 2 * (b.conjugate() * b).real)
-    q0 = -(2.0 * s.hbar / om) * (b.conjugate() * complex(fr.F)).imag
+    q0 = -(2.0 * s.hbar / om) * (b.conjugate() * fr.F).imag
     return om, a, q0
 
 
 def check_grid(s, fr, n):
     """Require 8 sqrt(n+1) envelope widths 1/sqrt(a) on both sides of the
-    packet center; raise GridTooNarrow with a symmetric suggestion
-    otherwise.  Returns the packet (Omega, a, q0) of ``_packet``."""
+    packet center at every sample of the frame; raise GridTooNarrow with a
+    symmetric suggestion for the first sample that fails.  Returns the
+    packet (Omega, a, q0) of ``_packet``."""
     om, a, q0 = _packet(s, fr)
-    w = 1.0 / math.sqrt(a)
+    w = 1.0 / np.sqrt(a)
     need = 8.0 * w * math.sqrt(n + 1.0)
-    if s.qmax - q0 < need or q0 - s.qmin < need:
+    k = _first((s.qmax - q0 < need) | (q0 - s.qmin < need))
+    if k is not None:
+        q0, w, need = (np.ravel(v)[k] for v in (q0, w, need))
         suggested = math.ceil((abs(q0) + need) * 10.0) / 10.0
         raise GridTooNarrow(
             f"grid [{s.qmin:g}, {s.qmax:g}] clips the envelope centered at "
             f"q = {q0:.4g} (width {w:.4g}, need +-{need:.4g}); "
             f"suggested qmax = {suggested:g}", suggested_qmax=suggested)
     return om, a, q0
+
+
+def psin_values(n, s, frame, qs):
+    """Values of psi_n on the grid qs for a scalar frame, or one row per
+    sample of a vector frame.  The grid is checked at every sample
+    (``check_grid``); n is not validated here."""
+    _, a, q0 = check_grid(s, frame, n)
+
+    def col(v):
+        return np.asarray(v)[..., None]
+
+    x = col(np.sqrt(a)) * (qs - col(q0))
+    h = _normalized_hermite(int(n), x)
+    b = frame.beta
+    ratio_bd = frame.dbeta / b
+    ratio_F = frame.F / b
+    phi_q = (col(s.m * frame.expG * ratio_bd.real) * qs ** 2
+             + col(2.0 * ratio_F.real) * qs) / (2.0 * s.hbar)
+    theta = (-0.5 * frame.phase
+             - np.real(frame.phase_integral) / (2.0 * s.m * s.hbar))
+    pref = (1j ** int(n)) * np.exp(1j * (theta - n * frame.phase))
+    return col(pref * a ** 0.25) * h * np.exp(1j * phi_q)
 
 
 def eval_psin(n, s, frame, t):
@@ -159,20 +195,9 @@ def eval_psin(n, s, frame, t):
         raise DegreeTooLarge(f"quantum number {n} exceeds {MAX_DEGREE}")
     if not abs(float(frame.t) - t) <= 1e-12 + 1e-12 * abs(t):
         raise ValidationError("frame timestamp does not match requested t")
-    _, a, q0 = check_grid(s, frame, n)
     qs = s.grid()
-    x = math.sqrt(a) * (qs - q0)
-    h = _normalized_hermite(int(n), x)
-    b = complex(frame.beta)
-    ratio_bd = complex(frame.dbeta) / b
-    ratio_F = complex(frame.F) / b
-    phi_q = (s.m * frame.expG * ratio_bd.real * qs ** 2
-             + 2.0 * ratio_F.real * qs) / (2.0 * s.hbar)
-    P = complex(frame.phase_integral)
-    theta = -0.5 * frame.phase - P.real / (2.0 * s.m * s.hbar)
-    pref = (1j ** int(n)) * np.exp(1j * (theta - n * frame.phase))
-    values = pref * a ** 0.25 * h * np.exp(1j * phi_q)
-    return WaveFunction(qs=qs, values=values, t=float(t), n=int(n))
+    return WaveFunction(qs=qs, values=psin_values(n, s, frame, qs),
+                        t=float(t), n=int(n))
 
 
 def eval_psi0(s, frame, t):

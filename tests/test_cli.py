@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -34,18 +35,37 @@ def test_verify_passes_on_bundled_scenarios(tmp_path, capsys):
     assert report[-1].startswith("# max_drift_I=")
 
 
-def test_verify_passes_with_force_at_t0(tmp_path, capsys):
-    # F(t0) = 0.5: the sigma ODE starts with sigma'(t0) = -gamma(t0) F(t0)
+def _force_at_t0(tmp_path):
+    # F(t0) = 0.5: the driven scenario with its sine turned into a cosine
     text = (SCENARIO_DIR / "underdamped_driven.cfg").read_text()
     cfg = tmp_path / "phase.cfg"
     cfg.write_text(text.replace("frequency = 0.9",
                                 "frequency = 0.9\nphase = 1.5707963267948966"))
-    with pytest.warns(RuntimeWarning, match="side condition"):
-        rc = main(["verify", "--scenario", str(cfg), "--out", str(tmp_path),
+    return str(cfg)
+
+
+def test_verify_passes_with_force_at_t0(tmp_path, capsys):
+    # the sigma ODE starts with sigma'(t0) = -gamma(t0) F(t0)
+    cfg = _force_at_t0(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["verify", "--scenario", cfg, "--out", str(tmp_path),
                    "--rtol", "1e-12", "--atol", "1e-14", "--tol", "1e-8"])
     out = capsys.readouterr().out
     assert rc == 0, out
     assert out.count("PASS") == 7 and "FAIL" not in out
+
+
+def test_propagate_passes_with_force_at_t0(tmp_path, capsys):
+    cfg = _force_at_t0(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["propagate", "--scenario", cfg, "--out", str(tmp_path),
+                   "--periods", "0.5", "--dt", "0.004",
+                   "--min-overlap", "0.9999"])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert out.count("PASS") == 1 and "FAIL" not in out
 
 
 def test_verify_reports_omega_value(tmp_path, capsys):
@@ -142,6 +162,27 @@ def test_propagate_coarse_step_fails_tolerance(tmp_path, capsys):
                "--n", "0", "--dt", "0.5", "--periods", "1"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_propagate_grid_clipped_in_mid_run_is_exit_4(tmp_path, capsys):
+    # undamped, the packet keeps its width while its center drifts: the
+    # grid holds psi_0 at t0 and clips it half a period later
+    doc = tmp_path / "drift.cfg"
+    text = (SCENARIO_DIR / "underdamped_driven.cfg").read_text()
+    for old, new in (("value = 0.1", "value = 0"),
+                     ("qmin = -16", "qmin = -8.5"),
+                     ("qmax = 16", "qmax = 8.5"),
+                     ("npoints = 1024", "npoints = 256")):
+        assert old in text
+        text = text.replace(old, new)
+    doc.write_text(text)
+    assert main(["wavefunction", "--scenario", str(doc), "--out",
+                 str(tmp_path), "--quiet"]) == 0
+    rc = main(["propagate", "--scenario", str(doc), "--out", str(tmp_path),
+               "--periods", "0.5", "--dt", "0.02"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "clips the envelope" in err and "suggested qmax:" in err
 
 
 # ---------- sweep ----------

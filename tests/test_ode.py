@@ -254,11 +254,15 @@ def test_grid_contains_spline_knots():
     assert_allclose(sol(ts), scipy_reference(s, ts), rtol=5e-9, atol=5e-9)
 
 
-def test_side_condition_warning():
+def test_force_at_t0_integrates_quietly():
+    # beta(t0) F(t0) != 0 is a valid scenario: the force functional starts
+    # at zero and no warning reaches the caller
     s = Scenario(omega=TimeFunction.constant(1.0), t0=0.0, t1=5.0,
                  force=TimeFunction.constant(0.5))
-    with pytest.warns(RuntimeWarning):
-        integrate_beta(s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = integrate_beta(s)
+    assert_allclose(sol(s.t0)[4:6], 0.0, rtol=0, atol=0)
 
 
 def test_negated_frequency_is_equivalent(sho, sho_beta):

@@ -12,11 +12,11 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import eigh_tridiagonal
 
-from bckosc import (OutOfDomain, Scenario, SolverBreakdown, TimeFunction,
-                    build_hamiltonian, crank_nicolson_step, eval_psi0,
-                    eval_psin, frame_from_beta, inner, integrate_beta,
-                    propagate_and_compare)
-from bckosc.propagator import BLOCK
+from bckosc import (GridTooNarrow, OutOfDomain, Scenario, SolverBreakdown,
+                    TimeFunction, build_hamiltonian, crank_nicolson_step,
+                    eval_psi0, eval_psin, frame_from_beta, inner,
+                    integrate_beta, propagate_and_compare)
+from bckosc.propagator import BLOCK, REDUCED
 from bckosc.quantum import WaveFunction
 
 
@@ -100,18 +100,27 @@ def test_cn_step_is_unitary(driven, driven_beta):
 
 
 def test_cn_step_matches_a_dense_solve(driven):
-    # the cyclic-reduction solve against a dense solve of the Cayley system
-    s = replace(driven, npoints=37)
+    # the cyclic-reduction solve against a dense solve of the Cayley system,
+    # for grids the elimination leaves whole, stops at REDUCED unknowns,
+    # or leaves just above or far above it
     rng = np.random.default_rng(20260823)
-    values = rng.normal(size=37) + 1j * rng.normal(size=37)
-    psi = WaveFunction(qs=s.grid(), values=values, t=0.5)
     dt = 0.05
-    diag, off = build_hamiltonian(s, 0.5 + 0.5 * dt)
-    h = np.diag(diag) + off * (np.eye(37, k=1) + np.eye(37, k=-1))
-    a = 0.5j * dt / s.hbar
-    ref = np.linalg.solve(np.eye(37) + a * h, values - a * (h @ values))
-    out = crank_nicolson_step(psi, s, 0.5, dt)
-    assert_allclose(out.values, ref, rtol=0, atol=1e-13)
+    for npoints in (3, REDUCED - 1, REDUCED, REDUCED + 1, 2 * REDUCED + 1,
+                    37, 513):
+        s = replace(driven, npoints=37)
+        # sizes below the scenario minimum of 16 points test the solve alone
+        object.__setattr__(s, "npoints", npoints)
+        values = rng.normal(size=npoints) + 1j * rng.normal(size=npoints)
+        psi = WaveFunction(qs=s.grid(), values=values, t=0.5)
+        diag, off = build_hamiltonian(s, 0.5 + 0.5 * dt)
+        h = np.diag(diag) + off * (np.eye(npoints, k=1)
+                                   + np.eye(npoints, k=-1))
+        a = 0.5j * dt / s.hbar
+        ref = np.linalg.solve(np.eye(npoints) + a * h,
+                              values - a * (h @ values))
+        out = crank_nicolson_step(psi, s, 0.5, dt)
+        assert_allclose(out.values, ref, rtol=0, atol=1e-13,
+                        err_msg=f"npoints={npoints}")
 
 
 def test_non_finite_hamiltonian_is_a_breakdown():
@@ -124,6 +133,26 @@ def test_non_finite_hamiltonian_is_a_breakdown():
         warnings.simplefilter("error")
         with pytest.raises(SolverBreakdown):
             crank_nicolson_step(psi, s, 2.0, 1e-3)
+
+
+def test_breakdown_in_the_reduced_system_is_quiet():
+    # e^G = 3.7e306: 0.5 omega^2 e^G q^2 overflows at q = +-10 and nowhere
+    # else.  Unknowns 0 and 64 of 65 are even at every level, so both ends
+    # reach the reduced system and every pivot above it is finite
+    s = Scenario(omega=TimeFunction.constant(1.0), t0=0.0, t1=710.0,
+                 damping=TimeFunction.constant(0.5), beta0=(1.0, 1.0j),
+                 qmin=-10.0, qmax=10.0, npoints=65)
+    dt = 1e-3
+    t = math.log(3.7e306) - 0.5 * dt
+    with np.errstate(over="ignore"):
+        diag, _ = build_hamiltonian(s, t + 0.5 * dt)
+    assert list(np.flatnonzero(~np.isfinite(diag))) == [0, 64]
+    assert s.npoints > REDUCED
+    psi = WaveFunction(qs=s.grid(), values=np.ones(65, dtype=complex), t=t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverBreakdown):
+            crank_nicolson_step(psi, s, t, dt)
 
 
 def test_breakdown_in_a_later_block_is_quiet():
@@ -166,27 +195,49 @@ def test_propagate_driven_ground_state(driven, driven_beta):
 
 
 def test_blocks_match_single_steps(driven, driven_beta):
-    # two full blocks and a partial one against one step at a time
+    # two full blocks and a partial one, their slices compared a block at
+    # a time, against one step and one eval_psin/inner comparison at a time
     s = replace(driven, npoints=256)
     nsteps = 2 * BLOCK + 3
     t0, dt = 0.5, 0.01
-    run = propagate_and_compare(s, 1, t0, t0 + nsteps * dt, dt,
-                                beta_sol=driven_beta)
-    assert run.step_norms.shape == (nsteps,)
-    assert_allclose(run.slice_ts, t0 + run.dt * np.arange(nsteps + 1),
-                    rtol=0, atol=0)
-    psi = eval_psin(1, s, frame_from_beta(s, driven_beta, t0), t0)
-    assert_allclose(run.initial.values, psi.values, rtol=0, atol=1e-15)
-    norms, overlaps = [], []
-    for k in range(nsteps):
-        psi = crank_nicolson_step(psi, s, t0 + k * run.dt, run.dt)
-        t = float(run.slice_ts[k + 1])
-        ana = eval_psin(1, s, frame_from_beta(s, driven_beta, t), t)
-        norms.append(psi.norm)
-        overlaps.append(abs(inner(ana, psi)) / (ana.norm * psi.norm))
-    assert_allclose(run.step_norms, norms, rtol=0, atol=1e-13)
-    assert_allclose(run.slice_norms[1:], norms, rtol=0, atol=1e-13)
-    assert_allclose(run.overlaps[1:], overlaps, rtol=0, atol=1e-13)
+    for n in (0, 1, 3):
+        run = propagate_and_compare(s, n, t0, t0 + nsteps * dt, dt,
+                                    beta_sol=driven_beta)
+        assert run.step_norms.shape == (nsteps,)
+        assert_allclose(run.slice_ts, t0 + run.dt * np.arange(nsteps + 1),
+                        rtol=0, atol=0)
+        psi = eval_psin(n, s, frame_from_beta(s, driven_beta, t0), t0)
+        assert_allclose(run.initial.values, psi.values, rtol=0, atol=1e-15)
+        norms, overlaps = [psi.norm], [1.0]
+        for k in range(nsteps):
+            psi = crank_nicolson_step(psi, s, t0 + k * run.dt, run.dt)
+            t = float(run.slice_ts[k + 1])
+            ana = eval_psin(n, s, frame_from_beta(s, driven_beta, t), t)
+            norms.append(psi.norm)
+            overlaps.append(abs(inner(ana, psi)) / (ana.norm * psi.norm))
+        assert_allclose(run.step_norms, norms[1:], rtol=0, atol=1e-13)
+        assert_allclose(run.slice_norms, norms, rtol=0, atol=1e-13)
+        assert_allclose(run.overlaps, overlaps, rtol=0, atol=1e-13)
+
+
+def test_grid_clipped_in_mid_run_is_grid_too_narrow(driven):
+    # undamped, the packet keeps its width while its center drifts: the
+    # grid holds it at t0 and clips it from about t = 2.2 on.  The error
+    # names the first slice that fails, as eval_psin at that slice does
+    s = replace(driven, damping=TimeFunction.constant(0.0), qmin=-8.5,
+                qmax=8.5, npoints=256)
+    beta_sol = integrate_beta(s)
+    for k in range(151):
+        t = 0.02 * k
+        try:
+            eval_psin(0, s, frame_from_beta(s, beta_sol, t), t)
+        except GridTooNarrow as exc:
+            first = str(exc)
+            break
+    assert 1.0 < t < 3.0
+    with pytest.raises(GridTooNarrow) as err:
+        propagate_and_compare(s, 0, 0.0, 3.0, 0.02, beta_sol=beta_sol)
+    assert str(err.value) == first
 
 
 def test_propagation_memory_does_not_grow_with_steps(driven, driven_beta):
