@@ -2,9 +2,8 @@
 time-dependent harmonic oscillator in the scaled-mass (exponentially
 time-dependent mass) formulation."""
 
-from .core import (Scenario, TimeFunction, eval_G, eval_time_function,
-                   parse_scenario, parse_scenario_file, serialize_scenario,
-                   twice_integral)
+from .core import (Scenario, TimeFunction, eval_G, parse_scenario,
+                   parse_scenario_file, serialize_scenario, twice_integral)
 from .errors import (BckoscError, DegenerateSolutions, DegreeTooLarge,
                      GammaVanishes, GridTooNarrow, InsufficientSlices,
                      InvalidIC, NotUnderdamped, OmegaNotPositive, OutOfDomain,
@@ -45,11 +44,10 @@ __all__ = [
     "build_spectrum", "c_ics_from_gamma_sigma", "compute_omega",
     "crank_nicolson_step", "ermakov_residual", "eval_G",
     "eval_conjugate_invariant", "eval_linear_invariant", "eval_psi0",
-    "eval_psin", "eval_quadratic_invariant", "eval_time_function",
-    "expectation_qp", "first_integral_C", "frame_from_beta",
-    "gamma_ics_from_beta", "hermite", "inner", "integrate_beta",
-    "integrate_c_system", "integrate_classical", "integrate_gamma",
-    "integrate_sigma", "omega_of_frame", "parse_scenario",
+    "eval_psin", "eval_quadratic_invariant", "expectation_qp",
+    "first_integral_C", "frame_from_beta", "gamma_ics_from_beta", "hermite",
+    "inner", "integrate_beta", "integrate_c_system", "integrate_classical",
+    "integrate_gamma", "integrate_sigma", "omega_of_frame", "parse_scenario",
     "parse_scenario_file", "propagate_and_compare", "schrodinger_residual",
     "serialize_scenario", "twice_integral", "uncertainty_product",
     "underdamped_closed_forms", "underdamped_params",

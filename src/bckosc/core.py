@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tridiag
 from .errors import InvalidIC, OutOfDomain, ParseError, ValidationError
 
 # TimeFunction kinds
@@ -84,23 +85,32 @@ class TimeFunction:
 
     @classmethod
     def tabulated(cls, times, values):
-        """Natural cubic spline through (times, values) samples."""
-        from scipy.interpolate import CubicSpline
-
+        """Natural cubic spline through (times, values) samples: the second
+        derivatives M, zero at both ends, solve the diagonally dominant
+        tridiagonal system h[i-1] M[i-1] + 2 (h[i-1] + h[i]) M[i]
+        + h[i] M[i+1] = 6 (slope[i] - slope[i-1]) (de Boor, A Practical
+        Guide to Splines, ch. IV)."""
         t = np.asarray(times, dtype=float)
         v = np.asarray(values, dtype=float)
         if t.ndim != 1 or t.shape != v.shape:
             raise ValidationError("tabulated samples must be two equal-length 1-d arrays")
         if t.shape[0] < 4:
             raise ValidationError("tabulated variant needs at least 4 samples")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise ValidationError("tabulated samples must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValidationError("tabulated sample times must increase strictly")
-        spline = CubicSpline(t, v, bc_type="natural")
-        nseg = t.shape[0] - 1
-        coefs = np.zeros((nseg, 5))
-        # scipy stores descending powers of (t - break); flip to ascending
-        for j in range(4):
-            coefs[:, j] = spline.c[3 - j, :]
+        h = np.diff(t)
+        slope = np.diff(v) / h
+        M = np.zeros_like(t)
+        M[1:-1] = 6.0 * np.diff(slope)
+        tridiag.solve(2.0 * (h[:-1] + h[1:])[None], h[None, 1:-1],
+                      M[None, 1:-1])
+        coefs = np.zeros((t.shape[0] - 1, 5))
+        coefs[:, 0] = v[:-1]
+        coefs[:, 1] = slope - h * (2.0 * M[:-1] + M[1:]) / 6.0
+        coefs[:, 2] = 0.5 * M[:-1]
+        coefs[:, 3] = np.diff(M) / (6.0 * h)
         return cls(KIND_PPOLY, [], breaks=t, coefs=coefs, label="tabulated",
                    meta=(tuple(t.tolist()), tuple(v.tolist())))
 
@@ -220,11 +230,6 @@ class TimeFunction:
 
     def __hash__(self):
         return hash((self.kind, *self.params.tolist()))
-
-
-def eval_time_function(f, t):
-    """Evaluate a TimeFunction (scalar or array argument)."""
-    return f(t)
 
 
 def twice_integral(damping, t0):

@@ -5,10 +5,9 @@ eigenfunctions propagated numerically must stay on themselves.
 Second-order spatial stencil (the tridiagonal solve requires it) with
 Dirichlet ends, midpoint-evaluated Hamiltonian for time dependence, and a
 Cayley step (1 + i dt H/2hbar) psi' = (1 - i dt H/2hbar) psi that is
-unitary up to round-off.  The tridiagonal system is solved by odd-even
-cyclic reduction, which works on whole arrays at every level, down to a
-reduced system of at most ``REDUCED`` unknowns that is solved by its
-inverse.
+unitary up to round-off.  The tridiagonal system is solved by the odd-even
+cyclic reduction of ``tridiag``, down to a reduced system of at most
+``REDUCED`` unknowns that is solved by its inverse.
 
 H(t) does not depend on psi, so steps run in blocks of ``BLOCK``: one
 ``build_hamiltonian`` call evaluates the Hamiltonians at the block's
@@ -26,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tridiag
 from .errors import OutOfDomain, SolverBreakdown, ValidationError
 from .invariants import frame_from_beta
 from .ode import integrate_beta
@@ -67,80 +67,16 @@ def build_hamiltonian(s, t):
     return diag, (float(off[0]) if np.ndim(t) == 0 else off[..., 0])
 
 
-def _eliminate(b, c, size):
-    """Odd-even elimination of the symmetric tridiagonal systems with
-    diagonals ``b[k]`` and off-diagonals ``c[k]`` down to at most ``size``
-    unknowns.
-
-    Each level eliminates the odd-numbered unknowns from the equations of
-    the even-numbered ones, which leaves a symmetric tridiagonal system of
-    half the size; ``c[:, j]`` couples unknowns j and j+1.  A level keeps
-    w, the inverse odd pivots, and lw, rw, the odd unknowns' couplings to
-    their left and right even neighbours times w.  Returns the levels, the
-    magnitudes of the pivots they divided by, and the reduced system's
-    (b, c).
-    """
-    levels, pivots = [], []
-    while b.shape[1] > size:
-        m = b.shape[1]
-        p, q = m // 2, m - m // 2
-        pivots.append(np.abs(b[:, 1::2]))
-        w = 1.0 / b[:, 1::2]
-        left, right = c[:, 0::2], c[:, 1::2]
-        lw, rw = left * w, right * w[:, :q - 1]
-        b = b[:, 0::2].copy()
-        b[:, :p] -= left * lw
-        b[:, 1:] -= right * rw
-        c = -(left[:, :q - 1] * rw)
-        levels.append((w, lw, rw))
-    return levels, pivots, b, c
-
-
-def _split(x, size):
-    """The views of x that the elimination of x's last axis down to at most
-    ``size`` unknowns updates, built once for every solve into x.
-
-    Per level: the odd unknowns, the even ones that have an odd right
-    neighbour, the odd ones that have an even right neighbour, and those
-    even right neighbours.  Returns (x, the levels' views, the reduced
-    system's view)."""
-    views, evens = [], x
-    while evens.shape[-1] > size:
-        odd, evens = evens[..., 1::2], evens[..., 0::2]
-        views.append((odd, evens[..., :odd.shape[-1]],
-                      odd[..., :evens.shape[-1] - 1], evens[..., 1:]))
-    return x, views, evens
-
-
-def _reduce(levels, sel, views):
-    """Carry the elimination of ``levels`` over the right-hand sides behind
-    ``views`` (see ``_split``), in place; ``lw[sel]`` of a level
-    broadcasts against them."""
-    for (w, lw, rw), (odd, left, odd_r, right) in zip(levels, views):
-        left -= lw[sel] * odd
-        right -= rw[sel] * odd_r
-
-
-def _back(levels, sel, views):
-    """Back-substitute the odd unknowns of every level, innermost first,
-    once the reduced system's unknowns are in place."""
-    for (w, lw, rw), (odd, left, odd_r, right) in zip(reversed(levels),
-                                                      reversed(views)):
-        odd *= w[sel]
-        odd -= lw[sel] * left
-        odd_r -= rw[sel] * right
-
-
 def _factor(s, ts, dt):
     """Factor (1 + i a H(t)), a = dt/(2 hbar), for every time of the 1-d
     array ts at once.
 
     The elimination stops at ``REDUCED`` unknowns or fewer.  The reduced
-    system is eliminated on to one unknown over the identity's columns,
-    which gives its inverse at O(REDUCED^2) per step.  Returns (diagonal
-    of 1 - i a H, off-diagonal of i a H, levels, inverses of the reduced
-    systems), each indexed by time first.  Raises SolverBreakdown if any
-    pivot of either elimination vanishes or is not finite.
+    system is solved for the identity's columns, which gives its inverse
+    at O(REDUCED^2) per step.  Returns (diagonal of 1 - i a H,
+    off-diagonal of i a H, levels, inverses of the reduced systems), each
+    indexed by time first.  Raises SolverBreakdown if any pivot of either
+    elimination vanishes or is not finite.
     """
     diag, off = build_hamiltonian(s, ts)
     a = 0.5 * dt / s.hbar
@@ -151,36 +87,30 @@ def _factor(s, ts, dt):
     rdiag = b.conj()
     c = np.broadcast_to(1j * a * off[:, None],
                         (diag.shape[0], diag.shape[1] - 1))
-    levels, pivots, b, c = _eliminate(b, c, REDUCED)
-    inner_levels, inner_pivots, last, _ = _eliminate(b, c, 1)
-    piv = np.concatenate(pivots + inner_pivots + [np.abs(last)], axis=1)
+    levels, pivots, b, c = tridiag.eliminate(b, c, REDUCED)
+    # row k of cols[i] solves the reduced system i for unit vector k
+    cols = np.repeat(np.eye(b.shape[1], dtype=np.complex128)[None],
+                     b.shape[0], axis=0)
+    piv = np.concatenate(pivots + [tridiag.solve(b, c, cols)], axis=1)
     if not (piv.min() >= 1e-300 and piv.max() < np.inf):
         raise SolverBreakdown("tridiagonal elimination pivot vanished or "
                               "is not finite")
-    # row k of cols[i] solves the reduced system i for unit vector k
-    r = b.shape[1]
-    cols = np.zeros((b.shape[0], r, r), dtype=np.complex128)
-    cols[:] = np.eye(r)
-    _, views, x = _split(cols, 1)
-    _reduce(inner_levels, np.s_[:, None], views)
-    x /= last[:, None]
-    _back(inner_levels, np.s_[:, None], views)
     return rdiag, 1j * a * off, levels, cols.transpose(0, 2, 1)
 
 
 def _cn_step(factors, j, values, out):
     """Crank-Nicolson step j of a factored block:
     (1 + i a H_j)^{-1} (1 - i a H_j) values, written to x of
-    ``out = _split(x, REDUCED)``; x must not overlap ``values``."""
+    ``out = tridiag.split(x, REDUCED)``; x must not overlap ``values``."""
     rdiag, ioff, levels, inv = factors
     x, views, reduced = out
     o = ioff[j]
     np.multiply(rdiag[j], values, out=x)
     x[1:] -= o * values[:-1]
     x[:-1] -= o * values[1:]
-    _reduce(levels, j, views)
+    tridiag.reduce(levels, j, views)
     reduced[...] = (inv[j] * reduced).sum(axis=1)
-    _back(levels, j, views)
+    tridiag.back(levels, j, views)
     return x
 
 
@@ -192,7 +122,7 @@ def crank_nicolson_step(psi, s, t, dt):
     with np.errstate(all="ignore"):
         factors = _factor(s, np.array([t + 0.5 * dt]), dt)
         out = _cn_step(factors, 0, values,
-                       _split(np.empty_like(values), REDUCED))
+                       tridiag.split(np.empty_like(values), REDUCED))
     return WaveFunction(qs=psi.qs, values=out, t=t + dt, n=psi.n)
 
 
@@ -268,7 +198,7 @@ def propagate_and_compare(s, n, t0, t1, dt, max_slices=201, beta_sol=None):
     compare(np.arange(1), psi0.values[None], psi0.norm)
     step_norms = np.empty(nsteps)
     states = np.empty((BLOCK, qs.shape[0]), dtype=np.complex128)
-    rows = [_split(x, REDUCED) for x in states]
+    rows = [tridiag.split(x, REDUCED) for x in states]
     psi = psi0.values
     # a block's last state, in its last row, is read by the next block's
     # first step, which writes row 0

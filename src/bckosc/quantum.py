@@ -21,7 +21,7 @@ time-dependent Schrodinger equation of the scaled-mass Hamiltonian.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -412,7 +412,9 @@ def underdamped_params(s):
                              omega_bar=wbar, F0=F0, alpha=alpha)
 
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+@cache
+def _gauss_legendre_16():
+    return np.polynomial.legendre.leggauss(16)
 
 
 def _phase_integral_closed(p, t):
@@ -420,6 +422,7 @@ def _phase_integral_closed(p, t):
     Gauss-Legendre quadrature; N/Dt is the bounded core of F/beta."""
     if p.F0 == 0.0:
         return complex(0.0)
+    nodes, weights = _gauss_legendre_16()
     gbar = complex(p.g, p.omega_bar)
     Dt = complex(p.g ** 2 - p.omega_bar ** 2 + p.alpha ** 2,
                  2.0 * p.g * p.omega_bar)
@@ -435,7 +438,7 @@ def _phase_integral_closed(p, t):
     for k in range(panels):
         mid = 0.5 * (edges[k] + edges[k + 1])
         half = 0.5 * (edges[k + 1] - edges[k])
-        total += half * np.sum(_GL_W * core(mid + half * _GL_X))
+        total += half * np.sum(weights * core(mid + half * nodes))
     return complex(total)
 
 

@@ -247,6 +247,15 @@ def test_malformed_document_is_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_finite_tabulated_sample_is_exit_2(tmp_path, capsys):
+    doc = tmp_path / "nan_sample.cfg"
+    doc.write_text("[scenario]\nt0 = 0\nt1 = 3\n[omega]\ntype = tabulated\n"
+                   "samples = 0:1, 1:nan, 2:1, 3:1\n")
+    rc = main(["verify", "--scenario", str(doc), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_degenerate_amplitude_is_exit_3(tmp_path, capsys):
     doc = tmp_path / "degenerate.cfg"
     doc.write_text("[scenario]\nt0 = 0\nt1 = 5\n"
@@ -259,7 +268,9 @@ def test_degenerate_amplitude_is_exit_3(tmp_path, capsys):
 
 def test_cli_loads_neither_scipy_linalg_nor_numba(tmp_path):
     # scipy.linalg alone doubles a bare interpreter's memory, and numba is
-    # not a dependency; neither may be pulled in by the common commands
+    # not a dependency; neither may be pulled in by the common commands.
+    # scipy is not a runtime dependency at all: tabulated time functions
+    # load none of it
     code = (
         "import sys, bckosc\n"
         "from bckosc.cli import main\n"
@@ -268,13 +279,19 @@ def test_cli_loads_neither_scipy_linalg_nor_numba(tmp_path):
         "rc |= main(['propagate', '--dt', '0.01', '--periods', '0.2']"
         " + args)\n"
         "print(rc, sorted(m for m in sys.modules\n"
-        "                 if m.startswith(('scipy.linalg', 'numba'))))\n")
+        "                 if m.startswith(tuple(sys.argv[3:]))))\n")
+    tabulated = tmp_path / "tabulated.cfg"
+    tabulated.write_text("[scenario]\nt0 = 0\nt1 = 3\n[omega]\n"
+                         "type = tabulated\n"
+                         "samples = 0:1.0, 1:1.1, 2:1.2, 3:1.3\n")
     path = os.pathsep.join(p for p in sys.path if p)
-    out = subprocess.run([sys.executable, "-c", code, DRIVEN, str(tmp_path)],
-                         env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "0 []"
+    for cfg, prefixes in ((DRIVEN, ["scipy.linalg", "numba"]),
+                          (str(tabulated), ["scipy", "numba"])):
+        out = subprocess.run([sys.executable, "-c", code, cfg, str(tmp_path)]
+                             + prefixes, env=dict(os.environ, PYTHONPATH=path),
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "0 []", cfg
 
 
 def test_unknown_flag_raises_usage_error(capsys):

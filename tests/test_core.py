@@ -61,6 +61,16 @@ def test_tabulated_matches_scipy_spline_on_any_shape():
     ref = CubicSpline(ts, vs, bc_type="natural")(tq)
     assert_allclose(f(tq), ref, rtol=0, atol=1e-14)
     assert f(1.7) == f(np.array([1.7]))[0]
+    # 2, 3, 7 and 15 interior unknowns: odd and even sizes at every level
+    # of the reduction
+    rng = np.random.default_rng(1)
+    for n in (4, 5, 9, 17):
+        ts = np.cumsum(np.concatenate(([0.0], rng.uniform(0.2, 1.0, n - 1))))
+        vs = rng.uniform(-1.0, 1.0, n)
+        tq = np.concatenate([ts, np.linspace(ts[0], ts[-1], 43)])
+        ref = CubicSpline(ts, vs, bc_type="natural")(tq)
+        assert_allclose(TimeFunction.tabulated(ts, vs)(tq), ref,
+                        rtol=0, atol=1e-14)
 
 
 def test_tabulated_domain_is_enforced():
@@ -79,6 +89,11 @@ def test_tabulated_rejects_bad_samples():
         TimeFunction.tabulated([0.0, 1.0, 1.0, 2.0], [1.0, 2.0, 1.0, 0.0])
     with pytest.raises(ValidationError):
         TimeFunction.tabulated([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 1.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            TimeFunction.tabulated([0.0, 1.0, bad, 3.0], [1.0, 2.0, 1.0, 0.0])
+        with pytest.raises(ValidationError, match="finite"):
+            TimeFunction.tabulated([0.0, 1.0, 2.0, 3.0], [1.0, bad, 1.0, 0.0])
 
 
 # ---------- derivatives ----------
