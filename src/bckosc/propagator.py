@@ -175,7 +175,7 @@ def propagate_and_compare(s, n, t0, t1, dt, max_slices=201, beta_sol=None):
         beta_sol = integrate_beta(s)
     nsteps = max(1, int(round((t1 - t0) / dt)))
     dt_eff = (t1 - t0) / nsteps
-    stride = max(1, nsteps // max(1, max_slices - 1))
+    stride = max(1, -(-nsteps // max(1, max_slices - 1)))  # ceiling
     steps = np.arange(0, nsteps + 1, stride)
     if steps[-1] != nsteps:
         steps = np.append(steps, nsteps)

@@ -270,7 +270,8 @@ def test_cli_loads_neither_scipy_linalg_nor_numba(tmp_path):
     # scipy.linalg alone doubles a bare interpreter's memory, and numba is
     # not a dependency; neither may be pulled in by the common commands.
     # scipy is not a runtime dependency at all: tabulated time functions
-    # load none of it
+    # load none of it.  The ODE tableau is built with plain numpy, so
+    # numpy.polynomial stays unloaded too
     code = (
         "import sys, bckosc\n"
         "from bckosc.cli import main\n"
@@ -285,8 +286,10 @@ def test_cli_loads_neither_scipy_linalg_nor_numba(tmp_path):
                          "type = tabulated\n"
                          "samples = 0:1.0, 1:1.1, 2:1.2, 3:1.3\n")
     path = os.pathsep.join(p for p in sys.path if p)
-    for cfg, prefixes in ((DRIVEN, ["scipy.linalg", "numba"]),
-                          (str(tabulated), ["scipy", "numba"])):
+    for cfg, prefixes in ((DRIVEN, ["scipy.linalg", "numba",
+                                    "numpy.polynomial"]),
+                          (str(tabulated), ["scipy", "numba",
+                                            "numpy.polynomial"])):
         out = subprocess.run([sys.executable, "-c", code, cfg, str(tmp_path)]
                              + prefixes, env=dict(os.environ, PYTHONPATH=path),
                              capture_output=True, text=True, timeout=120)

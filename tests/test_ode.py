@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad, solve_ivp
 
+from bckosc import ode
 from bckosc import (OutOfDomain, Scenario, StepSizeUnderflow, TimeFunction,
                     accumulate_F, c_ics_from_gamma_sigma, gamma_ics_from_beta,
                     integrate_beta, integrate_c_system, integrate_classical,
@@ -91,12 +92,64 @@ def test_amplitude_system_matches_scipy(name, request):
 
 def test_dense_output_between_steps(driven, driven_beta):
     # interpolated values must hold near solution accuracy, not just the
-    # accepted-step states; the quartic interpolant sits one order below
+    # accepted-step states; the 7th-order interpolant sits one order below
     # the step error, hence the slightly wider bound
     rng = np.random.default_rng(20260823)
     ts = np.sort(rng.uniform(driven.t0, driven.t1, 101))
     ref = scipy_reference(driven, ts)
     assert_allclose(driven_beta(ts), ref, rtol=2e-7, atol=2e-7)
+
+
+# ---------- the DOP853 tableau ----------
+
+def test_tableau_matches_scipy_coefficients():
+    # the inlined constants, digit for digit the same as scipy's copy of
+    # Hairer's DOP853
+    from scipy.integrate._ivp import dop853_coefficients as ref
+    assert np.array_equal(ode._A, ref.A)
+    assert np.array_equal(ode._C, ref.C)
+    assert np.array_equal(ode._rows(ode._D_ROWS, 16), ref.D)
+    b, e5, e3 = ode._W[0], ode._W[-2], ode._W[-1]
+    assert np.array_equal(b[:12], ref.B)
+    assert np.array_equal(e5[:13], ref.E5)
+    assert np.array_equal(e3[:13], ref.E3)
+    assert not np.any(b[12:]) and not np.any(e5[13:]) and not np.any(e3[13:])
+
+
+def test_tableau_order_conditions():
+    b = ode._W[0]
+    assert_allclose(ode._A.sum(axis=1), ode._C, rtol=0, atol=1e-14)
+    assert_allclose(b.sum(), 1.0, rtol=0, atol=1e-15)
+    for k in range(1, 8):
+        assert_allclose(b @ ode._C ** k, 1.0 / (k + 1), rtol=0, atol=1e-15)
+
+
+def _oscillator_sweeps():
+    # y'' = -y on [0, 10], y(0) = 1, y'(0) = 0, over fixed uniform grids
+    def coef(t):
+        return ode._assemble(t, 2, {(0, 1): 1.0, (1, 0): -1.0})
+
+    for n in (20, 40, 80):
+        ts = np.linspace(0.0, 10.0, n + 1)
+        ys, qs, _, bad = ode._sweep(ts, coef, np.array([[1.0], [0.0]]), 2,
+                                    1e-12, 1e-14)
+        assert bad is None
+        yield ts, ys, qs
+
+
+def test_sweep_converges_at_eighth_order():
+    errs = [np.max(np.abs(ys[-1] - [math.cos(10.0), -math.sin(10.0)]))
+            for _, ys, _ in _oscillator_sweeps()]
+    # each halving of the step must shrink the end error by at least 2^7
+    assert errs[0] > 2 ** 7 * errs[1]
+    assert errs[1] > 2 ** 7 * errs[2]
+
+
+def test_interpolant_ends_at_the_next_state():
+    for _, ys, qs in _oscillator_sweeps():
+        # qs[..., j] multiplies theta^(j + 1), so theta = 1 sums them
+        assert_allclose(ys[:-1] + qs.sum(axis=-1), ys[1:], rtol=0,
+                        atol=1e-13)
 
 
 # ---------- ride-along integrals against quadrature ----------

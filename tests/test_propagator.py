@@ -271,6 +271,15 @@ def test_run_record_is_consistent(sho):
     assert run.initial.n == 1
 
 
+def test_max_slices_bounds_an_uneven_step_count(sho):
+    # 789 steps do not divide into 200 strides: the slice stride rounds up,
+    # so the run still compares at most max_slices states and ends at t1
+    run = propagate_and_compare(sho, 0, 0.0, 0.789, 1e-3)
+    assert len(run.slice_ts) <= 201
+    assert run.slice_ts[-1] == pytest.approx(0.789, abs=1e-15)
+    assert run.step_norms.shape == (789,)
+
+
 def test_propagation_distinguishes_states(driven, driven_beta):
     # the propagated ground state must stay orthogonal to psi_1 and aligned
     # with psi_0
