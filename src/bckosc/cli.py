@@ -22,8 +22,7 @@ from .errors import (BckoscError, DegenerateSolutions, DegreeTooLarge,
                      ParseError, SolverBreakdown, StepSizeUnderflow,
                      UnsupportedForceShape, ValidationError)
 from .invariants import (compute_omega, envelope_ics, frame_from_beta,
-                         omega_report, verification_series,
-                         write_verification_report)
+                         verification_series, write_verification_report)
 from .ode import (integrate_beta, integrate_classical, integrate_gamma,
                   integrate_sigma)
 from .propagator import propagate_and_compare
@@ -67,7 +66,7 @@ def _verify_pipeline(s, samples):
     beta_sol = integrate_beta(s)
     traj = integrate_classical(s, 1.0, 0.0)
     series = verification_series(s, beta_sol, traj, samples=samples)
-    return beta_sol, series, omega_report(series["frame"])
+    return beta_sol, series, series["omega_report"]
 
 
 def cmd_verify(s, args, outdir):
@@ -153,16 +152,15 @@ def _sweep_scenario(s, param, value):
         return replace(s, damping=TimeFunction.constant(value))
     if param == "omega":
         return replace(s, omega=TimeFunction.constant(value))
-    if s.force.kind != 1:
+    if s.force.label != "sinusoid":
         raise ValidationError(
             f"sweep parameter {param!r} needs a sinusoidal force")
-    amp, freq, ph, off = (float(x) for x in s.force.params[:4])
+    amp, freq, ph = s.force.meta
     if param == "F0":
         amp = value
     else:
         freq = value
-    return replace(s, force=TimeFunction.sinusoid(amp, freq, ph).affine(
-        1.0, off) if off else TimeFunction.sinusoid(amp, freq, ph))
+    return replace(s, force=TimeFunction.sinusoid(amp, freq, ph))
 
 
 def cmd_sweep(s, args, outdir):

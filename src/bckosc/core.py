@@ -14,6 +14,7 @@ import io
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -241,7 +242,7 @@ def twice_integral(damping, t0):
 _CONST_ZERO = TimeFunction.constant(0.0)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Scenario:
     """Validated problem description; immutable once constructed."""
 
@@ -287,21 +288,18 @@ class Scenario:
                 raise ValidationError(
                     f"{name} tabulated range [{lo}, {hi}] does not cover "
                     f"the window [{self.t0}, {self.t1}]")
-        object.__setattr__(self, "_cache", {})
 
     @property
     def step_max(self):
+        """``max_step``, or a hundredth of the window when it is unset."""
         if self.max_step is not None:
             return self.max_step
         return (self.t1 - self.t0) / 100.0
 
-    @property
+    @cached_property
     def G(self):
         """The damping integral as a TimeFunction (exact per variant)."""
-        cache = self._cache
-        if "G" not in cache:
-            cache["G"] = twice_integral(self.damping, self.t0)
-        return cache["G"]
+        return twice_integral(self.damping, self.t0)
 
     def resolved_beta0(self):
         """Amplitude ICs: user-specified, or the underdamped default
@@ -319,22 +317,6 @@ class Scenario:
 
     def grid(self):
         return np.linspace(self.qmin, self.qmax, self.npoints)
-
-    def __eq__(self, other):
-        if not isinstance(other, Scenario):
-            return NotImplemented
-        return (self.omega == other.omega and self.damping == other.damping
-                and self.force == other.force
-                and (self.t0, self.t1, self.m, self.hbar) ==
-                    (other.t0, other.t1, other.m, other.hbar)
-                and self.beta0 == other.beta0
-                and (self.qmin, self.qmax, self.npoints) ==
-                    (other.qmin, other.qmax, other.npoints)
-                and (self.rtol, self.atol, self.step_max) ==
-                    (other.rtol, other.atol, other.step_max))
-
-    def __hash__(self):
-        return hash((self.omega, self.damping, self.force, self.t0, self.t1))
 
 
 def eval_G(s, t):
@@ -546,5 +528,6 @@ def serialize_scenario(s):
     out.write(f"npoints = {s.npoints}\n\n")
     out.write("[integrator]\n")
     out.write(f"rtol = {_fmt(s.rtol)}\natol = {_fmt(s.atol)}\n")
-    out.write(f"max_step = {_fmt(s.step_max)}\n")
+    if s.max_step is not None:
+        out.write(f"max_step = {_fmt(s.max_step)}\n")
     return out.getvalue()

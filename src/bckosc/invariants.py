@@ -3,7 +3,8 @@ the envelope first integral and its Ermakov-type residual.
 
 This module owns the quantities the paper derives from the amplitude beta:
 the envelope group (``envelope_group``, ``envelope_ics``), the five
-coefficients of I_Q (``iq_coefficients``) and Omega (``omega_of_frame``).
+coefficients of I_Q (``iq_coefficients``) and their initial values
+(``c_ics_from_gamma_sigma``), and Omega (``omega_of_frame``).
 The other modules call these definitions rather than restate them; the
 closed forms in ``quantum.underdamped_closed_forms`` stay independent on
 purpose, as the oracle they are compared with.
@@ -86,6 +87,17 @@ def envelope_ics(s):
     return group[:3], group[3:5]
 
 
+def c_ics_from_gamma_sigma(s, gamma_ics, sigma_ics):
+    """Coefficient ICs at t0 that reduce the five-ODE system to
+    (gamma, sigma): ``iq_coefficients`` of the envelope ICs."""
+    (gamma, dgamma, ddgamma), (sigma, dsigma) = gamma_ics, sigma_ics
+    # e^{G(t0)} = 1 by the gauge choice
+    return np.array(iq_coefficients(SimpleNamespace(
+        m=s.m, expG=1.0, omega=s.omega(s.t0), damping=s.damping(s.t0),
+        force=s.force(s.t0), gamma=gamma, dgamma=dgamma, ddgamma=ddgamma,
+        sigma=sigma, dsigma=dsigma)))
+
+
 def frame_from_beta(s, beta_sol, t):
     """Build a frame (or vector frame) from a dense amplitude solution,
     with the envelope group derived algebraically by ``envelope_group``."""
@@ -111,11 +123,6 @@ def frame_from_beta(s, beta_sol, t):
 def eval_linear_invariant(fr, q, p):
     """I = beta p - m e^G beta' q - F(beta, t)."""
     return fr.beta * p - fr.m * fr.expG * fr.dbeta * q - fr.F
-
-
-def eval_conjugate_invariant(fr, q, p):
-    """The conjugate invariant; exactly conj(eval_linear_invariant)."""
-    return np.conjugate(eval_linear_invariant(fr, q, p))
 
 
 def _wronskian_omega(fr):
@@ -274,24 +281,23 @@ def drift(series, reference=None):
 
 
 def verification_series(s, beta_sol, trajectory, samples=512):
-    """Everything cmd-verify reports: per-sample I, I_Q, Omega, C and the
-    Ermakov residual along one trajectory, plus summary drifts and the
-    vector frame they were evaluated on."""
+    """Everything cmd-verify reports: per-sample I, I_Q, C and the Ermakov
+    residual along one trajectory, the OmegaReport of the same samples,
+    summary drifts and the vector frame they were evaluated on."""
     ts = np.linspace(s.t0, s.t1, samples)
     fr = frame_from_beta(s, beta_sol, ts)
     q = trajectory.q(ts)
     p = trajectory.p(ts)
     lin = eval_linear_invariant(fr, q, p)
     quad = eval_quadratic_invariant(fr, q, p)
-    om = omega_of_frame(fr)
     C = first_integral_C(fr)
     erm = ermakov_residual(fr, float(np.mean(C)))
+    om = omega_report(fr)
     return {
-        "ts": ts, "frame": fr, "I": lin, "IQ": quad, "Omega": om, "C": C,
-        "ermakov": erm,
+        "ts": ts, "frame": fr, "I": lin, "IQ": quad, "omega_report": om,
+        "C": C, "ermakov": erm,
         "drift_I": drift(lin),
         "drift_IQ": drift(quad),
-        "drift_Omega": drift(om, float(np.mean(om))),
         "drift_C": drift(C, float(np.mean(C))),
         "max_ermakov": float(np.max(np.abs(erm))),
     }
@@ -300,14 +306,15 @@ def verification_series(s, beta_sol, trajectory, samples=512):
 def write_verification_report(path, series):
     """CSV report: t, re_I, im_I, IQ, Omega, C, ermakov_residual plus a
     summary footer."""
+    om = series["omega_report"]
     with open(path, "w", newline="\n") as fh:
         fh.write("t,re_I,im_I,IQ,Omega,C,ermakov_residual\n")
         for k in range(series["ts"].shape[0]):
             vals = (series["ts"][k], series["I"][k].real,
                     series["I"][k].imag, series["IQ"][k],
-                    series["Omega"][k], series["C"][k],
+                    om.omega[k], series["C"][k],
                     series["ermakov"][k])
             fh.write(",".join(f"{v:.17g}" for v in vals) + "\n")
         fh.write(f"# max_drift_I={series['drift_I']:.17g}, "
                  f"max_drift_IQ={series['drift_IQ']:.17g}, "
-                 f"omega_drift={series['drift_Omega']:.17g}\n")
+                 f"omega_drift={om.max_rel_drift:.17g}\n")

@@ -25,6 +25,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
+from .core import KIND_EXP, KIND_POLY, KIND_SIN
 from .errors import (DegreeTooLarge, GridTooNarrow, InsufficientSlices,
                      NotUnderdamped, OmegaNotPositive, UnsupportedForceShape,
                      ValidationError)
@@ -200,11 +201,6 @@ def eval_psin(n, s, frame, t):
                         t=float(t), n=int(n))
 
 
-def eval_psi0(s, frame, t):
-    """Ground state annihilated by the linear invariant; see eval_psin."""
-    return eval_psin(0, s, frame, t)
-
-
 def build_spectrum(omega_value, nmax):
     """Eigenvalues Omega (n + 1/2) for n = 0..nmax."""
     if omega_value <= 0.0:
@@ -365,11 +361,11 @@ class UnderdampedParams:
 
 def _constant_value(tf):
     """Value of a time function that is constant, else None."""
-    if tf.kind == 0 and not np.any(tf.params[1:]):
+    if tf.kind == KIND_POLY and not np.any(tf.params[1:]):
         return float(tf.params[0])
-    if tf.kind == 1 and tf.params[0] == 0.0:
+    if tf.kind == KIND_SIN and tf.params[0] == 0.0:
         return float(tf.params[3])
-    if tf.kind == 2 and tf.params[0] == 0.0:
+    if tf.kind == KIND_EXP and tf.params[0] == 0.0:
         return float(tf.params[2])
     return None
 
@@ -394,7 +390,7 @@ def underdamped_params(s):
     fv = _constant_value(s.force)
     if fv == 0.0:
         F0, alpha = 0.0, 0.0
-    elif s.force.kind == 1 and s.force.params[2] == 0.0 \
+    elif s.force.kind == KIND_SIN and s.force.params[2] == 0.0 \
             and s.force.params[3] == 0.0:
         F0 = float(s.force.params[0])
         alpha = float(s.force.params[1])

@@ -17,14 +17,14 @@ from bckosc import (TimeFunction, apply_IQ, apply_ladder, build_spectrum,
                     compute_omega,
                     ermakov_residual, eval_linear_invariant,
                     eval_quadratic_invariant, eval_psin, first_integral_C,
-                    frame_from_beta, gamma_ics_from_beta, integrate_beta,
-                    integrate_c_system, integrate_classical, integrate_gamma,
-                    integrate_sigma, c_ics_from_gamma_sigma, omega_of_frame,
+                    frame_from_beta, integrate_beta, integrate_c_system,
+                    integrate_classical, integrate_gamma, integrate_sigma,
+                    c_ics_from_gamma_sigma, omega_of_frame,
                     propagate_and_compare, schrodinger_residual,
                     uncertainty_product, underdamped_closed_forms,
                     underdamped_uncertainty_factors, verification_series,
                     verify_c_reduction)
-from bckosc.invariants import drift
+from bckosc.invariants import drift, envelope_ics
 from bckosc.quantum import l2_norm
 
 SEED = 20260823
@@ -96,7 +96,7 @@ def test_criterion_03_quadratic_invariant(driven, driven_beta, capsys):
 
 
 def test_criterion_04_envelope_reduction(driven, driven_beta, capsys):
-    gamma_sol = integrate_gamma(driven, *gamma_ics_from_beta(driven))
+    gamma_sol = integrate_gamma(driven, *envelope_ics(driven)[0])
     ts = np.linspace(driven.t0, driven.t1, 256)
     fr = frame_from_beta(driven, driven_beta, ts)
     ga = gamma_sol(ts)
@@ -121,7 +121,7 @@ def test_criterion_04_envelope_reduction(driven, driven_beta, capsys):
 def test_criterion_05_coefficient_reduction(driven, ramp, sho, capsys):
     worst = 0.0
     for s in (driven, ramp):
-        gamma_ics = gamma_ics_from_beta(s)
+        gamma_ics = envelope_ics(s)[0]
         gamma_sol = integrate_gamma(s, *gamma_ics)
         sigma_sol = integrate_sigma(s, gamma_sol)
         c0 = c_ics_from_gamma_sigma(s, gamma_ics, (0.0, 0.0))

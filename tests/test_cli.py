@@ -5,12 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from bckosc import _accel
 from bckosc.cli import main
 
 from conftest import SCENARIO_DIR
@@ -75,6 +77,16 @@ def test_verify_reports_omega_value(tmp_path, capsys):
             if l.startswith("Omega mean")][0]
     assert_allclose(float(line.split()[-1]), 2.0 * math.sqrt(0.99),
                     rtol=0, atol=1e-9)
+
+
+def test_verify_footer_omega_drift_is_the_printed_one(tmp_path, capsys):
+    rc = main(["verify", "--scenario", DRIVEN, "--out", str(tmp_path)])
+    assert rc == 0
+    line = [l for l in capsys.readouterr().out.splitlines()
+            if l.startswith("omega drift")][0]
+    footer = (tmp_path / "verify_report.csv").read_text().splitlines()[-1]
+    value = float(footer.rsplit("omega_drift=", 1)[1])
+    assert line.split()[2] == f"{value:.5e}"
 
 
 def test_verify_strict_tolerance_fails(tmp_path, capsys):
@@ -295,6 +307,21 @@ def test_cli_loads_neither_scipy_linalg_nor_numba(tmp_path):
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "0 []", cfg
+
+
+def test_bench_trace_targets_resolve():
+    # the benchmark's traced run wraps every name perfbench/spans.py lists,
+    # and its metadata line reads bckosc._accel.NUMBA_ENABLED: a deleted or
+    # renamed name must fail here.  The file is executed from its source
+    # text, so nothing is written next to it
+    path = SCENARIO_DIR.parent / "perfbench" / "spans.py"
+    spans = types.ModuleType("perfbench_spans")
+    exec(compile(path.read_text(), str(path), "exec"), spans.__dict__)
+    targets = spans._targets()
+    assert targets
+    for owner, attr, name, _ in targets:
+        assert callable(getattr(owner, attr, None)), (owner, attr, name)
+    assert isinstance(_accel.NUMBA_ENABLED, bool)
 
 
 def test_unknown_flag_raises_usage_error(capsys):

@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -378,6 +379,32 @@ def test_serialize_round_trip_all_variants():
         s = Scenario(omega=omega, t0=0.0, t1=10.0, qmin=-8.0, qmax=8.0,
                      npoints=128, rtol=1e-9, atol=1e-11, max_step=0.25)
         assert parse_scenario(serialize_scenario(s)) == s
+
+
+def test_serialize_omits_an_unset_max_step():
+    s = parse_scenario(GOOD_DOC)
+    assert s.max_step is None
+    text = serialize_scenario(s)
+    assert "max_step" not in text
+    back = parse_scenario(text)
+    assert back == s and back.max_step is None
+
+
+def test_default_step_max_follows_the_window():
+    wider = replace(_minimal(), t1=20.0)
+    assert wider.max_step is None
+    assert wider.step_max == (20.0 - 0.0) / 100.0
+    assert replace(_minimal(max_step=0.25), t1=20.0).step_max == 0.25
+
+
+def test_equal_scenarios_hash_equal():
+    a, b = parse_scenario(GOOD_DOC), parse_scenario(GOOD_DOC)
+    assert a is not b and a == b and hash(a) == hash(b)
+    c = parse_scenario(serialize_scenario(a))
+    assert c == a and hash(c) == hash(a)
+    assert len({a, b, c}) == 1
+    assert replace(a, rtol=1e-9) != a
+    assert a.G is a.G
 
 
 def test_serialize_rejects_derived_functions():

@@ -12,9 +12,9 @@ from scipy.integrate import quad, solve_ivp
 
 from bckosc import ode
 from bckosc import (OutOfDomain, Scenario, StepSizeUnderflow, TimeFunction,
-                    accumulate_F, c_ics_from_gamma_sigma, gamma_ics_from_beta,
-                    integrate_beta, integrate_c_system, integrate_classical,
-                    integrate_gamma, integrate_sigma)
+                    c_ics_from_gamma_sigma, integrate_beta, integrate_c_system,
+                    integrate_classical, integrate_gamma, integrate_sigma)
+from bckosc.invariants import envelope_ics
 
 OMEGA_BAR = math.sqrt(0.99)
 
@@ -168,16 +168,6 @@ def test_force_functional_matches_quadrature(driven, driven_beta):
                     atol=1e-9)
 
 
-def test_accumulate_F_is_a_view(driven, driven_beta):
-    view = accumulate_F(driven, driven_beta)
-    ts = np.linspace(driven.t0, driven.t1, 33)
-    vals = view(ts)
-    assert vals.shape == (33, 2)
-    assert_allclose(vals[:, 0] + 1j * vals[:, 1],
-                    driven_beta.force_functional(ts), rtol=0, atol=0)
-    assert view.names == ("re_F", "im_F")
-
-
 # ---------- classical trajectories ----------
 
 def test_classical_sho_trajectory(sho):
@@ -208,14 +198,14 @@ def test_classical_driven_matches_scipy(driven):
 # ---------- envelope, companion and coefficient systems ----------
 
 def test_envelope_tracks_amplitude(driven, driven_beta):
-    gamma_sol = integrate_gamma(driven, *gamma_ics_from_beta(driven))
+    gamma_sol = integrate_gamma(driven, *envelope_ics(driven)[0])
     ts = np.linspace(driven.t0, driven.t1, 256)
     ref = 2.0 * np.abs(driven_beta.beta(ts)) ** 2
     assert_allclose(gamma_sol.component("gamma", ts), ref, rtol=0, atol=1e-8)
 
 
 def test_companion_tracks_amplitude(driven, driven_beta):
-    gamma_sol = integrate_gamma(driven, *gamma_ics_from_beta(driven))
+    gamma_sol = integrate_gamma(driven, *envelope_ics(driven)[0])
     sigma_sol = integrate_sigma(driven, gamma_sol)
     ts = np.linspace(driven.t0, driven.t1, 256)
     ref = -2.0 * (np.conjugate(driven_beta.beta(ts))

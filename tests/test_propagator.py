@@ -14,8 +14,8 @@ from scipy.linalg import eigh_tridiagonal
 
 from bckosc import (GridTooNarrow, OutOfDomain, Scenario, SolverBreakdown,
                     TimeFunction, build_hamiltonian, crank_nicolson_step,
-                    eval_psi0, eval_psin, frame_from_beta, inner,
-                    integrate_beta, propagate_and_compare)
+                    eval_psin, frame_from_beta, inner, integrate_beta,
+                    propagate_and_compare)
 from bckosc.propagator import BLOCK, REDUCED
 from bckosc.quantum import WaveFunction
 
@@ -284,7 +284,7 @@ def test_propagation_distinguishes_states(driven, driven_beta):
     # the propagated ground state must stay orthogonal to psi_1 and aligned
     # with psi_0
     fr = frame_from_beta(driven, driven_beta, 0.0)
-    psi = eval_psi0(driven, fr, 0.0)
+    psi = eval_psin(0, driven, fr, 0.0)
     t, dt = 0.0, 0.01
     for _ in range(300):
         psi = crank_nicolson_step(psi, driven, t, dt)

@@ -11,9 +11,9 @@ from numpy.testing import assert_allclose
 from bckosc import (DegreeTooLarge, GridTooNarrow, NotUnderdamped,
                     OmegaNotPositive, Scenario, TimeFunction,
                     UnsupportedForceShape, ValidationError, apply_IQ,
-                    apply_ladder, build_spectrum, eval_psi0, eval_psin,
-                    expectation_qp, frame_from_beta, hermite, inner,
-                    integrate_beta, schrodinger_residual, uncertainty_product,
+                    apply_ladder, build_spectrum, eval_psin, expectation_qp,
+                    frame_from_beta, hermite, inner, integrate_beta,
+                    schrodinger_residual, uncertainty_product,
                     underdamped_closed_forms, underdamped_params,
                     underdamped_uncertainty_factors, write_spectrum_csv)
 from bckosc.quantum import MAX_DEGREE, WaveFunction, check_grid, l2_norm
@@ -57,7 +57,7 @@ def test_hermite_guards():
 
 def test_sho_ground_state_is_textbook(sho, sho_beta):
     fr = frame_from_beta(sho, sho_beta, 0.0)
-    psi = eval_psi0(sho, fr, 0.0)
+    psi = eval_psin(0, sho, fr, 0.0)
     ref = PI_QUARTER * np.exp(-0.5 * psi.qs ** 2)
     assert_allclose(psi.values, ref, rtol=0, atol=1e-10)
     assert psi.n == 0 and psi.t == 0.0
@@ -66,7 +66,7 @@ def test_sho_ground_state_is_textbook(sho, sho_beta):
 def test_sho_ground_state_rotates_at_half_frequency(sho, sho_beta):
     t = 2.0
     fr = frame_from_beta(sho, sho_beta, t)
-    psi = eval_psi0(sho, fr, t)
+    psi = eval_psin(0, sho, fr, t)
     ref = PI_QUARTER * np.exp(-0.5 * psi.qs ** 2) * np.exp(-0.5j * t)
     assert_allclose(psi.values, ref, rtol=0, atol=1e-9)
 
@@ -147,7 +147,7 @@ def test_omega_must_be_positive(driven, driven_beta):
 def test_lowering_annihilates_ground_state(driven, driven_beta):
     t = 2.0
     fr = frame_from_beta(driven, driven_beta, t)
-    psi0 = eval_psi0(driven, fr, t)
+    psi0 = eval_psin(0, driven, fr, t)
     down = apply_ladder("down", psi0, fr, driven)
     assert l2_norm(down.values[2:-2], down.dq) < 1e-6
 
@@ -184,7 +184,7 @@ def test_number_operator(driven, driven_beta):
 
 def test_ladder_direction_validated(driven, driven_beta):
     fr = frame_from_beta(driven, driven_beta, 1.0)
-    psi = eval_psi0(driven, fr, 1.0)
+    psi = eval_psin(0, driven, fr, 1.0)
     with pytest.raises(ValidationError):
         apply_ladder("sideways", psi, fr, driven)
 
@@ -425,7 +425,7 @@ def test_spectrum_csv(tmp_path):
 
 def test_wavefunction_csv(tmp_path, sho, sho_beta):
     fr = frame_from_beta(sho, sho_beta, 0.0)
-    psi = eval_psi0(sho, fr, 0.0)
+    psi = eval_psin(0, sho, fr, 0.0)
     path = tmp_path / "wf.csv"
     psi.to_csv(path, footer="# norm=1")
     lines = path.read_text().splitlines()
@@ -436,7 +436,7 @@ def test_wavefunction_csv(tmp_path, sho, sho_beta):
 
 def test_inner_rejects_mismatched_grids(sho, sho_beta):
     fr = frame_from_beta(sho, sho_beta, 0.0)
-    psi = eval_psi0(sho, fr, 0.0)
+    psi = eval_psin(0, sho, fr, 0.0)
     other = WaveFunction(qs=psi.qs[:-1], values=psi.values[:-1], t=0.0)
     with pytest.raises(ValidationError):
         inner(psi, other)
