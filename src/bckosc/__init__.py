@@ -15,9 +15,8 @@ from .invariants import (CReductionReport, InvariantFrame, OmegaReport,
                          eval_quadratic_invariant, first_integral_C,
                          frame_from_beta, omega_of_frame, verification_series,
                          verify_c_reduction, write_verification_report)
-from .ode import (BetaSolution, ODESolution, Trajectory, integrate_beta,
-                  integrate_c_system, integrate_classical, integrate_gamma,
-                  integrate_sigma)
+from .ode import (ODESolution, integrate_beta, integrate_c_system,
+                  integrate_classical, integrate_gamma, integrate_sigma)
 from .propagator import (PropagationRun, build_hamiltonian,
                          crank_nicolson_step, propagate_and_compare)
 from .quantum import (SpectrumEntry, UncertaintyComparison, UncertaintyReport,
@@ -30,12 +29,12 @@ from .quantum import (SpectrumEntry, UncertaintyComparison, UncertaintyReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BckoscError", "BetaSolution", "CReductionReport", "DegenerateSolutions",
+    "BckoscError", "CReductionReport", "DegenerateSolutions",
     "DegreeTooLarge", "GammaVanishes", "GridTooNarrow", "InsufficientSlices",
     "InvalidIC", "InvariantFrame", "NotUnderdamped", "ODESolution",
     "OmegaNotPositive", "OmegaReport", "OutOfDomain", "ParseError",
     "PropagationRun", "Scenario", "SolverBreakdown", "SpectrumEntry",
-    "StepSizeUnderflow", "TimeFunction", "Trajectory", "UncertaintyComparison",
+    "StepSizeUnderflow", "TimeFunction", "UncertaintyComparison",
     "UncertaintyReport", "UnderdampedParams", "UnsupportedForceShape",
     "ValidationError", "WaveFunction", "apply_IQ", "apply_ladder",
     "build_hamiltonian", "build_spectrum", "c_ics_from_gamma_sigma",

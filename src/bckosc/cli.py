@@ -16,11 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import TimeFunction, parse_scenario_file
-from .errors import (BckoscError, DegenerateSolutions, DegreeTooLarge,
-                     GammaVanishes, GridTooNarrow, InsufficientSlices,
-                     InvalidIC, NotUnderdamped, OmegaNotPositive, OutOfDomain,
-                     ParseError, SolverBreakdown, StepSizeUnderflow,
-                     UnsupportedForceShape, ValidationError)
+from .errors import BckoscError, OmegaNotPositive, ValidationError
 from .invariants import (compute_omega, envelope_ics, frame_from_beta,
                          verification_series, write_verification_report)
 from .ode import (integrate_beta, integrate_classical, integrate_gamma,
@@ -28,12 +24,6 @@ from .ode import (integrate_beta, integrate_classical, integrate_gamma,
 from .propagator import propagate_and_compare
 from .quantum import (build_spectrum, eval_psin, expectation_qp,
                       uncertainty_product, write_spectrum_csv)
-
-_PARSE_ERRORS = (ParseError, ValidationError, InvalidIC, OutOfDomain,
-                 UnsupportedForceShape, NotUnderdamped, InsufficientSlices,
-                 DegreeTooLarge, OSError)
-_SOLVER_ERRORS = (StepSizeUnderflow, SolverBreakdown, DegenerateSolutions,
-                  GammaVanishes, OmegaNotPositive)
 
 
 def _say(args, msg):
@@ -271,17 +261,15 @@ def main(argv=None):
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         return args.fn(s, args, outdir)
-    except GridTooNarrow as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.suggested_qmax is not None:
-            print(f"suggested qmax: {exc.suggested_qmax:g}", file=sys.stderr)
-        return 4
-    except _PARSE_ERRORS as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _SOLVER_ERRORS as exc:
+    except BckoscError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        qmax = getattr(exc, "suggested_qmax", None)
+        if qmax is not None:
+            print(f"suggested qmax: {qmax:g}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package.  ``exit_code`` is the
+command-line exit status each one maps to: 2 for parse and validation
+errors, 3 for solver failures and 4 for a grid too narrow."""
 
 
 class BckoscError(Exception):
     """Base class for all package-specific errors."""
+    exit_code = 2
 
 
 class OutOfDomain(BckoscError):
@@ -26,18 +29,22 @@ class StepSizeUnderflow(BckoscError):
     the float range although the steps before it were fine enough, or the
     grid would need more than ``ode.MAX_STEPS`` steps.  The message names
     the system and, for a non-finite state, the time."""
+    exit_code = 3
 
 
 class DegenerateSolutions(BckoscError):
     """The amplitude solution and its conjugate are linearly dependent (Wronskian ~ 0)."""
+    exit_code = 3
 
 
 class GammaVanishes(BckoscError):
     """gamma <= 0 where a positive envelope is required (division by gamma)."""
+    exit_code = 3
 
 
 class OmegaNotPositive(BckoscError):
     """The conserved normalization Omega is not real positive for this frame."""
+    exit_code = 3
 
 
 class GridTooNarrow(BckoscError):
@@ -46,6 +53,7 @@ class GridTooNarrow(BckoscError):
     Carries ``suggested_qmax``, the half-width that would satisfy the
     adequacy rule for the requested state.
     """
+    exit_code = 4
 
     def __init__(self, message, suggested_qmax=None):
         super().__init__(message)
@@ -63,6 +71,7 @@ class InsufficientSlices(BckoscError):
 class SolverBreakdown(BckoscError):
     """The tridiagonal solve hit a vanishing or non-finite pivot (for CN
     with a finite Hamiltonian every pivot has real part >= 1)."""
+    exit_code = 3
 
 
 class NotUnderdamped(BckoscError):

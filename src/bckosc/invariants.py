@@ -286,8 +286,7 @@ def verification_series(s, beta_sol, trajectory, samples=512):
     summary drifts and the vector frame they were evaluated on."""
     ts = np.linspace(s.t0, s.t1, samples)
     fr = frame_from_beta(s, beta_sol, ts)
-    q = trajectory.q(ts)
-    p = trajectory.p(ts)
+    q, p = trajectory(ts).T
     lin = eval_linear_invariant(fr, q, p)
     quad = eval_quadratic_invariant(fr, q, p)
     C = first_integral_C(fr)

@@ -8,11 +8,11 @@ dense-output and error-estimate combinations of the K_s are matrices times
 y_n as well.  The method is Dormand and Prince's 8(5,3) pair DOP853
 (Hairer, Norsett & Wanner, Solving ODEs I, II.5 and II.10): 12 stages make
 the 8th-order step, the 13th is the derivative at its end, three more give
-the 7th-order continuous extension, which is stored in the power basis of
-the step fraction theta.  The engine builds these matrices for every
-step of a grid at once, chains the steps with matrix products and applies
-the remaining matrices to the chained states.  Complex amplitudes are two
-real columns of one chain, since A is real.
+the 7th-order continuous extension, which is stored and evaluated in
+DOP853's own nested form (II.6, as in dop853.f).  The engine builds these
+matrices for every step of a grid at once, chains the steps with matrix
+products and applies the remaining matrices to the chained states.
+Complex amplitudes are two real columns of one chain, since A is real.
 
 The grid is uniform between the knots of any tabulated time function.  Its
 step count comes from the embedded error estimate: each step's error norm
@@ -33,12 +33,6 @@ method does with them as extra states, so no separate pass is needed.
 import numpy as np
 
 from .errors import OutOfDomain, StepSizeUnderflow
-
-BETA_NAMES = ("re_beta", "im_beta", "re_dbeta", "im_dbeta",
-              "re_F", "im_F", "re_P", "im_P", "phase")
-GAMMA_NAMES = ("gamma", "dgamma", "ddgamma")
-SIGMA_NAMES = ("sigma", "dsigma")
-C_NAMES = ("c1", "c2", "c3", "c4", "c5")
 
 # ---------- Dormand-Prince 8(5,3) tableau (DOP853) ----------
 # Hairer, Norsett & Wanner, Solving ODEs I, sections II.5 and II.10.  Stages
@@ -212,9 +206,8 @@ def _rows(rows, width, first=0):
 
 def _weights():
     """Rows of the stage combinations a step needs beyond the stages: the
-    step's weights b, the continuous extension in the power basis (the
-    coefficients of theta^1 .. theta^7) and the 5th- and 3rd-order error
-    estimators."""
+    continuous extension's rows F0 .. F6, of which F0 is the step's weights
+    b, then the 5th- and 3rd-order error estimators."""
     b = _A[_STEP]
     e3 = b.copy()
     e3[list(_E3_SHIFT)] -= list(_E3_SHIFT.values())
@@ -222,13 +215,8 @@ def _weights():
     # the extension is y_n + theta (F0 + (1 - theta) (F1 + theta (F2 + ...
     # (1 - theta) (F5 + theta F6)))) with F0 the step's increment, F1 and F2
     # its Hermite corrections and F3-F6 the rows D
-    ext = np.vstack([b, e0 - b, 2 * b - e0 - e12, _rows(_D_ROWS, _STAGES)])
-    poly = np.zeros((_DEGREE + 1, _STAGES))  # power-basis coefficients
-    for i, f in enumerate(ext[::-1]):
-        poly[0] += f
-        shifted = np.roll(poly, 1, axis=0)  # times theta; the top row is 0
-        poly = shifted if i % 2 == 0 else poly - shifted
-    return np.vstack([b, poly[1:], _rows([_E5], _STAGES), e3])
+    return np.vstack([b, e0 - b, 2 * b - e0 - e12, _rows(_D_ROWS, _STAGES),
+                      _rows([_E5], _STAGES), e3])
 
 
 _A = _rows(_A_ROWS, _STAGES, first=1)
@@ -273,7 +261,8 @@ def _sweep(ts, coef, y0, nout, rtol, atol, rider=None):
     initial values and ``fn(t, Y)``, their derivatives from the stage times
     (16, steps) and stage values (16, steps, d, k), of shape (16, steps, r).
     The state block and the riders fill the columns of ``ys``
-    (steps + 1, d*k + r) and ``qs`` (steps, d*k + r, 7); the first ``nout``
+    (steps + 1, d*k + r) and ``qs`` (steps, d*k + r, 7), the latter holding
+    each step's extension rows F0 .. F6 (see _weights); the first ``nout``
     columns are the solution's components, and only they enter the error
     norm, each scaled by atol + rtol * |value|.
 
@@ -315,15 +304,15 @@ def _sweep(ts, coef, y0, nout, rtol, atol, rider=None):
         ys[i0 + 1:i1 + 1, :dk] = (chain @ ys[i0, :dk].reshape(d, k)
                                    ).reshape(-1, dk)
         yn = ys[i0:i1, :dk].reshape(-1, d, k)
-        # the dense-output coefficients, then the two error estimates
-        out = (hh * _combine(_W[1:], mats) @ yn).reshape(-1, i1 - i0, dk)
+        # the extension's rows, then the two error estimates
+        out = (hh * _combine(_W, mats) @ yn).reshape(-1, i1 - i0, dk)
         qs[i0:i1, :dk] = np.moveaxis(out[:_DEGREE], 0, -1)
         err = out[_DEGREE:]
         if fn is not None:
             f = h[:, None] * _combine(_W, fn(tst[:, _NODE_OF].T, smaps @ yn))
             ys[i0 + 1:i1 + 1, dk:] = ys[i0, dk:] + np.cumsum(f[0], axis=0)
-            qs[i0:i1, dk:] = np.moveaxis(f[1:_DEGREE + 1], 0, -1)
-            err = np.concatenate([err, f[_DEGREE + 1:]], axis=2)
+            qs[i0:i1, dk:] = np.moveaxis(f[:_DEGREE], 0, -1)
+            err = np.concatenate([err, f[_DEGREE:]], axis=2)
         ya, yb = ys[i0:i1, :nout], ys[i0 + 1:i1 + 1, :nout]
         scale = atol + rtol * np.maximum(np.abs(ya), np.abs(yb))
         e5, e3 = np.sum((err[..., :nout] / scale) ** 2, axis=2)
@@ -355,31 +344,23 @@ def _bounds(s):
     return np.array([s.t0, *inner, s.t1])
 
 
-def _horner(Q, th):
-    """sum_j Q[..., j] th^j, with th broadcast over Q's middle axes."""
-    th = th[..., None]
-    acc = Q[..., -1]
-    for j in range(Q.shape[-1] - 2, -1, -1):
-        acc = acc * th + Q[..., j]
-    return acc
-
-
 class ODESolution:
     """Dense solution of one system over the scenario window.
 
-    Calling the solution interpolates with the integrator's dense-output
-    polynomial; at a grid time the stored state itself is returned.
-    ``stats`` counts the work: ``naccept`` is the number of steps of the
-    grid kept, ``nreject`` the number of steps of the coarser trial grids
-    the error test rejected, and ``nfev`` the number of evaluations of the
-    coefficient matrix A(t), fifteen per step of every grid tried.
+    ``ys`` holds the state at each time of the grid ``ts`` and ``qs`` each
+    step's rows F0 .. F6 of the continuous extension.  Calling the solution
+    evaluates the extension at the step fraction theta; at a grid time the
+    stored state itself is returned.  The columns are the system's
+    components in its integrator's order.  ``stats`` counts the work: ``naccept`` is the number of steps of the grid kept, ``nreject``
+    the number of steps of the coarser trial grids the error test
+    rejected, and ``nfev`` the number of evaluations of the coefficient
+    matrix A(t), fifteen per step of every grid tried.
     """
 
-    def __init__(self, ts, ys, qs, names, stats):
+    def __init__(self, ts, ys, qs, stats):
         self.ts = ts
         self.ys = ys
         self.qs = qs
-        self.names = tuple(names)
         self.stats = dict(stats)
 
     @property
@@ -390,7 +371,7 @@ class ODESolution:
     def t1(self):
         return float(self.ts[-1])
 
-    def _locate(self, t):
+    def __call__(self, t):
         tq = np.atleast_1d(np.asarray(t, dtype=float))
         if tq.size and (tq.min() < self.t0 - 1e-12 or tq.max() > self.t1 + 1e-12):
             raise OutOfDomain(
@@ -398,11 +379,13 @@ class ODESolution:
         idx = np.searchsorted(self.ts, tq, side="right") - 1
         idx = np.clip(idx, 0, self.ts.shape[0] - 2)
         th = (tq - self.ts[idx]) / (self.ts[idx + 1] - self.ts[idx])
-        return tq, idx, th
-
-    def __call__(self, t):
-        tq, idx, th = self._locate(t)
-        out = self.ys[idx] + _horner(self.qs[idx], th) * th[..., None]
+        th = th[..., None]
+        q = self.qs[idx]
+        # F0 + (1 - th) (F1 + th (F2 + ... (1 - th) (F5 + th F6))), inside out
+        acc = q[..., -1]
+        for j in range(q.shape[-1] - 2, -1, -1):
+            acc = q[..., j] + (th if j % 2 else 1.0 - th) * acc
+        out = self.ys[idx] + th * acc
         at_end = tq == self.ts[-1]
         if np.any(at_end):
             out[at_end] = self.ys[-1]
@@ -410,62 +393,8 @@ class ODESolution:
             return out[0]
         return out
 
-    def derivative(self, t, order=1):
-        """Time derivative of the dense interpolant (order 1 or 2)."""
-        if order not in (1, 2):
-            raise ValueError("order must be 1 or 2")
-        tq, idx, th = self._locate(t)
-        # qs[..., j] multiplies theta^(j + 1)
-        power = np.arange(1, self.qs.shape[-1] + 1)
-        Q = self.qs[idx] * power
-        if order == 2:
-            Q = Q[..., 1:] * power[:-1]
-        h = (self.ts[idx + 1] - self.ts[idx])[..., None]
-        out = _horner(Q, th) / h ** order
-        if np.asarray(t).ndim == 0:
-            return out[0]
-        return out
 
-    def component(self, name, t):
-        i = self.names.index(name)
-        vals = self(t)
-        return vals[..., i]
-
-
-class BetaSolution(ODESolution):
-    """Amplitude solution with complex accessors and the augmented states."""
-
-    def beta(self, t):
-        v = self(t)
-        return v[..., 0] + 1j * v[..., 1]
-
-    def dbeta(self, t):
-        v = self(t)
-        return v[..., 2] + 1j * v[..., 3]
-
-    def force_functional(self, t):
-        v = self(t)
-        return v[..., 4] + 1j * v[..., 5]
-
-    def phase_integral(self, t):
-        v = self(t)
-        return v[..., 6] + 1j * v[..., 7]
-
-    def phase(self, t):
-        return self(t)[..., 8]
-
-
-class Trajectory(ODESolution):
-    """Classical phase-space trajectory."""
-
-    def q(self, t):
-        return self(t)[..., 0]
-
-    def p(self, t):
-        return self(t)[..., 1]
-
-
-def _integrate(s, name, coef, y0, nout, names, cls=ODESolution, rider=None):
+def _integrate(s, name, coef, y0, nout, rider=None):
     """Solve one linear system (see _sweep) over the scenario window at
     the scenario's tolerances.
 
@@ -505,14 +434,16 @@ def _integrate(s, name, coef, y0, nout, names, cls=ODESolution, rider=None):
             del ys, qs, errn
             h /= min(_MAX_REFINE, _MARGIN * need / done)
     stats = {"naccept": n, "nreject": nreject, "nfev": nfev}
-    return cls(ts, ys[:, :nout], qs[:, :nout], names, stats)
+    return ODESolution(ts, ys[:, :nout], qs[:, :nout], stats)
 
 
 def integrate_beta(s):
     """Integrate the amplitude equation beta'' + 2g beta' + omega^2 beta = 0
     together with the force functional, the Gaussian phase integral and the
     unwrapped phase of beta.  The force functional starts at zero at t0
-    whether or not F(t0) vanishes."""
+    whether or not F(t0) vanishes.  The columns are the real and imaginary
+    parts of beta, beta', the force functional and the phase integral, then
+    the phase; ``invariants.frame_from_beta`` reads them."""
     b0, db0 = s.resolved_beta0()
 
     def coef(t):
@@ -532,13 +463,12 @@ def integrate_beta(s):
 
     y0 = [[b0.real, b0.imag], [db0.real, db0.imag], [0.0, 0.0]]
     z0 = [0.0, 0.0, float(np.angle(b0))]
-    return _integrate(s, "amplitude", coef, y0, 9, BETA_NAMES, BetaSolution,
-                      (z0, riders))
+    return _integrate(s, "amplitude", coef, y0, 9, (z0, riders))
 
 
 def integrate_classical(s, q0, p0):
     """Integrate Hamilton's equations q' = e^{-G} p/m,
-    p' = e^G (F - m omega^2 q)."""
+    p' = e^G (F - m omega^2 q).  The columns are q and p."""
     def coef(t):
         G = s.G(t)
         eG = np.exp(G)
@@ -546,14 +476,14 @@ def integrate_classical(s, q0, p0):
             (0, 1): np.exp(-G) / s.m, (1, 0): -eG * s.m * s.omega(t) ** 2,
             (1, 2): eG * s.force(t)})
 
-    return _integrate(s, "classical", coef, [[q0], [p0], [1.0]], 2,
-                      ("q", "p"), Trajectory)
+    return _integrate(s, "classical", coef, [[q0], [p0], [1.0]], 2)
 
 
 def integrate_gamma(s, gamma0, dgamma0, ddgamma0):
     """Integrate the third-order envelope equation
     gamma''' + 6g gamma'' + 2(g' + 4g^2 + 2 omega^2) gamma'
-    + 2((omega^2)' + 4 omega^2 g) gamma = 0."""
+    + 2((omega^2)' + 4 omega^2 g) gamma = 0.  The columns are gamma, gamma'
+    and gamma''."""
     wd, gd = s.omega.derivative(), s.damping.derivative()
 
     def coef(t):
@@ -565,14 +495,15 @@ def integrate_gamma(s, gamma0, dgamma0, ddgamma0):
             (2, 2): -6.0 * g})
 
     return _integrate(s, "envelope", coef, [[gamma0], [dgamma0], [ddgamma0]],
-                      3, GAMMA_NAMES)
+                      3)
 
 
 def integrate_sigma(s, gamma_sol, sigma0=0.0, dsigma0=0.0):
     """Integrate the driven envelope companion
     sigma'' + 2g sigma' + omega^2 sigma =
     -(3/2) e^G F gamma' - e^G (F' + 4 g F) gamma,
-    with gamma taken from a dense envelope solution."""
+    with gamma taken from a dense envelope solution.  The columns are sigma
+    and sigma'."""
     dF = s.force.derivative()
 
     def coef(t):
@@ -585,13 +516,12 @@ def integrate_sigma(s, gamma_sol, sigma0=0.0, dsigma0=0.0):
             (0, 1): 1.0, (1, 0): -s.omega(t) ** 2, (1, 1): -2.0 * g,
             (1, 2): drive})
 
-    return _integrate(s, "companion", coef, [[sigma0], [dsigma0], [1.0]], 2,
-                      SIGMA_NAMES)
+    return _integrate(s, "companion", coef, [[sigma0], [dsigma0], [1.0]], 2)
 
 
 def integrate_c_system(s, c0):
     """Integrate the five first-order coefficient ODEs of the quadratic
-    invariant."""
+    invariant, the columns c1 .. c5."""
     c0 = np.asarray(c0, dtype=float)
     if c0.shape != (5,):
         raise ValueError("c0 must have five components")
@@ -606,4 +536,4 @@ def integrate_c_system(s, c0):
             (0, 1): 2.0 * pot, (1, 0): -kin, (1, 2): pot, (2, 1): -2.0 * kin,
             (3, 1): -drive, (3, 4): pot, (4, 2): -drive, (4, 3): -kin})
 
-    return _integrate(s, "coefficient", coef, c0[:, None], 5, C_NAMES)
+    return _integrate(s, "coefficient", coef, c0[:, None], 5)

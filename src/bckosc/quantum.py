@@ -156,9 +156,10 @@ def check_grid(s, fr, n):
     if k is not None:
         q0, w, need = (np.ravel(v)[k] for v in (q0, w, need))
         suggested = math.ceil((abs(q0) + need) * 10.0) / 10.0
+        # q0 + 0.0 prints an undriven centre -0.0 as 0
         raise GridTooNarrow(
             f"grid [{s.qmin:g}, {s.qmax:g}] clips the envelope centered at "
-            f"q = {q0:.4g} (width {w:.4g}, need +-{need:.4g}); "
+            f"q = {q0 + 0.0:.4g} (width {w:.4g}, need +-{need:.4g}); "
             f"suggested qmax = {suggested:g}", suggested_qmax=suggested)
     return om, a, q0
 

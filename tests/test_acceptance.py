@@ -317,9 +317,9 @@ def test_criterion_10_closed_forms(driven, driven_beta, capsys):
 
 def test_criterion_11_plain_oscillator_recovery(sho, sho_beta, capsys):
     ts = np.linspace(sho.t0, sho.t1, 64)
-    beta_err = float(np.max(np.abs(sho_beta.beta(ts) - np.exp(1j * ts))))
-    f_err = float(np.max(np.abs(sho_beta.force_functional(ts))))
     fr = frame_from_beta(sho, sho_beta, ts)
+    beta_err = float(np.max(np.abs(fr.beta - np.exp(1j * ts))))
+    f_err = float(np.max(np.abs(fr.F)))
     sigma_err = float(np.max(np.abs(fr.sigma)))
     t = 1.5
     fr1 = frame_from_beta(sho, sho_beta, t)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import bckosc
 from bckosc import _accel
 from bckosc.cli import main
 
@@ -158,6 +159,15 @@ def test_wavefunction_narrow_grid_is_exit_4(tmp_path, capsys):
     assert "suggested qmax:" in err
 
 
+def test_undriven_packet_centre_prints_as_zero(tmp_path, capsys):
+    # psi_2 needs 13.9 widths against the plain oscillator's qmax of 12;
+    # the undriven centre is -0.0, which must not print as "-0"
+    rc = main(["wavefunction", "--scenario", SHO, "--out", str(tmp_path),
+               "--n", "2", "--t", "1"])
+    assert rc == 4
+    assert "centered at q = 0 " in capsys.readouterr().err
+
+
 # ---------- propagate ----------
 
 def test_propagate_sho(tmp_path, capsys):
@@ -278,6 +288,18 @@ def test_degenerate_amplitude_is_exit_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_amplitude_overflow_is_exit_3(tmp_path, capsys):
+    # damping -20 grows beta like e^{40 t}, past the float range near 17.7
+    doc = tmp_path / "antidamped.cfg"
+    doc.write_text("[scenario]\nt0 = 0\nt1 = 20\n"
+                   "[omega]\ntype = constant\nvalue = 1.0\n"
+                   "[damping]\ntype = constant\nvalue = -20\n"
+                   "[beta0]\nre = 1\nim = 0\ndre = 0\ndim = 0\n")
+    rc = main(["verify", "--scenario", str(doc), "--out", str(tmp_path)])
+    assert rc == 3
+    assert "amplitude system" in capsys.readouterr().err
+
+
 def test_cli_loads_neither_scipy_linalg_nor_numba(tmp_path):
     # scipy.linalg alone doubles a bare interpreter's memory, and numba is
     # not a dependency; neither may be pulled in by the common commands.
@@ -322,6 +344,13 @@ def test_bench_trace_targets_resolve():
     for owner, attr, name, _ in targets:
         assert callable(getattr(owner, attr, None)), (owner, attr, name)
     assert isinstance(_accel.NUMBA_ENABLED, bool)
+
+
+def test_public_names_resolve_once():
+    names = bckosc.__all__
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert hasattr(bckosc, name), name
 
 
 def test_unknown_flag_raises_usage_error(capsys):
