@@ -2,6 +2,20 @@
 time-dependent harmonic oscillator in the scaled-mass (exponentially
 time-dependent mass) formulation."""
 
+import os
+import sys
+
+# numpy's OpenBLAS starts a spinning worker per CPU when it loads, and
+# bckosc's matrix products are too small to use one: load it with one
+# thread, unless the user set a count (OpenBLAS reads these once, at load).
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        __import__("numpy")
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .core import (Scenario, TimeFunction, eval_G, parse_scenario,
                    parse_scenario_file, serialize_scenario, twice_integral)
 from .errors import (BckoscError, DegenerateSolutions, DegreeTooLarge,

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DegenerateSolutions, GammaVanishes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InvariantFrame:
     """Snapshot of the auxiliary functions at time t.
 
@@ -138,7 +138,7 @@ def omega_of_frame(fr):
     return _wronskian_omega(fr)[1].real
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OmegaReport:
     """Sampled conserved normalization and its conservation quality."""
 
@@ -231,7 +231,7 @@ def ermakov_residual(fr, C):
             - np.exp(-2.0 * fr.G) * C / (2.0 * r ** 3))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CReductionReport:
     """Max deviations of the five coefficient relations on a sample grid.
 

@@ -126,7 +126,7 @@ def crank_nicolson_step(psi, s, t, dt):
     return WaveFunction(qs=psi.qs, values=out, t=t + dt, n=psi.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PropagationRun:
     """Numeric propagation compared against the analytic eigenfunction."""
 

@@ -34,7 +34,7 @@ from .invariants import InvariantFrame, iq_coefficients, omega_of_frame
 MAX_DEGREE = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveFunction:
     """Complex amplitudes on a uniform spatial grid at one instant."""
 

@@ -11,15 +11,12 @@ import time
 from dataclasses import replace
 
 import numpy as np
-from numpy.testing import assert_allclose
 
 from bckosc import (TimeFunction, apply_IQ, apply_ladder, build_spectrum,
-                    compute_omega,
-                    ermakov_residual, eval_linear_invariant,
-                    eval_quadratic_invariant, eval_psin, first_integral_C,
-                    frame_from_beta, integrate_beta, integrate_c_system,
-                    integrate_classical, integrate_gamma, integrate_sigma,
-                    c_ics_from_gamma_sigma, omega_of_frame,
+                    compute_omega, ermakov_residual, eval_psin,
+                    first_integral_C, frame_from_beta, integrate_beta,
+                    integrate_c_system, integrate_classical, integrate_gamma,
+                    integrate_sigma, c_ics_from_gamma_sigma, omega_of_frame,
                     propagate_and_compare, schrodinger_residual,
                     uncertainty_product, underdamped_closed_forms,
                     underdamped_uncertainty_factors, verification_series,

@@ -8,7 +8,6 @@ import sys
 import types
 import warnings
 
-import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from bckosc import (DegenerateSolutions, GammaVanishes, Scenario,
                     TimeFunction, c_ics_from_gamma_sigma, compute_omega,
-                    ermakov_residual, eval_linear_invariant,
+                    ermakov_residual, eval_linear_invariant, eval_psin,
                     eval_quadratic_invariant, first_integral_C,
                     frame_from_beta, integrate_beta, integrate_c_system,
                     integrate_classical, integrate_gamma, integrate_sigma,
@@ -43,6 +43,18 @@ def test_frame_accepts_time_arrays(driven, driven_beta):
                     -2.0 * (np.conjugate(fr.beta) * fr.F).real, rtol=0,
                     atol=1e-12)
     assert_allclose(fr.F_sigma, -np.abs(fr.F) ** 2, rtol=1e-12, atol=1e-12)
+
+
+def test_array_records_compare_and_hash_by_identity(driven, driven_beta):
+    # a generated __eq__ compares the fields' arrays and raises on their
+    # ambiguous truth value, and a generated frozen __hash__ raises on them
+    ts = np.linspace(driven.t0, driven.t1, 17)
+    frames = [frame_from_beta(driven, driven_beta, ts) for _ in range(2)]
+    omegas = [compute_omega(driven, driven_beta, 64) for _ in range(2)]
+    fr = frame_from_beta(driven, driven_beta, 1.0)
+    psis = [eval_psin(0, driven, fr, 1.0) for _ in range(2)]
+    for a, b in (frames, omegas, psis):
+        assert a != b and a == a and len({a, b}) == 2
 
 
 # ---------- linear invariant ----------

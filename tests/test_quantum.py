@@ -12,8 +12,8 @@ from bckosc import (DegreeTooLarge, GridTooNarrow, NotUnderdamped,
                     OmegaNotPositive, Scenario, TimeFunction,
                     UnsupportedForceShape, ValidationError, apply_IQ,
                     apply_ladder, build_spectrum, eval_psin, expectation_qp,
-                    frame_from_beta, hermite, inner, integrate_beta,
-                    schrodinger_residual, uncertainty_product,
+                    frame_from_beta, hermite, inner, schrodinger_residual,
+                    uncertainty_product,
                     underdamped_closed_forms, underdamped_params,
                     underdamped_uncertainty_factors, write_spectrum_csv)
 from bckosc.quantum import MAX_DEGREE, WaveFunction, check_grid, l2_norm
