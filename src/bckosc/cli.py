@@ -32,7 +32,8 @@ def _say(args, msg):
 
 
 def _fmt(v):
-    return f"{v:.17g}"
+    # + 0.0 turns -0.0 into 0.0, so an exact zero never prints as "-0"
+    return f"{v + 0.0:.17g}"
 
 
 def _check(args, label, value, tol):

@@ -4,21 +4,28 @@ eigenfunctions propagated numerically must stay on themselves.
 
 Second-order spatial stencil (the tridiagonal solve requires it) with
 Dirichlet ends, midpoint-evaluated Hamiltonian for time dependence, and a
-Cayley step (1 + i dt H/2hbar) psi' = (1 - i dt H/2hbar) psi that is
-unitary up to round-off.  The tridiagonal system is solved by the odd-even
-cyclic reduction of ``tridiag``, down to a reduced system of at most
-``REDUCED`` unknowns that is solved by its inverse.
+Cayley step psi' = (1 + i a H)^{-1} (1 - i a H) psi, a = dt/(2 hbar), that
+is unitary up to round-off.  It is taken in the form
+psi' = 2 (1 + i a H)^{-1} psi - psi (Goldberg, Schey & Schwartz, Am. J.
+Phys. 35, 177 (1967)), which needs no product with 1 - i a H.  It doubles
+the solve's rounding, so the norm drifts about twice as fast as in the
+product form (-9e-14 against -4.5e-14 over 6283 steps on sho.cfg), far
+inside the unitarity checks.  The tridiagonal system (1 + i a H)/2, exactly half of 1 + i a H, is solved
+by the odd-even cyclic reduction of ``tridiag``, down to a reduced system
+of at most ``REDUCED`` unknowns that is solved by its inverse.  Its
+off-diagonal is one number per step, so the first level of the
+elimination keeps one coupling array instead of two.
 
 H(t) does not depend on psi, so steps run in blocks of ``BLOCK``: one
 ``build_hamiltonian`` call evaluates the Hamiltonians at the block's
-midpoints, and one elimination of (1 + i dt H/2hbar) over the whole block
+midpoints, and one elimination of (1 + i a H)/2 over the whole block
 keeps each level's factors, builds each step's reduced inverse from the
 reduced tridiagonal system and checks every pivot before the block's
-first step.  A step then only forms its right-hand side, reduces it,
-multiplies the reduced part by the stored inverse and back-substitutes,
+first step.  A step then only copies psi, reduces it, multiplies the
+reduced part by the stored inverse, back-substitutes and subtracts psi,
 in ``_cn_step``, which every caller steps with.  The slices a block
 reaches are compared with the analytic states in one evaluation per
-block.
+block, by direct trapezoid sums.
 """
 
 from dataclasses import dataclass
@@ -29,18 +36,24 @@ from . import tridiag
 from .errors import OutOfDomain, SolverBreakdown, ValidationError
 from .invariants import frame_from_beta
 from .ode import integrate_beta
-from .quantum import WaveFunction, eval_psin, l2_norm, psin_values
+from .quantum import WaveFunction, eval_psin, l2_norm, psin_values, trapezoid
 
-# Steps factored together.  The factors take about 4 * BLOCK * npoints
-# complex values (1 MB at 1024 points).  Blocks of 32 and 64 ran within 3%
-# of 16 but raised the peak RSS of a 1024-point `bckosc propagate` from
-# 36 MB to 40 and 46 MB.
-BLOCK = 16
+# Steps factored together.  The factors take about 2.5 * BLOCK * npoints
+# complex values (1 MB at 1024 points).  A block's factors are dropped only
+# once the next block's are built, so that the allocator reuses their
+# memory: freeing them first tripled the page faults of a run (about 6,000
+# to 19,000-24,000) and cost 15-30 ms.  Fresh 1024-point `bckosc
+# propagate` processes (2-vCPU VM) peaked at 33.8, 34.0 and 34.7 MB RSS
+# with blocks of 20, 24 and 28, against 34.3 MB with the earlier
+# 16-step blocks of 4 * BLOCK * npoints values; 24 is the largest block
+# that stays below that, and ran about 10% faster than 16.
+BLOCK = 24
 
 # Unknowns at or below which the elimination stops and the stored inverse
 # of the reduced system takes over.  At 1024 points (a 2-vCPU Xeon VM), 8
 # and 16 ran level and 4 and 32 about 5% slower per propagation; at 8 the
 # inverse's product costs about the arithmetic of the levels it replaces.
+# With blocks of 24, 8 and 16 still ran level and 32 about 25% slower.
 REDUCED = 8
 
 
@@ -68,56 +81,53 @@ def build_hamiltonian(s, t):
 
 
 def _factor(s, ts, dt):
-    """Factor (1 + i a H(t)), a = dt/(2 hbar), for every time of the 1-d
+    """Factor (1 + i a H(t))/2, a = dt/(2 hbar), for every time of the 1-d
     array ts at once.
 
     The elimination stops at ``REDUCED`` unknowns or fewer.  The reduced
     system is solved for the identity's columns, which gives its inverse
-    at O(REDUCED^2) per step.  Returns (diagonal of 1 - i a H,
-    off-diagonal of i a H, levels, inverses of the reduced systems), each
-    indexed by time first.  Raises SolverBreakdown if any pivot of either
-    elimination vanishes or is not finite.
+    at O(REDUCED^2) per step.  Returns (levels, transposed inverses of the
+    reduced systems), each indexed by time first.  Raises SolverBreakdown
+    if any pivot of either elimination vanishes or is not finite.
     """
     diag, off = build_hamiltonian(s, ts)
     a = 0.5 * dt / s.hbar
-    # built in place: a complex temporary fewer at the peak of a block
+    # built in place, and diag dropped before the elimination: less memory
+    # at the peak of a block
     b = np.empty(diag.shape, dtype=np.complex128)
-    b.real = 1.0
-    np.multiply(a, diag, out=b.imag)
-    rdiag = b.conj()
-    c = np.broadcast_to(1j * a * off[:, None],
-                        (diag.shape[0], diag.shape[1] - 1))
-    levels, pivots, b, c = tridiag.eliminate(b, c, REDUCED)
+    b.real = 0.5
+    np.multiply(0.5 * a, diag, out=b.imag)
+    del diag
+    levels, moduli, b, c = tridiag.eliminate(b, 0.5j * a * off[:, None],
+                                             REDUCED)
     # row k of cols[i] solves the reduced system i for unit vector k
     cols = np.repeat(np.eye(b.shape[1], dtype=np.complex128)[None],
                      b.shape[0], axis=0)
-    piv = np.concatenate(pivots + [tridiag.solve(b, c, cols)], axis=1)
+    piv = np.array(moduli + tridiag.solve(b, c, cols))
     if not (piv.min() >= 1e-300 and piv.max() < np.inf):
         raise SolverBreakdown("tridiagonal elimination pivot vanished or "
                               "is not finite")
-    return rdiag, 1j * a * off, levels, cols.transpose(0, 2, 1)
+    return levels, cols
 
 
 def _cn_step(factors, j, values, out):
     """Crank-Nicolson step j of a factored block:
-    (1 + i a H_j)^{-1} (1 - i a H_j) values, written to x of
+    2 (1 + i a H_j)^{-1} values - values, written to x of
     ``out = tridiag.split(x, REDUCED)``; x must not overlap ``values``."""
-    rdiag, ioff, levels, inv = factors
+    levels, inv = factors
     x, views, reduced = out
-    o = ioff[j]
-    np.multiply(rdiag[j], values, out=x)
-    x[1:] -= o * values[:-1]
-    x[:-1] -= o * values[1:]
+    np.copyto(x, values)
     tridiag.reduce(levels, j, views)
-    reduced[...] = (inv[j] * reduced).sum(axis=1)
+    reduced[...] = reduced @ inv[j]
     tridiag.back(levels, j, views)
+    x -= values
     return x
 
 
 def crank_nicolson_step(psi, s, t, dt):
     """One unitary step from t to t + dt with H evaluated at t + dt/2."""
-    if dt <= 0:
-        raise ValidationError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ValidationError("dt must be positive and finite")
     values = np.asarray(psi.values, dtype=np.complex128)
     with np.errstate(all="ignore"):
         factors = _factor(s, np.array([t + 0.5 * dt]), dt)
@@ -171,6 +181,8 @@ def propagate_and_compare(s, n, t0, t1, dt, max_slices=201, beta_sol=None):
     if not (s.t0 <= t0 < t1 <= s.t1):
         raise OutOfDomain("propagation window must lie inside the scenario "
                           "window")
+    if not 0 < dt < np.inf:
+        raise ValidationError("dt must be positive and finite")
     if beta_sol is None:
         beta_sol = integrate_beta(s)
     nsteps = max(1, int(round((t1 - t0) / dt)))
@@ -191,7 +203,7 @@ def propagate_and_compare(s, n, t0, t1, dt, max_slices=201, beta_sol=None):
 
     def compare(ks, values, values_norms):
         ana = psin_values(n, s, frames.at(ks), qs)
-        overlap = np.trapezoid(ana.conj() * values, dx=dq, axis=-1)
+        overlap = trapezoid(ana.conj() * values, dq)
         overlaps[ks] = np.abs(overlap) / (l2_norm(ana, dq) * values_norms)
         norms[ks] = values_norms
 

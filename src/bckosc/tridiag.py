@@ -9,27 +9,41 @@ import numpy as np
 
 
 def eliminate(b, c, size):
-    """Elimination of the systems (b, c) down to at most ``size`` unknowns.
+    """Elimination of the systems (b, c) down to at most ``size`` unknowns,
+    overwriting b.
 
-    ``c[:, j]`` couples unknowns j and j+1.  A level keeps w, the inverse
-    odd pivots, and lw, rw, the odd unknowns' couplings to their left and
-    right even neighbours times w.  Returns the levels, the magnitudes of
-    the pivots they divided by, and the reduced system's (b, c).
+    ``c[:, j]`` couples unknowns j and j+1; a ``c`` of shape (K, 1) couples
+    every pair of neighbours of system k by ``c[k, 0]``.  A level keeps w,
+    the inverse odd pivots, and lw, rw, the odd unknowns' couplings to their
+    left and right even neighbours times w.  On a constant coupling rw is a
+    view of lw, and the next level's off-diagonal a slice of the level's
+    one update of b.  Returns the levels, the smallest and the largest
+    modulus of each level's pivots, and the reduced system's (b, c), where
+    b is a view of the b passed in.
     """
-    levels, pivots = [], []
+    levels, moduli = [], []
     while b.shape[1] > size:
         m = b.shape[1]
         p, q = m // 2, m - m // 2
-        pivots.append(np.abs(b[:, 1::2]))
+        pivots = np.abs(b[:, 1::2])
+        moduli += [pivots.min(), pivots.max()]
         w = 1.0 / b[:, 1::2]
-        left, right = c[:, 0::2], c[:, 1::2]
-        lw, rw = left * w, right * w[:, :q - 1]
-        b = b[:, 0::2].copy()
-        b[:, :p] -= left * lw
-        b[:, 1:] -= right * rw
-        c = -(left[:, :q - 1] * rw)
+        b = b[:, 0::2]
+        if c.shape[1] == 1:
+            lw = c * w
+            rw = lw[:, :q - 1]
+            nc = -c * lw
+            b[:, :p] += nc
+            b[:, 1:] += nc[:, :q - 1]
+            c = nc[:, :q - 1]
+        else:
+            left, right = c[:, 0::2], c[:, 1::2]
+            lw, rw = left * w, right * w[:, :q - 1]
+            b[:, :p] -= left * lw
+            b[:, 1:] -= right * rw
+            c = -(left[:, :q - 1] * rw)
         levels.append((w, lw, rw))
-    return levels, pivots, b, c
+    return levels, moduli, b, c
 
 
 def split(x, size):
@@ -68,15 +82,18 @@ def back(levels, sel, views):
 
 
 def solve(b, c, x):
-    """Solve system k for each right-hand side ``x[k, ..., :]``, in place.
+    """Solve system k for each right-hand side ``x[k, ..., :]``, in place;
+    b is overwritten.
 
-    Returns the moduli of every pivot divided by, one row per system.  A
-    vanishing or non-finite pivot leaves x undefined; the caller checks.
+    Returns the smallest and the largest pivot modulus of each level, as
+    ``eliminate`` does.  A vanishing or non-finite pivot leaves x undefined;
+    the caller checks.
     """
-    levels, pivots, last, _ = eliminate(b, c, 1)
+    levels, moduli, last, _ = eliminate(b, c, 1)
     sel = (slice(None),) + (None,) * (x.ndim - 2)
     _, views, reduced = split(x, 1)
     reduce(levels, sel, views)
     reduced /= last[sel]
     back(levels, sel, views)
-    return np.concatenate(pivots + [np.abs(last)], axis=1)
+    pivots = np.abs(last)
+    return moduli + [pivots.min(), pivots.max()]

@@ -167,6 +167,17 @@ def test_undriven_packet_centre_prints_as_zero(tmp_path, capsys):
     assert "centered at q = 0 " in capsys.readouterr().err
 
 
+def test_undriven_expectations_print_as_zero(tmp_path, capsys):
+    # <q> and <p> of an undriven state are exactly -0.0 on sho.cfg and <q>
+    # on ramp_omega.cfg; neither the printout nor the footer shows "-0"
+    for cfg, shown in ((SHO, "<q>=0  <p>=0  "), (RAMP, "<q>=0  ")):
+        assert main(["wavefunction", "--scenario", cfg, "--out",
+                     str(tmp_path)]) == 0
+        assert shown in capsys.readouterr().out
+        footer = (tmp_path / "wavefunction.csv").read_text().splitlines()[-1]
+        assert footer.startswith("# exp_q=0, ") and "=-0," not in footer
+
+
 # ---------- propagate ----------
 
 def test_propagate_sho(tmp_path, capsys):
@@ -183,6 +194,15 @@ def test_propagate_coarse_step_fails_tolerance(tmp_path, capsys):
                "--n", "0", "--dt", "0.5", "--periods", "1"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("dt", ["0", "nan", "-0.004", "inf"])
+def test_propagate_rejects_a_bad_dt(tmp_path, capsys, dt):
+    rc = main(["propagate", "--scenario", DRIVEN, "--out", str(tmp_path),
+               "--periods", "0.5", "--dt", dt])
+    assert rc == 2
+    assert "dt must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "propagation.csv").exists()
 
 
 def test_propagate_grid_clipped_in_mid_run_is_exit_4(tmp_path, capsys):

@@ -13,10 +13,10 @@ from numpy.testing import assert_allclose
 from scipy.linalg import eigh_tridiagonal
 
 from bckosc import (GridTooNarrow, OutOfDomain, Scenario, SolverBreakdown,
-                    TimeFunction, build_hamiltonian, crank_nicolson_step,
-                    eval_psin, frame_from_beta, inner, integrate_beta,
-                    propagate_and_compare)
-from bckosc.propagator import BLOCK, REDUCED
+                    TimeFunction, ValidationError, build_hamiltonian,
+                    crank_nicolson_step, eval_psin, frame_from_beta, inner,
+                    integrate_beta, propagate_and_compare)
+from bckosc.propagator import BLOCK, REDUCED, _factor
 from bckosc.quantum import WaveFunction
 
 
@@ -155,6 +155,28 @@ def test_breakdown_in_the_reduced_system_is_quiet():
             crank_nicolson_step(psi, s, t, dt)
 
 
+@pytest.mark.parametrize("eg", [1e100, 1e200, 1e300, 1e305])
+def test_huge_finite_hamiltonian_steps_quietly(eg):
+    # the scenario of the test above with e^G below overflow: the diagonal
+    # reaches 0.5 e^G q^2 = 50 e^G, so the squared modulus of a pivot
+    # overflows from e^G of about 1e154 on; the step must stay finite and
+    # unitary, and no pivot check may fire
+    s = Scenario(omega=TimeFunction.constant(1.0), t0=0.0, t1=710.0,
+                 damping=TimeFunction.constant(0.5), beta0=(1.0, 1.0j),
+                 qmin=-10.0, qmax=10.0, npoints=65)
+    dt = 1e-3
+    t = math.log(eg) - 0.5 * dt
+    rng = np.random.default_rng(20261018)
+    values = rng.normal(size=65) + 1j * rng.normal(size=65)
+    psi = WaveFunction(qs=s.grid(), values=values, t=t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = crank_nicolson_step(psi, s, t, dt)
+    assert np.isfinite(out.values).all()
+    assert_allclose(np.linalg.norm(out.values), np.linalg.norm(values),
+                    rtol=1e-14, atol=0)
+
+
 def test_breakdown_in_a_later_block_is_quiet():
     # G = 800 t: 0.5 omega^2 e^G q^2 overflows at the grid ends once
     # t > 0.8815, so only the midpoint of the last step, in a block after
@@ -173,6 +195,35 @@ def test_breakdown_in_a_later_block_is_quiet():
         with pytest.raises(SolverBreakdown):
             propagate_and_compare(s, 0, 0.0, s.t1, dt, max_slices=2,
                                   beta_sol=beta_sol)
+
+
+def test_block_factors_hold_three_values_per_point(driven):
+    # one block's factors, each array counted once through the array that
+    # owns its memory, hold at most 3 complex values per point and step
+    ts = 0.5 + 0.01 * np.arange(BLOCK)
+    owners = {}
+
+    def walk(item):
+        if isinstance(item, np.ndarray):
+            owner = item if item.base is None else item.base
+            owners[id(owner)] = owner.nbytes
+        else:
+            for part in item:
+                walk(part)
+
+    walk(_factor(driven, ts, 0.01))
+    per_point = sum(owners.values()) / (16 * BLOCK * driven.npoints)
+    assert per_point <= 3.0, per_point
+
+
+def test_step_rejects_a_non_finite_dt(sho):
+    psi = WaveFunction(qs=sho.grid(), values=np.ones(sho.npoints) + 0j,
+                       t=0.0)
+    for dt in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            crank_nicolson_step(psi, sho, 0.0, dt)
+        with pytest.raises(ValidationError):
+            propagate_and_compare(sho, 0, 0.0, 1.0, dt)
 
 
 # ---------- propagation against the analytic states ----------
