@@ -487,6 +487,15 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
+def write_rows(fh, *columns):
+    """Write equal-length 1-d columns to fh as CSV rows, each value as
+    f"{float(v):.17g}": one %-format per row over the columns' .tolist()
+    floats, which is faster than formatting numpy scalars one by one."""
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    fh.writelines(line % row for row in rows)
+
+
 def _serialize_tf(out, sect, f):
     out.write(f"[{sect}]\n")
     out.write(f"type = {f.label}\n")

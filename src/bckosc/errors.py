@@ -69,8 +69,9 @@ class InsufficientSlices(BckoscError):
 
 
 class SolverBreakdown(BckoscError):
-    """The tridiagonal solve hit a vanishing or non-finite pivot (for CN
-    with a finite Hamiltonian every pivot has real part >= 1)."""
+    """A Crank-Nicolson factorisation is not finite: the Hamiltonian is
+    not, or its elimination overflows.  No pivot can vanish instead: for a
+    finite H every pivot of (1 + i a H)/2 has real part >= 1/2."""
     exit_code = 3
 
 

@@ -20,6 +20,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .core import write_rows
 from .errors import DegenerateSolutions, GammaVanishes
 
 
@@ -308,12 +309,8 @@ def write_verification_report(path, series):
     om = series["omega_report"]
     with open(path, "w", newline="\n") as fh:
         fh.write("t,re_I,im_I,IQ,Omega,C,ermakov_residual\n")
-        for k in range(series["ts"].shape[0]):
-            vals = (series["ts"][k], series["I"][k].real,
-                    series["I"][k].imag, series["IQ"][k],
-                    om.omega[k], series["C"][k],
-                    series["ermakov"][k])
-            fh.write(",".join(f"{v:.17g}" for v in vals) + "\n")
+        write_rows(fh, series["ts"], series["I"].real, series["I"].imag,
+                   series["IQ"], om.omega, series["C"], series["ermakov"])
         fh.write(f"# max_drift_I={series['drift_I']:.17g}, "
                  f"max_drift_IQ={series['drift_IQ']:.17g}, "
                  f"omega_drift={om.max_rel_drift:.17g}\n")

@@ -10,22 +10,23 @@ psi' = 2 (1 + i a H)^{-1} psi - psi (Goldberg, Schey & Schwartz, Am. J.
 Phys. 35, 177 (1967)), which needs no product with 1 - i a H.  It doubles
 the solve's rounding, so the norm drifts about twice as fast as in the
 product form (-9e-14 against -4.5e-14 over 6283 steps on sho.cfg), far
-inside the unitarity checks.  The tridiagonal system (1 + i a H)/2, exactly half of 1 + i a H, is solved
-by the odd-even cyclic reduction of ``tridiag``, down to a reduced system
-of at most ``REDUCED`` unknowns that is solved by its inverse.  Its
-off-diagonal is one number per step, so the first level of the
-elimination keeps one coupling array instead of two.
+inside the unitarity checks.  The tridiagonal system (1 + i a H)/2,
+exactly half of 1 + i a H, is solved by the odd-even cyclic reduction of
+``tridiag``, down to a reduced system of at most ``REDUCED`` unknowns that
+is solved by its inverse.  Its off-diagonal is one number per step, so the
+first level of the elimination keeps one coupling array instead of two.
 
-H(t) does not depend on psi, so steps run in blocks of ``BLOCK``: one
-``build_hamiltonian`` call evaluates the Hamiltonians at the block's
-midpoints, and one elimination of (1 + i a H)/2 over the whole block
-keeps each level's factors, builds each step's reduced inverse from the
-reduced tridiagonal system and checks every pivot before the block's
-first step.  A step then only copies psi, reduces it, multiplies the
-reduced part by the stored inverse, back-substitutes and subtracts psi,
-in ``_cn_step``, which every caller steps with.  The slices a block
-reaches are compared with the analytic states in one evaluation per
-block, by direct trapezoid sums.
+H(t) does not depend on psi, so steps run in blocks of ``BLOCK`` on one
+``_Plan`` per run: ``build_hamiltonian`` writes (1 + i a H)/2 at a block's
+midpoints into its buffer, one elimination fills its factors, and one
+``np.linalg.inv`` inverts the reduced systems.  For a finite H every pivot
+has real part >= 1/2 (the Hermitian part is I/2, and Schur complements
+keep that), so only non-finite values can break the factorisation, and one
+check of the eliminated buffer, the reduced coupling and the inverses
+replaces pivot bookkeeping.  Each step's views are bound once per run, so
+``_cn_step``, which every caller steps with, indexes nothing.  The slices
+a block reaches are compared with the analytic states in one evaluation
+per block, by direct trapezoid sums.
 """
 
 from dataclasses import dataclass
@@ -33,31 +34,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tridiag
+from .core import write_rows
 from .errors import OutOfDomain, SolverBreakdown, ValidationError
 from .invariants import frame_from_beta
 from .ode import integrate_beta
 from .quantum import WaveFunction, eval_psin, l2_norm, psin_values, trapezoid
 
-# Steps factored together.  The factors take about 2.5 * BLOCK * npoints
-# complex values (1 MB at 1024 points).  A block's factors are dropped only
-# once the next block's are built, so that the allocator reuses their
-# memory: freeing them first tripled the page faults of a run (about 6,000
-# to 19,000-24,000) and cost 15-30 ms.  Fresh 1024-point `bckosc
-# propagate` processes (2-vCPU VM) peaked at 33.8, 34.0 and 34.7 MB RSS
-# with blocks of 20, 24 and 28, against 34.3 MB with the earlier
-# 16-step blocks of 4 * BLOCK * npoints values; 24 is the largest block
-# that stays below that, and ran about 10% faster than 16.
+# Steps factored together.  A run's plan holds one block's buffer, factors
+# (about 2.5 * BLOCK * npoints complex values, 1 MB at 1024 points) and
+# states.  Fresh 1024-point `bckosc propagate` processes (2-vCPU VM,
+# medians of 24 interleaved runs) ran about 2% faster with blocks of 24
+# and the elimination's scratch in the states than with blocks of 20 and a
+# scratch of their own, and peaked at 34.1 against 33.7 MB RSS.
 BLOCK = 24
 
 # Unknowns at or below which the elimination stops and the stored inverse
 # of the reduced system takes over.  At 1024 points (a 2-vCPU Xeon VM), 8
-# and 16 ran level and 4 and 32 about 5% slower per propagation; at 8 the
-# inverse's product costs about the arithmetic of the levels it replaces.
-# With blocks of 24, 8 and 16 still ran level and 32 about 25% slower.
+# and 16 ran level and 4 and 32 about 5% slower per propagation with
+# inverses from cyclic reduction; at 8 the inverse's product costs about
+# the arithmetic of the levels it replaces.  np.linalg.inv of 24 stacked
+# 8 x 8 matrices takes 52 µs there, of 24 16 x 16 ones 207 µs.
 REDUCED = 8
 
 
-def build_hamiltonian(s, t):
+def build_hamiltonian(s, t, a=None, out=None):
     """Tridiagonal Hamiltonian on the scenario grid at time t, or at each
     time of an array t.
 
@@ -65,7 +65,9 @@ def build_hamiltonian(s, t):
     (npoints,), and the off-diagonal, constant along the grid, of shape
     t.shape (a float for a scalar t).  Kinetic term is the
     second-difference stencil scaled by e^{-G}; the potential is
-    (1/2) m omega^2 e^G q^2 - e^G F q.
+    (1/2) m omega^2 e^G q^2 - e^G F q.  Given a complex ``out`` of the
+    diagonal's shape, writes (1 + i a H)/2 there instead, with no
+    temporary of that shape, and returns (out, its off-diagonal).
     """
     qs = s.grid()
     dq = float(qs[1] - qs[0])
@@ -74,52 +76,91 @@ def build_hamiltonian(s, t):
     eG = np.exp(G)
     kin = s.hbar ** 2 * np.exp(-G) / (2.0 * s.m)
     off = -kin / (dq * dq)
-    diag = (2.0 * kin / (dq * dq)
-            + 0.5 * s.m * s.omega(tc) ** 2 * eG * qs ** 2
-            - eG * s.force(tc) * qs)
-    return diag, (float(off[0]) if np.ndim(t) == 0 else off[..., 0])
+    if out is None:
+        diag = np.empty(np.shape(t) + qs.shape)
+        force = np.empty_like(diag)
+    else:
+        # the real part holds the force term until it is set to 1/2
+        diag, force = out.imag, out.real
+    # 2 kin/dq^2 + (1/2) m omega^2 e^G q^2 - e^G F q, term by term
+    np.multiply(0.5 * s.m * s.omega(tc) ** 2 * eG, qs ** 2, out=diag)
+    np.add(2.0 * kin / (dq * dq), diag, out=diag)
+    np.multiply(eG * s.force(tc), qs, out=force)
+    diag -= force
+    if out is None:
+        return diag, (float(off[0]) if np.ndim(t) == 0 else off[..., 0])
+    diag *= 0.5 * a
+    force[...] = 0.5
+    return out, 0.5j * a * off
 
 
-def _factor(s, ts, dt):
-    """Factor (1 + i a H(t))/2, a = dt/(2 hbar), for every time of the 1-d
-    array ts at once.
+class _Plan:
+    """One propagation's arrays for blocks of up to ``rows`` steps: the
+    buffer ``h``, eliminated in place, its ``levels`` and ``scratch``, the
+    reduced matrices and their inverses, and the ``states``.
+    ``steps[j]`` binds slot j's state, factor views and inverse once."""
 
-    The elimination stops at ``REDUCED`` unknowns or fewer.  The reduced
-    system is solved for the identity's columns, which gives its inverse
-    at O(REDUCED^2) per step.  Returns (levels, transposed inverses of the
-    reduced systems), each indexed by time first.  Raises SolverBreakdown
-    if any pivot of either elimination vanishes or is not finite.
+    def __init__(self, npoints, rows):
+        dtype = np.complex128
+        self.h = np.empty((rows, npoints), dtype)
+        self.levels = tridiag.allocate(rows, npoints, REDUCED, dtype, True)
+        self.states = np.empty((rows, npoints), dtype)
+        # The elimination's scratch is the head of the states: a block is
+        # factored before its steps write them, and in a run of several
+        # blocks the state the next one starts from is the last of BLOCK
+        # rows, past the scratch's BLOCK * ceil(npoints / 2) values
+        q = npoints - npoints // 2
+        self.scratch = self.states.reshape(-1)[:rows * q].reshape(rows, q)
+        step_scratch = np.empty(npoints // 2, dtype)
+        slots = [tridiag.bind(self.levels, j, row, step_scratch)
+                 for j, row in enumerate(self.states)]
+        r = slots[0][1].shape[0]
+        self.reduced = np.zeros((rows, r, r), dtype)
+        self.inv = np.empty_like(self.reduced)
+        self.steps = [(row, bound, x_r, inv)
+                      for row, (bound, x_r), inv
+                      in zip(self.states, slots, self.inv)]
+
+
+def _factor(s, ts, dt, plan=None):
+    """Factor (1 + i a H(t))/2, a = dt/(2 hbar), at every time of the 1-d
+    array ts into the first rows of ``plan`` (a new one if None), down to
+    ``REDUCED`` unknowns whose inverses come from one ``np.linalg.inv``.
+    Returns (levels, reduced inverses), indexed by time first.  Raises
+    SolverBreakdown unless the eliminated buffer, the reduced coupling and
+    the inverses are all finite.
     """
-    diag, off = build_hamiltonian(s, ts)
-    a = 0.5 * dt / s.hbar
-    # built in place, and diag dropped before the elimination: less memory
-    # at the peak of a block
-    b = np.empty(diag.shape, dtype=np.complex128)
-    b.real = 0.5
-    np.multiply(0.5 * a, diag, out=b.imag)
-    del diag
-    levels, moduli, b, c = tridiag.eliminate(b, 0.5j * a * off[:, None],
-                                             REDUCED)
-    # row k of cols[i] solves the reduced system i for unit vector k
-    cols = np.repeat(np.eye(b.shape[1], dtype=np.complex128)[None],
-                     b.shape[0], axis=0)
-    piv = np.array(moduli + tridiag.solve(b, c, cols))
-    if not (piv.min() >= 1e-300 and piv.max() < np.inf):
-        raise SolverBreakdown("tridiagonal elimination pivot vanished or "
+    k = ts.shape[0]
+    if plan is None:
+        plan = _Plan(s.npoints, k)
+    h, c = build_hamiltonian(s, ts, 0.5 * dt / s.hbar, plan.h[:k])
+    levels, b, c = tridiag.eliminate(h, c, REDUCED, plan.levels,
+                                     plan.scratch)
+    r = b.shape[1]
+    flat = plan.reduced[:k].reshape(k, r * r)
+    flat[:, ::r + 1] = b
+    flat[:, 1::r + 1] = c
+    flat[:, r::r + 1] = c
+    try:
+        inv = np.linalg.inv(plan.reduced[:k])
+    except np.linalg.LinAlgError:   # only non-finite entries make one
+        inv = None
+    if not (inv is not None and np.isfinite(h.view(np.float64)).all()
+            and np.isfinite(c).all() and np.isfinite(inv).all()):
+        raise SolverBreakdown("tridiagonal elimination of (1 + i a H)/2 "
                               "is not finite")
-    return levels, cols
+    plan.inv[:k] = inv
+    return levels, plan.inv[:k]
 
 
-def _cn_step(factors, j, values, out):
-    """Crank-Nicolson step j of a factored block:
-    2 (1 + i a H_j)^{-1} values - values, written to x of
-    ``out = tridiag.split(x, REDUCED)``; x must not overlap ``values``."""
-    levels, inv = factors
-    x, views, reduced = out
+def _cn_step(step, values):
+    """Step of a plan slot (``_Plan.steps``): 2 (1 + i a H_j)^{-1} values -
+    values, returned as the slot's state, which values must not overlap."""
+    x, bound, reduced, inv = step
     np.copyto(x, values)
-    tridiag.reduce(levels, j, views)
-    reduced[...] = reduced @ inv[j]
-    tridiag.back(levels, j, views)
+    tridiag.reduce(bound)
+    reduced[...] = inv @ reduced
+    tridiag.back(bound)
     x -= values
     return x
 
@@ -129,10 +170,10 @@ def crank_nicolson_step(psi, s, t, dt):
     if not 0 < dt < np.inf:
         raise ValidationError("dt must be positive and finite")
     values = np.asarray(psi.values, dtype=np.complex128)
+    plan = _Plan(s.npoints, 1)
     with np.errstate(all="ignore"):
-        factors = _factor(s, np.array([t + 0.5 * dt]), dt)
-        out = _cn_step(factors, 0, values,
-                       tridiag.split(np.empty_like(values), REDUCED))
+        _factor(s, np.array([t + 0.5 * dt]), dt, plan)
+        out = _cn_step(plan.steps[0], values)
     return WaveFunction(qs=psi.qs, values=out, t=t + dt, n=psi.n)
 
 
@@ -161,11 +202,8 @@ class PropagationRun:
     def to_csv(self, path):
         with open(path, "w", newline="\n") as fh:
             fh.write("t,norm,overlap,fidelity_defect\n")
-            for k in range(self.slice_ts.shape[0]):
-                fh.write(f"{self.slice_ts[k]:.17g},"
-                         f"{self.slice_norms[k]:.17g},"
-                         f"{self.overlaps[k]:.17g},"
-                         f"{self.fidelity_defects[k]:.17g}\n")
+            write_rows(fh, self.slice_ts, self.slice_norms, self.overlaps,
+                       self.fidelity_defects)
 
 
 def propagate_and_compare(s, n, t0, t1, dt, max_slices=201, beta_sol=None):
@@ -201,33 +239,35 @@ def propagate_and_compare(s, n, t0, t1, dt, max_slices=201, beta_sol=None):
     overlaps = np.empty(steps.shape[0])
     norms = np.empty(steps.shape[0])
 
-    def compare(ks, values, values_norms):
+    def compare(ks, values, values_norms, work=None):
         ana = psin_values(n, s, frames.at(ks), qs)
-        overlap = trapezoid(ana.conj() * values, dq)
-        overlaps[ks] = np.abs(overlap) / (l2_norm(ana, dq) * values_norms)
+        ana_norms = l2_norm(ana, dq, work)
+        # in place: the conjugate analytic states times the propagated ones
+        np.multiply(np.conjugate(ana, out=ana), values, out=ana)
+        overlaps[ks] = np.abs(trapezoid(ana, dq)) / (ana_norms * values_norms)
         norms[ks] = values_norms
 
     compare(np.arange(1), psi0.values[None], psi0.norm)
     step_norms = np.empty(nsteps)
-    states = np.empty((BLOCK, qs.shape[0]), dtype=np.complex128)
-    rows = [tridiag.split(x, REDUCED) for x in states]
+    plan = _Plan(qs.shape[0], min(BLOCK, nsteps))
     psi = psi0.values
     # a block's last state, in its last row, is read by the next block's
     # first step, which writes row 0
     for start in range(0, nsteps, BLOCK):
         ks = np.arange(start, min(start + BLOCK, nsteps))
-        block = states[:ks.shape[0]]
+        block = plan.states[:ks.shape[0]]
         with np.errstate(all="ignore"):
-            factors = _factor(s, t0 + ks * dt_eff + 0.5 * dt_eff, dt_eff)
-            for j in range(ks.shape[0]):
-                psi = _cn_step(factors, j, psi, rows[j])
-            step_norms[ks] = l2_norm(block, dq)
+            _factor(s, t0 + ks * dt_eff + 0.5 * dt_eff, dt_eff, plan)
+            for step in plan.steps[:ks.shape[0]]:
+                psi = _cn_step(step, psi)
+            # the buffer is free once the block is factored
+            step_norms[ks] = l2_norm(block, dq, plan.h[:ks.shape[0]])
         # the slices at steps ks[0] + 1 .. ks[-1] + 1, compared outside
         # errstate: the analytic states' warnings are not muted
         reached = np.arange(*np.searchsorted(steps, (ks[0] + 1, ks[-1] + 2)))
         if reached.size:
             compare(reached, block[steps[reached] - 1 - start],
-                    step_norms[steps[reached] - 1])
+                    step_norms[steps[reached] - 1], plan.h[:reached.size])
     return PropagationRun(initial=psi0, dt=dt_eff, slice_ts=slice_ts,
                           slice_norms=norms, overlaps=overlaps,
                           fidelity_defects=1.0 - overlaps,

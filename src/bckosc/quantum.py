@@ -25,7 +25,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .core import KIND_EXP, KIND_POLY, KIND_SIN
+from .core import KIND_EXP, KIND_POLY, KIND_SIN, write_rows
 from .errors import (DegreeTooLarge, GridTooNarrow, InsufficientSlices,
                      NotUnderdamped, OmegaNotPositive, UnsupportedForceShape,
                      ValidationError)
@@ -56,10 +56,11 @@ class WaveFunction:
         """CSV columns q, re_psi, im_psi, abs2; optional comment footer."""
         with open(path, "w", newline="\n") as fh:
             fh.write("q,re_psi,im_psi,abs2\n")
-            for k in range(self.qs.shape[0]):
-                v = self.values[k]
-                fh.write(f"{self.qs[k]:.17g},{v.real:.17g},{v.imag:.17g},"
-                         f"{abs(v) ** 2:.17g}\n")
+            v = np.asarray(self.values, dtype=np.complex128)
+            # |v|^2 as libm's hypot, then pow: bit for bit what abs(v) ** 2
+            # gives a numpy scalar (np.abs and squaring round differently)
+            write_rows(fh, self.qs, v.real, v.imag,
+                       np.float_power(np.hypot(v.real, v.imag), 2))
             if footer:
                 fh.write(footer.rstrip("\n") + "\n")
 
@@ -86,9 +87,18 @@ def trapezoid(y, dq):
     return dq * (y.sum(axis=-1) - 0.5 * (y[..., 0] + y[..., -1]))
 
 
-def l2_norm(values, dq):
-    """Trapezoid L2 norm of ``values`` along its last axis."""
-    return np.sqrt(trapezoid(values.real ** 2 + values.imag ** 2, dq))
+def l2_norm(values, dq, work=None):
+    """Trapezoid L2 norm of ``values`` along its last axis.  The squares
+    of the real and imaginary parts go to ``work``, a complex array of
+    ``values``' shape, or to one new array."""
+    if work is None:
+        work = np.empty(values.shape, dtype=np.complex128)
+    squares = work.view(np.float64).reshape((2,) + values.shape)
+    re2, im2 = squares
+    np.square(values.real, out=re2)
+    np.square(values.imag, out=im2)
+    re2 += im2
+    return np.sqrt(trapezoid(re2, dq))
 
 
 def hermite(n, x):

@@ -8,6 +8,7 @@ import sys
 import types
 import warnings
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -17,6 +18,7 @@ from bckosc.cli import main
 
 from conftest import SCENARIO_DIR
 
+DATA_DIR = SCENARIO_DIR.parent / "tests" / "data"
 DRIVEN = str(SCENARIO_DIR / "underdamped_driven.cfg")
 SHO = str(SCENARIO_DIR / "sho.cfg")
 RAMP = str(SCENARIO_DIR / "ramp_omega.cfg")
@@ -113,6 +115,49 @@ def test_reports_are_deterministic(tmp_path):
             == (b / "verify_report.csv").read_bytes())
 
 
+def test_csv_writers_print_each_value_as_17_digits(tmp_path):
+    # the per-row %-format of the writers against one f"{float(v):.17g}"
+    # per value, and abs(v) ** 2 of a numpy scalar for the wavefunction's
+    # abs2, on random values of every magnitude and the special ones
+    rng = np.random.default_rng(20261019)
+    col = np.concatenate([rng.normal(size=200), rng.normal(size=40)
+                          * 10.0 ** rng.integers(-300, 300, 40),
+                          [0.0, -0.0, 5e-324, -1.7976931348623157e308,
+                           np.inf, -np.inf, np.nan, 1.0, 0.1, -2.5]])
+    cols = [np.roll(col, k) for k in range(7)]
+    values = np.empty(col.shape, dtype=complex)
+    values.real, values.imag = cols[1], cols[2]
+
+    def expected(header, rows):
+        return header + "".join(",".join(f"{float(v):.17g}" for v in row)
+                                + "\n" for row in rows)
+
+    series = {"ts": cols[0], "I": values, "IQ": cols[3],
+              "C": cols[5], "ermakov": cols[6], "drift_I": -0.0,
+              "drift_IQ": 1e-300,
+              "omega_report": types.SimpleNamespace(omega=cols[4],
+                                                    max_rel_drift=np.nan)}
+    path = tmp_path / "report.csv"
+    bckosc.write_verification_report(path, series)
+    assert path.read_text() == expected(
+        "t,re_I,im_I,IQ,Omega,C,ermakov_residual\n", zip(*cols)) + (
+        "# max_drift_I=-0, max_drift_IQ=1e-300, omega_drift=nan\n")
+    run = bckosc.PropagationRun(
+        initial=None, dt=0.1, slice_ts=cols[0], slice_norms=cols[1],
+        overlaps=cols[2], fidelity_defects=cols[3], step_norms=cols[4])
+    run.to_csv(path)
+    assert path.read_text() == expected("t,norm,overlap,fidelity_defect\n",
+                                        zip(*cols[:4]))
+    # |v|^2 overflows past 1e154, in the writer as in abs(v) ** 2
+    with np.errstate(over="ignore"):
+        bckosc.WaveFunction(qs=cols[0], values=values, t=0.0).to_csv(
+            path, footer="# end")
+        abs2 = [abs(v) ** 2 for v in values]
+    assert path.read_text() == expected(
+        "q,re_psi,im_psi,abs2\n",
+        zip(cols[0], cols[1], cols[2], abs2)) + "# end\n"
+
+
 # ---------- spectrum ----------
 
 def test_spectrum(tmp_path, capsys):
@@ -187,6 +232,25 @@ def test_propagate_sho(tmp_path, capsys):
     lines = (tmp_path / "propagation.csv").read_text().splitlines()
     assert lines[0] == "t,norm,overlap,fidelity_defect"
     assert "min overlap" in capsys.readouterr().out
+
+
+def test_propagate_driven_matches_the_golden_csv(tmp_path, capsys):
+    # tests/data/propagate_driven.csv was written by the earlier
+    # Crank-Nicolson solver (level-by-level pivot checks, cyclic reduction
+    # of the reduced systems) with these arguments: a rework of the solver
+    # must keep every column within 1e-14 of it
+    rc = main(["propagate", "--scenario", DRIVEN, "--out", str(tmp_path),
+               "--n", "0", "--periods", "0.5", "--dt", "0.004",
+               "--min-overlap", "0.9999"])
+    assert rc == 0, capsys.readouterr().out
+    golden = DATA_DIR / "propagate_driven.csv"
+    lines = [(tmp_path / "propagation.csv").read_text().splitlines(),
+             golden.read_text().splitlines()]
+    assert lines[0][0] == lines[1][0] == "t,norm,overlap,fidelity_defect"
+    got, want = (np.array([[float(v) for v in row.split(",")]
+                           for row in rows[1:]]) for rows in lines)
+    assert got.shape == want.shape == (199, 4)
+    assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 def test_propagate_coarse_step_fails_tolerance(tmp_path, capsys):

@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from bckosc import (InvalidIC, OutOfDomain, ParseError, Scenario,
                     TimeFunction, ValidationError, eval_G, parse_scenario,
                     serialize_scenario, twice_integral)
+from bckosc import tridiag
 from bckosc.core import KIND_POLY
 
 from conftest import SCENARIO_DIR
@@ -72,6 +73,31 @@ def test_tabulated_matches_scipy_spline_on_any_shape():
         ref = CubicSpline(ts, vs, bc_type="natural")(tq)
         assert_allclose(TimeFunction.tabulated(ts, vs)(tq), ref,
                         rtol=0, atol=1e-14)
+
+
+def test_tridiag_solve_matches_a_banded_solve():
+    # the spline's solver against LAPACK's banded gbsv, over batches of
+    # real and complex systems of every size that leaves the levels odd or
+    # even, with a coupling per pair or one per system
+    from scipy.linalg import solve_banded
+    rng = np.random.default_rng(20261019)
+    for dtype in (float, complex):
+        for n in range(2, 70):
+            for pairs in (n - 1, 1):
+                b = 4.0 + rng.random((3, n)).astype(dtype)
+                if dtype is complex:
+                    b += 1j * rng.random((3, n))
+                c = rng.random((3, pairs)).astype(dtype)
+                x = rng.random((3, n)).astype(dtype)
+                got, c_in = x.copy(), c.copy()
+                tridiag.solve(b.copy(), c, got)
+                assert (c == c_in).all()
+                for k in range(3):
+                    bands = np.zeros((3, n), dtype=dtype)
+                    bands[0, 1:] = bands[2, :-1] = c[k]
+                    bands[1] = b[k]
+                    assert_allclose(got[k], solve_banded((1, 1), bands, x[k]),
+                                    rtol=0, atol=1e-15, err_msg=f"n={n}")
 
 
 def test_tabulated_domain_is_enforced():

@@ -10,12 +10,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from bckosc import (GridTooNarrow, OutOfDomain, Scenario, SolverBreakdown,
                     TimeFunction, ValidationError, build_hamiltonian,
                     crank_nicolson_step, eval_psin, frame_from_beta, inner,
                     integrate_beta, propagate_and_compare)
+from bckosc import propagator
 from bckosc.propagator import BLOCK, REDUCED, _factor
 from bckosc.quantum import WaveFunction
 
@@ -100,9 +101,10 @@ def test_cn_step_is_unitary(driven, driven_beta):
 
 
 def test_cn_step_matches_a_dense_solve(driven):
-    # the cyclic-reduction solve against a dense solve of the Cayley system,
-    # for grids the elimination leaves whole, stops at REDUCED unknowns,
-    # or leaves just above or far above it
+    # the cyclic-reduction solve against a direct solve of the Cayley system
+    # by LAPACK's banded gbsv (not the gesv that inverts the reduced
+    # systems), for grids the elimination leaves whole, stops at REDUCED
+    # unknowns, or leaves just above or far above it
     rng = np.random.default_rng(20260823)
     dt = 0.05
     for npoints in (3, REDUCED - 1, REDUCED, REDUCED + 1, 2 * REDUCED + 1,
@@ -113,11 +115,12 @@ def test_cn_step_matches_a_dense_solve(driven):
         values = rng.normal(size=npoints) + 1j * rng.normal(size=npoints)
         psi = WaveFunction(qs=s.grid(), values=values, t=0.5)
         diag, off = build_hamiltonian(s, 0.5 + 0.5 * dt)
-        h = np.diag(diag) + off * (np.eye(npoints, k=1)
-                                   + np.eye(npoints, k=-1))
         a = 0.5j * dt / s.hbar
-        ref = np.linalg.solve(np.eye(npoints) + a * h,
-                              values - a * (h @ values))
+        bands = np.zeros((3, npoints), dtype=complex)
+        bands[0, 1:] = bands[2, :-1] = a * off
+        bands[1] = 1.0 + a * diag
+        ref = solve_banded((1, 1), bands,
+                           values - a * apply_h(diag, off, values))
         out = crank_nicolson_step(psi, s, 0.5, dt)
         assert_allclose(out.values, ref, rtol=0, atol=1e-13,
                         err_msg=f"npoints={npoints}")
@@ -153,6 +156,67 @@ def test_breakdown_in_the_reduced_system_is_quiet():
         warnings.simplefilter("error")
         with pytest.raises(SolverBreakdown):
             crank_nicolson_step(psi, s, t, dt)
+
+
+def test_breakdown_first_pivoting_at_an_inner_level_is_quiet():
+    # e^G = 3.36e306 on a grid that ends at q = 10.5: 0.5 omega^2 e^G q^2
+    # overflows at the last of 67 points and nowhere else.  Unknown 66 is
+    # even at the first level and odd, a pivot, at the second
+    s = Scenario(omega=TimeFunction.constant(1.0), t0=0.0, t1=710.0,
+                 damping=TimeFunction.constant(0.5), beta0=(1.0, 1.0j),
+                 qmin=-10.0, qmax=10.5, npoints=67)
+    dt = 1e-3
+    t = math.log(3.36e306) - 0.5 * dt
+    with np.errstate(over="ignore"):
+        diag, _ = build_hamiltonian(s, t + 0.5 * dt)
+    assert list(np.flatnonzero(~np.isfinite(diag))) == [66]
+    assert 66 % 2 == 0 and (66 // 2) % 2 == 1 and 67 // 2 > REDUCED
+    psi = WaveFunction(qs=s.grid(), values=np.ones(67, dtype=complex), t=t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverBreakdown):
+            crank_nicolson_step(psi, s, t, dt)
+
+
+def test_non_finite_reduced_coupling_alone_is_a_breakdown(sho, monkeypatch):
+    # a grid of REDUCED points is its own reduced system, so the reduced
+    # coupling is the Hamiltonian's.  No scenario makes the off-diagonal
+    # overflow while the diagonal, twice its kinetic part, stays finite, so
+    # the builder is wrapped to return an infinite one
+    s = replace(sho, npoints=37)
+    object.__setattr__(s, "npoints", REDUCED)
+
+    def infinite_coupling(s, t, a=None, out=None):
+        h, c = build_hamiltonian(s, t, a, out)
+        assert np.isfinite(h).all()
+        return h, np.full_like(c, complex(0.0, np.inf))
+
+    monkeypatch.setattr(propagator, "build_hamiltonian", infinite_coupling)
+    psi = WaveFunction(qs=s.grid(), values=np.ones(REDUCED, dtype=complex),
+                       t=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverBreakdown):
+            crank_nicolson_step(psi, s, 0.0, 1e-3)
+
+
+def test_overflowing_elimination_of_a_finite_hamiltonian_is_a_breakdown():
+    # m = 1e-300 makes the kinetic term 1e300 on a unit grid spacing, and
+    # F = 1e300 cancels it exactly at q = 1, unknown 33, an odd one: H is
+    # finite (up to 3.3e301), but that pivot is 1/2 and its Schur update of
+    # unknowns 32 and 34, (a kin/2)^2 / (1/2) = 3e592, overflows
+    m = 1e-300
+    s = Scenario(omega=TimeFunction.constant(0.0), t0=0.0, t1=1.0, m=m,
+                 force=TimeFunction.constant(2.0 / (2.0 * m)),
+                 beta0=(1.0, 1.0j), qmin=-32.0, qmax=32.0, npoints=65)
+    diag, off = build_hamiltonian(s, 0.5)
+    assert np.isfinite(diag).all() and np.isfinite(off)
+    assert diag[33] == 0.0 and abs(off) > 4.9e299
+    psi = WaveFunction(qs=s.grid(), values=np.ones(65, dtype=complex), t=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverBreakdown):
+            crank_nicolson_step(psi, s, 0.5, 1e-3)
 
 
 @pytest.mark.parametrize("eg", [1e100, 1e200, 1e300, 1e305])
