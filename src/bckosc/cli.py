@@ -57,11 +57,12 @@ def _verify_pipeline(s, samples):
     beta_sol = integrate_beta(s)
     traj = integrate_classical(s, 1.0, 0.0)
     series = verification_series(s, beta_sol, traj, samples=samples)
-    return beta_sol, series, series["omega_report"]
+    return beta_sol, series
 
 
 def cmd_verify(s, args, outdir):
-    beta_sol, series, om = _verify_pipeline(s, args.samples)
+    _, series = _verify_pipeline(s, args.samples)
+    om = series["omega_report"]
     gamma_ics, sigma_ics = envelope_ics(s)
     gamma_sol = integrate_gamma(s, *gamma_ics)
     sigma_sol = integrate_sigma(s, gamma_sol, *sigma_ics)
@@ -102,7 +103,7 @@ def cmd_wavefunction(s, args, outdir):
     fr = frame_from_beta(s, beta_sol, t)
     wf = eval_psin(args.n, s, fr, t)
     q_exp, p_exp = expectation_qp(args.n, fr, s)
-    unc = uncertainty_product(args.n, fr, s, full=True)
+    unc = uncertainty_product(args.n, fr, s)
     footer = ("# exp_q={}, exp_p={}, var_q={}, var_p={}, product={}, norm={}"
               .format(_fmt(q_exp), _fmt(p_exp), _fmt(unc.var_q),
                       _fmt(unc.var_p), _fmt(unc.product), _fmt(wf.norm)))
@@ -169,9 +170,10 @@ def cmd_sweep(s, args, outdir):
     for v in values:
         try:
             sv = _sweep_scenario(s, args.param, v)
-            beta_sol, series, om = _verify_pipeline(sv, args.samples)
+            beta_sol, series = _verify_pipeline(sv, args.samples)
+            om = series["omega_report"]
             fr1 = frame_from_beta(sv, beta_sol, sv.t1)
-            unc = uncertainty_product(0, fr1, sv)
+            unc = uncertainty_product(0, fr1, sv).product
             passed = (series["drift_I"] <= args.tol
                       and series["drift_IQ"] <= args.tol
                       and om.max_rel_drift <= args.tol)

@@ -319,14 +319,6 @@ class Scenario:
         return np.linspace(self.qmin, self.qmax, self.npoints)
 
 
-def eval_G(s, t):
-    """G(t) = 2 * int_{t0}^t g(tau) dtau for t inside the window."""
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < s.t0) or np.any(arr > s.t1):
-        raise OutOfDomain(f"t={t} outside the window [{s.t0}, {s.t1}]")
-    return s.G(t)
-
-
 # ---------- scenario document parsing ----------
 
 _TF_SECTIONS = ("omega", "damping", "force")

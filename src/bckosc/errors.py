@@ -64,20 +64,8 @@ class DegreeTooLarge(BckoscError):
     """Hermite degree beyond the supported range (n > 200)."""
 
 
-class InsufficientSlices(BckoscError):
-    """A time series needs at least three uniformly spaced slices."""
-
-
 class SolverBreakdown(BckoscError):
     """A Crank-Nicolson factorisation is not finite: the Hamiltonian is
     not, or its elimination overflows.  No pivot can vanish instead: for a
     finite H every pivot of (1 + i a H)/2 has real part >= 1/2."""
     exit_code = 3
-
-
-class NotUnderdamped(BckoscError):
-    """Closed forms requested for parameters with g^2 >= omega^2."""
-
-
-class UnsupportedForceShape(BckoscError):
-    """Closed forms requested for a drive outside the supported family."""

@@ -5,9 +5,9 @@ This module owns the quantities the paper derives from the amplitude beta:
 the envelope group (``envelope_group``, ``envelope_ics``), the five
 coefficients of I_Q (``iq_coefficients``) and their initial values
 (``c_ics_from_gamma_sigma``), and Omega (``omega_of_frame``).
-The other modules call these definitions rather than restate them; the
-closed forms in ``quantum.underdamped_closed_forms`` stay independent on
-purpose, as the oracle they are compared with.
+The other modules call these definitions rather than restate them.  The
+constant-parameter closed forms the tests compare them with restate them
+on purpose, outside the package, in ``tests/oracles.py``.
 
 An InvariantFrame collects everything needed to evaluate the invariants at
 one instant.  Fields may be scalars or equally-shaped arrays; every

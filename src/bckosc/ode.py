@@ -351,10 +351,11 @@ class ODESolution:
     step's rows F0 .. F6 of the continuous extension.  Calling the solution
     evaluates the extension at the step fraction theta; at a grid time the
     stored state itself is returned.  The columns are the system's
-    components in its integrator's order.  ``stats`` counts the work: ``naccept`` is the number of steps of the grid kept, ``nreject``
-    the number of steps of the coarser trial grids the error test
-    rejected, and ``nfev`` the number of evaluations of the coefficient
-    matrix A(t), fifteen per step of every grid tried.
+    components in its integrator's order.  ``stats`` counts the work:
+    ``naccept`` is the number of steps of the grid kept, ``nreject`` the
+    number of steps of the coarser trial grids the error test rejected,
+    and ``nfev`` the number of evaluations of the coefficient matrix A(t),
+    fifteen per step of every grid tried.
     """
 
     def __init__(self, ts, ys, qs, stats):

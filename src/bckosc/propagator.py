@@ -122,17 +122,15 @@ class _Plan:
                       in zip(self.states, slots, self.inv)]
 
 
-def _factor(s, ts, dt, plan=None):
+def _factor(s, ts, dt, plan):
     """Factor (1 + i a H(t))/2, a = dt/(2 hbar), at every time of the 1-d
-    array ts into the first rows of ``plan`` (a new one if None), down to
-    ``REDUCED`` unknowns whose inverses come from one ``np.linalg.inv``.
+    array ts into the first rows of ``plan``, down to ``REDUCED`` unknowns
+    whose inverses come from one ``np.linalg.inv``.
     Returns (levels, reduced inverses), indexed by time first.  Raises
     SolverBreakdown unless the eliminated buffer, the reduced coupling and
     the inverses are all finite.
     """
     k = ts.shape[0]
-    if plan is None:
-        plan = _Plan(s.npoints, k)
     h, c = build_hamiltonian(s, ts, 0.5 * dt / s.hbar, plan.h[:k])
     levels, b, c = tridiag.eliminate(h, c, REDUCED, plan.levels,
                                      plan.scratch)

@@ -1,6 +1,8 @@
 """Eigenfunctions and spectra of the quadratic invariant, ladder operators
-on a spatial grid, uncertainty relations, and closed forms for the
-underdamped constant-parameter oscillator.
+on a spatial grid and uncertainty relations.  The references the tests
+check them with (the textbook Hermite polynomial, an independent
+Schrodinger operator and the constant-parameter closed forms) live in
+``tests/oracles.py``, outside the package.
 
 Construction summary.  With the amplitude beta, force functional F and
 conserved normalization Omega, the ground state annihilated by the linear
@@ -21,15 +23,14 @@ time-dependent Schrodinger equation of the scaled-mass Hamiltonian.
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
-from .core import KIND_EXP, KIND_POLY, KIND_SIN, write_rows
-from .errors import (DegreeTooLarge, GridTooNarrow, InsufficientSlices,
-                     NotUnderdamped, OmegaNotPositive, UnsupportedForceShape,
+from .core import write_rows
+from .errors import (DegreeTooLarge, GridTooNarrow, OmegaNotPositive,
                      ValidationError)
-from .invariants import InvariantFrame, iq_coefficients, omega_of_frame
+from .invariants import iq_coefficients, omega_of_frame
 
 MAX_DEGREE = 200
 
@@ -99,28 +100,6 @@ def l2_norm(values, dq, work=None):
     np.square(values.imag, out=im2)
     re2 += im2
     return np.sqrt(trapezoid(re2, dq))
-
-
-def hermite(n, x):
-    """Physicists' Hermite polynomial H_n by the three-term recurrence.
-
-    Values can overflow float64 for large n·x; the eigenfunction path uses
-    the scaled (normalized) recurrence instead and stays finite.  Kept
-    apart from that recurrence on purpose: it is the unscaled textbook
-    polynomial, a reference that shares no code with the eigenfunctions.
-    """
-    if n < 0 or int(n) != n:
-        raise ValidationError("Hermite degree must be a nonnegative integer")
-    if n > MAX_DEGREE:
-        raise DegreeTooLarge(f"Hermite degree {n} exceeds {MAX_DEGREE}")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = 2.0 * x
-    for k in range(1, n):
-        h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
-    return h if h.ndim else float(h)
 
 
 def _normalized_hermite(n, x):
@@ -293,39 +272,6 @@ def apply_IQ(psi, frame, s):
     return WaveFunction(qs=psi.qs, values=out, t=psi.t, n=psi.n)
 
 
-def schrodinger_residual(series, s):
-    """Max interior-slice residual ||i hbar dpsi/dt - H psi|| / ||psi||.
-
-    The time derivative is a central difference over uniformly spaced
-    slices; H applies the scaled-mass kinetic term with the 4th-order
-    stencil.  Two boundary cells on each side are excluded from norms.
-    This H is kept apart from the propagator's Hamiltonian on purpose, so
-    the residual checks the eigenstates against an independent operator.
-    """
-    if len(series) < 3:
-        raise InsufficientSlices("need at least 3 uniformly spaced slices")
-    ts = np.array([w.t for w in series], dtype=float)
-    dts = np.diff(ts)
-    dt = float(dts[0])
-    if dt <= 0 or np.max(np.abs(dts - dt)) > 1e-8 * abs(dt):
-        raise ValidationError("slices are not uniformly spaced in time")
-    worst = 0.0
-    sl = slice(2, -2)
-    for k in range(1, len(series) - 1):
-        w = series[k]
-        dpsi_dt = (series[k + 1].values - series[k - 1].values) / (2.0 * dt)
-        t = w.t
-        G = float(s.G(t))
-        pot = (0.5 * s.m * float(s.omega(t)) ** 2 * np.exp(G) * w.qs ** 2
-               - np.exp(G) * float(s.force(t)) * w.qs)
-        hpsi = (-(s.hbar ** 2) * np.exp(-G) / (2.0 * s.m)
-                * _d2(w.values, w.dq) + pot * w.values)
-        resid = 1j * s.hbar * dpsi_dt - hpsi
-        denom = l2_norm(w.values[sl], w.dq)
-        worst = max(worst, l2_norm(resid[sl], w.dq) / denom)
-    return worst
-
-
 def expectation_qp(n, frame, s):
     """Packet-center expectations (<q>, <p>); independent of n."""
     om, _, q_exp = _packet(s, frame)
@@ -341,9 +287,9 @@ class UncertaintyReport:
     product: float
 
 
-def uncertainty_product(n, frame, s, full=False):
-    """(dq)^2 (dp)^2 for psi_n from the frame; with full=True also the
-    separate variances.
+def uncertainty_product(n, frame, s):
+    """The variances (dq)^2, (dp)^2 of psi_n from the frame and their
+    product.
 
     var_q = (hbar^2/Omega) beta* beta (2n+1)
     var_p = (hbar^2 m^2 e^{2G}/Omega) beta'* beta' (2n+1)
@@ -353,185 +299,4 @@ def uncertainty_product(n, frame, s, full=False):
     dd = float((np.conjugate(frame.dbeta) * frame.dbeta).real)
     var_q = s.hbar ** 2 / om * bb * (2 * n + 1)
     var_p = (s.hbar ** 2 * s.m ** 2 * frame.expG ** 2 / om) * dd * (2 * n + 1)
-    if full:
-        return UncertaintyReport(var_q=var_q, var_p=var_p,
-                                 product=var_q * var_p)
-    return var_q * var_p
-
-
-@dataclass(frozen=True)
-class UnderdampedParams:
-    """Constant-parameter underdamped scenario constants."""
-
-    m: float
-    hbar: float
-    omega: float
-    g: float
-    omega_bar: float
-    F0: float
-    alpha: float
-
-    @property
-    def Omega(self):
-        return 2.0 * self.m * self.omega_bar * self.hbar
-
-
-def _constant_value(tf):
-    """Value of a time function that is constant, else None."""
-    if tf.kind == KIND_POLY and not np.any(tf.params[1:]):
-        return float(tf.params[0])
-    if tf.kind == KIND_SIN and tf.params[0] == 0.0:
-        return float(tf.params[3])
-    if tf.kind == KIND_EXP and tf.params[0] == 0.0:
-        return float(tf.params[2])
-    return None
-
-
-def underdamped_params(s):
-    """Extract and validate the constants of the underdamped closed forms.
-
-    Requires constant omega and damping with g^2 < omega^2, t0 = 0, and a
-    force that is either identically zero or a pure sine A sin(alpha t).
-    """
-    w = _constant_value(s.omega)
-    g = _constant_value(s.damping)
-    if w is None or g is None:
-        raise UnsupportedForceShape(
-            "closed forms require constant omega and damping")
-    if s.t0 != 0.0:
-        raise UnsupportedForceShape("closed forms require t0 = 0")
-    w = abs(w)
-    if g * g >= w * w:
-        raise NotUnderdamped(
-            f"g^2 = {g * g:g} >= omega^2 = {w * w:g}: not underdamped")
-    fv = _constant_value(s.force)
-    if fv == 0.0:
-        F0, alpha = 0.0, 0.0
-    elif s.force.kind == KIND_SIN and s.force.params[2] == 0.0 \
-            and s.force.params[3] == 0.0:
-        F0 = float(s.force.params[0])
-        alpha = float(s.force.params[1])
-    else:
-        raise UnsupportedForceShape(
-            "closed forms require F = 0 or F = A sin(alpha t)")
-    wbar = math.sqrt(w * w - g * g)
-    if F0 != 0.0:
-        A = g * g - wbar * wbar + alpha * alpha
-        B = 2.0 * g * wbar
-        if A * A + B * B == 0.0:
-            raise UnsupportedForceShape(
-                "resonant undamped driving has no bounded closed form")
-    return UnderdampedParams(m=s.m, hbar=s.hbar, omega=w, g=g,
-                             omega_bar=wbar, F0=F0, alpha=alpha)
-
-
-@cache
-def _gauss_legendre_16():
-    return np.polynomial.legendre.leggauss(16)
-
-
-def _phase_integral_closed(p, t):
-    """P(t) = int_0^t e^{2 g tau} F0^2 (N(tau)/Dt)^2 dtau by composite
-    Gauss-Legendre quadrature; N/Dt is the bounded core of F/beta."""
-    if p.F0 == 0.0:
-        return complex(0.0)
-    nodes, weights = _gauss_legendre_16()
-    gbar = complex(p.g, p.omega_bar)
-    Dt = complex(p.g ** 2 - p.omega_bar ** 2 + p.alpha ** 2,
-                 2.0 * p.g * p.omega_bar)
-
-    def core(tau):
-        N = (gbar * np.sin(p.alpha * tau) - p.alpha * np.cos(p.alpha * tau)
-             + p.alpha * np.exp(-gbar * tau))
-        return np.exp(2.0 * p.g * tau) * p.F0 ** 2 * (N / Dt) ** 2
-
-    panels = max(8, int(math.ceil(abs(t) * 4.0)))
-    edges = np.linspace(0.0, t, panels + 1)
-    total = 0.0 + 0.0j
-    for k in range(panels):
-        mid = 0.5 * (edges[k] + edges[k + 1])
-        half = 0.5 * (edges[k + 1] - edges[k])
-        total += half * np.sum(weights * core(mid + half * nodes))
-    return complex(total)
-
-
-def underdamped_closed_forms(s, t):
-    """InvariantFrame from the constant-parameter closed forms, bypassing
-    ODE integration entirely.  Accepts scalar or array t.
-
-    Its gamma, sigma and F_sigma are written out here rather than taken
-    from ``invariants.envelope_group`` on purpose: they are the oracle the
-    ODE frame is compared with."""
-    p = underdamped_params(s)
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    tv = np.atleast_1d(t_arr)
-    g, wbar = p.g, p.omega_bar
-    gbar = complex(g, wbar)
-    beta = np.exp(-g * tv) * np.exp(1j * wbar * tv)
-    dbeta = complex(-g, wbar) * beta
-    if p.F0 != 0.0:
-        Dt = complex(g * g - wbar * wbar + p.alpha ** 2, 2.0 * g * wbar)
-        N = (gbar * np.sin(p.alpha * tv) - p.alpha * np.cos(p.alpha * tv)
-             + p.alpha * np.exp(-gbar * tv))
-        core = p.F0 * N / Dt            # equals beta* F, stays bounded
-        Fc = np.exp(gbar * tv) * core
-        P = np.array([_phase_integral_closed(p, float(x)) for x in tv])
-    else:
-        core = np.zeros_like(beta)
-        Fc = np.zeros_like(beta)
-        P = np.zeros_like(beta)
-    G = 2.0 * g * tv
-    expG = np.exp(G)
-    Fval = p.F0 * np.sin(p.alpha * tv)
-    gamma = 2.0 * np.exp(-2.0 * g * tv)
-    dgamma = -2.0 * g * gamma
-    ddgamma = 4.0 * g * g * gamma
-    sigma = -2.0 * core.real
-    dsigma = -2.0 * (np.conjugate(dbeta) * Fc).real - gamma * expG * Fval
-    F_sigma = -(np.abs(Fc) ** 2)
-    phase = wbar * tv
-
-    def out(x):
-        return x[0] if scalar else x
-
-    def outc(x):
-        return complex(x[0]) if scalar else x
-
-    return InvariantFrame(
-        t=t, m=p.m, hbar=p.hbar,
-        omega=out(np.full_like(tv, p.omega)),
-        damping=out(np.full_like(tv, g)),
-        force=out(Fval), G=out(G), expG=out(expG),
-        beta=outc(beta), dbeta=outc(dbeta), F=outc(Fc),
-        gamma=out(gamma), dgamma=out(dgamma), ddgamma=out(ddgamma),
-        sigma=out(sigma), dsigma=out(dsigma), F_sigma=out(F_sigma),
-        phase=out(phase), phase_integral=outc(P))
-
-
-@dataclass(frozen=True)
-class UncertaintyComparison:
-    """Two published candidates for the constant-parameter uncertainty
-    factor; the grid-quadrature oracle in the test suite adjudicates."""
-
-    generic_factor: float       # (omega_bar^2 + g^2)/omega_bar^2
-    alternative_factor: float   # (omega_bar^2 - g^2)/omega_bar^2
-    adopted: str = "generic"
-
-
-def underdamped_uncertainty_factors(s):
-    """Both closed-form factors multiplying hbar^2 (n+1/2)^2 in the
-    constant-parameter uncertainty product.
-
-    The generic formula evaluated on the closed-form amplitude yields
-    (omega_bar^2 + g^2)/omega_bar^2 = omega^2/omega_bar^2; an alternative
-    published closed form has (omega_bar^2 - g^2)/omega_bar^2 instead.
-    These disagree for g != 0 and the alternative dips below the
-    Heisenberg floor; uncertainty_product adopts the generic value and the
-    quadrature oracle must confirm it.
-    """
-    p = underdamped_params(s)
-    wb2 = p.omega_bar ** 2
-    return UncertaintyComparison(
-        generic_factor=(wb2 + p.g ** 2) / wb2,
-        alternative_factor=(wb2 - p.g ** 2) / wb2)
+    return UncertaintyReport(var_q=var_q, var_p=var_p, product=var_q * var_p)

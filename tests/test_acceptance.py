@@ -17,12 +17,13 @@ from bckosc import (TimeFunction, apply_IQ, apply_ladder, build_spectrum,
                     first_integral_C, frame_from_beta, integrate_beta,
                     integrate_c_system, integrate_classical, integrate_gamma,
                     integrate_sigma, c_ics_from_gamma_sigma, omega_of_frame,
-                    propagate_and_compare, schrodinger_residual,
-                    uncertainty_product, underdamped_closed_forms,
-                    underdamped_uncertainty_factors, verification_series,
-                    verify_c_reduction)
+                    propagate_and_compare, uncertainty_product,
+                    verification_series, verify_c_reduction)
 from bckosc.invariants import drift, envelope_ics
 from bckosc.quantum import l2_norm
+
+from oracles import (schrodinger_residual, underdamped_closed_forms,
+                     underdamped_uncertainty_factors)
 
 SEED = 20260823
 OMEGA_BAR = math.sqrt(0.99)
@@ -240,11 +241,12 @@ def test_criterion_09_uncertainty(driven, sho, driven_beta, sho_beta,
     vals = []
     for t in (0.0, 1.0, 2.5, 4.0, 6.0):
         fr = frame_from_beta(driven, driven_beta, t)
-        vals.append(uncertainty_product(0, fr, driven))
+        vals.append(uncertainty_product(0, fr, driven).product)
     vals = np.asarray(vals)
     time_dev = float(np.max(np.abs(vals - vals[0])) / vals[0])
     fr = frame_from_beta(sho, sho_beta, 1.3)
-    sho_err = max(abs(uncertainty_product(n, fr, sho) - (n + 0.5) ** 2)
+    sho_err = max(abs(uncertainty_product(n, fr, sho).product
+                      - (n + 0.5) ** 2)
                   for n in (0, 1, 2))
     # grid-quadrature oracle against the two closed-form candidates
     s = replace(driven, qmin=-16.0, qmax=16.0, npoints=8192)
@@ -270,7 +272,7 @@ def test_criterion_09_uncertainty(driven, sho, driven_beta, sho_beta,
         alt_gap = min(alt_gap, abs(oracle - base * cmp.alternative_factor)
                       / (base * cmp.alternative_factor))
         adopted_gap = max(adopted_gap,
-                          abs(uncertainty_product(n, frd, s)
+                          abs(uncertainty_product(n, frd, s).product
                               - base * cmp.generic_factor)
                           / (base * cmp.generic_factor))
     ok = (time_dev < 1e-9 and sho_err < 1e-10 and oracle_gap < 1e-6

@@ -91,6 +91,33 @@ def test_verify_footer_omega_drift_is_the_printed_one(tmp_path, capsys):
     assert line.split()[2] == f"{value:.5e}"
 
 
+def test_verify_driven_matches_the_golden_csv(tmp_path, capsys):
+    # tests/data/verify_driven.csv was written with the bench's verify
+    # arguments and 64 samples: a rework of the ODE or invariant path must
+    # keep every column and footer value within 1e-14 of it, relative to
+    # 1 + |value|
+    rc = main(["verify", "--scenario", DRIVEN, "--out", str(tmp_path),
+               "--rtol", "1e-12", "--atol", "1e-14", "--tol", "1e-8",
+               "--samples", "64"])
+    assert rc == 0, capsys.readouterr().out
+    golden = DATA_DIR / "verify_driven.csv"
+    lines = [(tmp_path / "verify_report.csv").read_text().splitlines(),
+             golden.read_text().splitlines()]
+    header = "t,re_I,im_I,IQ,Omega,C,ermakov_residual"
+    assert lines[0][0] == lines[1][0] == header
+    got, want = (np.array([[float(v) for v in row.split(",")]
+                           for row in rows[1:-1]]) for rows in lines)
+    assert got.shape == want.shape == (64, 7)
+    footers = [dict(item.split("=") for item in rows[-1][2:].split(", "))
+               for rows in lines]
+    assert footers[0].keys() == footers[1].keys() == {
+        "max_drift_I", "max_drift_IQ", "omega_drift"}
+    got = np.append(got, [float(footers[0][k]) for k in footers[1]])
+    want = np.append(want, [float(footers[1][k]) for k in footers[1]])
+    gap = np.max(np.abs(got - want) / (1.0 + np.abs(want)))
+    assert gap <= 1e-14, gap
+
+
 def test_verify_strict_tolerance_fails(tmp_path, capsys):
     # an impossible drift bound must be reported honestly as exit 1
     rc = main(["verify", "--scenario", DRIVEN, "--out", str(tmp_path),

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from bckosc import (InvalidIC, OutOfDomain, ParseError, Scenario,
-                    TimeFunction, ValidationError, eval_G, parse_scenario,
+                    TimeFunction, ValidationError, parse_scenario,
                     serialize_scenario, twice_integral)
 from bckosc import tridiag
 from bckosc.core import KIND_POLY
@@ -274,13 +274,6 @@ def test_default_beta_ics_require_underdamping():
 def test_explicit_beta_ics_pass_through():
     s = _minimal(beta0=(1.0 + 2.0j, 0.5))
     assert s.resolved_beta0() == (1.0 + 2.0j, 0.5 + 0.0j)
-
-
-def test_eval_G_checks_window():
-    s = _minimal(damping=TimeFunction.constant(0.1))
-    assert_allclose(eval_G(s, 5.0), 1.0, rtol=1e-15)
-    with pytest.raises(OutOfDomain):
-        eval_G(s, 10.5)
 
 
 # ---------- document parsing ----------

@@ -93,3 +93,30 @@ def unused_imports(path):
 def test_no_unused_imports(path):
     # the package __init__ is exempt: its imports are re-exports
     assert unused_imports(path) == []
+
+
+# ---------- the oracles' independence ----------
+
+# what tests/oracles.py may take from bckosc: data types, constants and
+# errors, never an operation of the paths its references are compared with
+ORACLE_ALLOWED = {
+    "bckosc": {"InvariantFrame", "Scenario", "TimeFunction"},
+    "bckosc.core": {"KIND_EXP", "KIND_POLY", "KIND_PPOLY", "KIND_SIN"},
+    "bckosc.quantum": {"MAX_DEGREE"},
+}
+
+
+def test_oracles_import_only_types_constants_and_errors():
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    taken = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            taken += [(a.name, None) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            taken += [(node.module, a.name) for a in node.names]
+    from_bckosc = [(module, name) for module, name in taken
+                   if module.split(".")[0] == "bckosc"]
+    assert from_bckosc
+    for module, name in from_bckosc:
+        assert (module == "bckosc.errors"
+                or name in ORACLE_ALLOWED.get(module, ())), (module, name)

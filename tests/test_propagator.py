@@ -17,7 +17,7 @@ from bckosc import (GridTooNarrow, OutOfDomain, Scenario, SolverBreakdown,
                     crank_nicolson_step, eval_psin, frame_from_beta, inner,
                     integrate_beta, propagate_and_compare)
 from bckosc import propagator
-from bckosc.propagator import BLOCK, REDUCED, _factor
+from bckosc.propagator import BLOCK, REDUCED, _factor, _Plan
 from bckosc.quantum import WaveFunction
 
 
@@ -275,7 +275,7 @@ def test_block_factors_hold_three_values_per_point(driven):
             for part in item:
                 walk(part)
 
-    walk(_factor(driven, ts, 0.01))
+    walk(_factor(driven, ts, 0.01, _Plan(driven.npoints, BLOCK)))
     per_point = sum(owners.values()) / (16 * BLOCK * driven.npoints)
     assert per_point <= 3.0, per_point
 

@@ -1,5 +1,6 @@
-"""Eigenfunctions, ladder algebra, spectra, expectations and the
-constant-parameter closed forms."""
+"""Eigenfunctions, ladder algebra, spectra and expectations, and the
+oracles of tests/oracles.py: the textbook Hermite polynomial, the
+Schrodinger residual and the constant-parameter closed forms."""
 
 import math
 from dataclasses import replace
@@ -8,15 +9,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bckosc import (DegreeTooLarge, GridTooNarrow, NotUnderdamped,
-                    OmegaNotPositive, Scenario, TimeFunction,
-                    UnsupportedForceShape, ValidationError, apply_IQ,
+from bckosc import (DegreeTooLarge, GridTooNarrow, OmegaNotPositive,
+                    Scenario, TimeFunction, ValidationError, apply_IQ,
                     apply_ladder, build_spectrum, eval_psin, expectation_qp,
-                    frame_from_beta, hermite, inner, schrodinger_residual,
-                    uncertainty_product,
-                    underdamped_closed_forms, underdamped_params,
-                    underdamped_uncertainty_factors, write_spectrum_csv)
+                    frame_from_beta, inner, uncertainty_product,
+                    write_spectrum_csv)
 from bckosc.quantum import MAX_DEGREE, WaveFunction, check_grid, l2_norm
+
+from oracles import (InsufficientSlices, NotUnderdamped,
+                     UnsupportedForceShape, hermite, schrodinger_residual,
+                     underdamped_closed_forms, underdamped_params,
+                     underdamped_uncertainty_factors)
 
 PI_QUARTER = math.pi ** -0.25          # 0.7511255444649425
 OMEGA_BAR = math.sqrt(0.99)
@@ -242,7 +245,6 @@ def test_conjugated_states_do_not_solve_it(driven, driven_beta):
 
 
 def test_residual_needs_three_uniform_slices(driven, driven_beta):
-    from bckosc import InsufficientSlices
     series = _state_series(driven, driven_beta, 0, 1.0, 1e-3, 5)
     with pytest.raises(InsufficientSlices):
         schrodinger_residual(series[:2], driven)
@@ -284,24 +286,22 @@ def test_expectations_match_quadrature(driven, driven_beta):
 def test_sho_uncertainty_is_exact(sho, sho_beta):
     fr = frame_from_beta(sho, sho_beta, 1.3)
     for n in (0, 1, 3):
-        prod = uncertainty_product(n, fr, sho)
+        prod = uncertainty_product(n, fr, sho).product
         assert_allclose(prod, (n + 0.5) ** 2, rtol=0, atol=1e-10)
 
 
 def test_uncertainty_report_parts(driven, driven_beta):
     fr = frame_from_beta(driven, driven_beta, 1.0)
-    rep = uncertainty_product(1, fr, driven, full=True)
-    assert_allclose(rep.var_q * rep.var_p, rep.product, rtol=1e-12)
+    rep = uncertainty_product(1, fr, driven)
+    assert rep.product == rep.var_q * rep.var_p
     assert rep.var_q > 0 and rep.var_p > 0
-    assert_allclose(rep.product, uncertainty_product(1, fr, driven),
-                    rtol=0, atol=0)
 
 
 def test_uncertainty_product_time_independent(driven, driven_beta):
     vals = []
     for t in (0.0, 1.0, 2.5, 4.0, 6.0):
         fr = frame_from_beta(driven, driven_beta, t)
-        vals.append(uncertainty_product(0, fr, driven))
+        vals.append(uncertainty_product(0, fr, driven).product)
     vals = np.asarray(vals)
     assert np.max(np.abs(vals - vals[0])) / vals[0] < 1e-9
 
@@ -319,7 +319,7 @@ def test_variances_match_quadrature(driven, driven_beta):
     pv = -1j * s.hbar * diff4(psi.values, dq)
     ep = np.trapezoid((np.conjugate(psi.values) * pv).real, dx=dq) / nrm
     vp = np.trapezoid(np.abs(pv) ** 2, dx=dq) / nrm - ep ** 2
-    rep = uncertainty_product(1, fr, s, full=True)
+    rep = uncertainty_product(1, fr, s)
     assert_allclose(rep.var_q, vq, rtol=1e-8)
     assert_allclose(rep.var_p, vp, rtol=1e-7)
 
