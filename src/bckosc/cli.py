@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import TimeFunction, parse_scenario_file
+from .core import TimeFunction, parse_scenario_file, tf_document
 from .errors import BckoscError, OmegaNotPositive, ValidationError
 from .invariants import (compute_omega, envelope_ics, frame_from_beta,
                          verification_series, write_verification_report)
@@ -144,15 +144,12 @@ def _sweep_scenario(s, param, value):
         return replace(s, damping=TimeFunction.constant(value))
     if param == "omega":
         return replace(s, omega=TimeFunction.constant(value))
-    if s.force.label != "sinusoid":
+    name, keys = tf_document(s.force)
+    if name != "sinusoid":
         raise ValidationError(
             f"sweep parameter {param!r} needs a sinusoidal force")
-    amp, freq, ph = s.force.meta
-    if param == "F0":
-        amp = value
-    else:
-        freq = value
-    return replace(s, force=TimeFunction.sinusoid(amp, freq, ph))
+    keys["amplitude" if param == "F0" else "frequency"] = value
+    return replace(s, force=TimeFunction.sinusoid(**keys))
 
 
 def cmd_sweep(s, args, outdir):
@@ -206,7 +203,9 @@ def _build_parser():
                     "damped driven time-dependent harmonic oscillator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, fn, help, samples=True, tol=True):
+        # --samples and --tol only where the command reads them
+        p = sub.add_parser(name, help=help)
         p.add_argument("--scenario", required=True,
                        help="scenario config file")
         p.add_argument("--out", default=".", help="output directory")
@@ -214,44 +213,39 @@ def _build_parser():
                        help="override integrator relative tolerance")
         p.add_argument("--atol", type=float, default=None,
                        help="override integrator absolute tolerance")
-        p.add_argument("--samples", type=int, default=512,
-                       help="report sample count")
-        p.add_argument("--tol", type=float, default=1e-6,
-                       help="pass/fail drift tolerance")
+        if samples:
+            p.add_argument("--samples", type=int, default=512,
+                           help="report sample count")
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-6,
+                           help="pass/fail drift tolerance")
         p.add_argument("--quiet", action="store_true")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("verify", help="invariant drift report")
-    common(p)
-    p.set_defaults(fn=cmd_verify)
+    command("verify", cmd_verify, "invariant drift report")
 
-    p = sub.add_parser("spectrum", help="eigenvalues Omega (n + 1/2)")
-    common(p)
+    p = command("spectrum", cmd_spectrum, "eigenvalues Omega (n + 1/2)")
     p.add_argument("--nmax", type=int, default=10)
-    p.set_defaults(fn=cmd_spectrum)
 
-    p = sub.add_parser("wavefunction", help="eigenfunction CSV at a time")
-    common(p)
+    p = command("wavefunction", cmd_wavefunction,
+                "eigenfunction CSV at a time", samples=False)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--t", type=float, default=None,
                    help="evaluation time (default t0)")
-    p.set_defaults(fn=cmd_wavefunction)
 
-    p = sub.add_parser("propagate",
-                       help="numeric propagation against the analytic state")
-    common(p)
+    p = command("propagate", cmd_propagate,
+                "numeric propagation against the analytic state", tol=False)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--periods", type=float, default=1.0)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--min-overlap", type=float, default=1.0 - 1e-3)
-    p.set_defaults(fn=cmd_propagate)
 
-    p = sub.add_parser("sweep", help="parameter sweep summary rows")
-    common(p)
+    p = command("sweep", cmd_sweep, "parameter sweep summary rows")
     p.add_argument("--param", required=True,
                    choices=("g", "omega", "F0", "alpha"))
     p.add_argument("--range", required=True, help="lo:hi")
     p.add_argument("--steps", type=int, default=5)
-    p.set_defaults(fn=cmd_sweep)
     return parser
 
 

@@ -38,15 +38,17 @@ class TimeFunction:
     ``params`` holds up to six ascending polynomial coefficients (POLY), or
     (amplitude, angular frequency, phase, offset) for SIN, or
     (amplitude, rate, offset) for EXP.  PPOLY stores breakpoints plus
-    per-segment ascending coefficients of degree <= 4.
+    per-segment ascending coefficients of degree <= 4.  A spline built by
+    ``tabulated`` also keeps its ``samples``, the (times, values) it was
+    built from, since a spline does not give back its last value exactly.
+    ``tf_document`` gives a function's type and keys in a scenario document.
     """
 
     kind: int
     params: np.ndarray
     breaks: np.ndarray = field(default_factory=lambda: _EMPTY_BREAKS)
     coefs: np.ndarray = field(default_factory=lambda: _EMPTY_COEFS)
-    label: str = "derived"
-    meta: tuple = ()
+    samples: tuple | None = None
 
     def __post_init__(self):
         p = np.zeros(6)
@@ -60,29 +62,22 @@ class TimeFunction:
     # ---------- constructors ----------
     @classmethod
     def constant(cls, value):
-        return cls(KIND_POLY, [float(value)], label="constant",
-                   meta=(float(value),))
+        return cls(KIND_POLY, [float(value)])
 
     @classmethod
     def linear(cls, a, b):
         """a + b*t."""
-        return cls(KIND_POLY, [float(a), float(b)], label="linear",
-                   meta=(float(a), float(b)))
+        return cls(KIND_POLY, [float(a), float(b)])
 
     @classmethod
     def sinusoid(cls, amplitude, frequency, phase=0.0):
         """amplitude * sin(frequency*t + phase)."""
-        return cls(KIND_SIN, [float(amplitude), float(frequency),
-                              float(phase), 0.0],
-                   label="sinusoid",
-                   meta=(float(amplitude), float(frequency), float(phase)))
+        return cls(KIND_SIN, [float(amplitude), float(frequency), float(phase)])
 
     @classmethod
     def exponential(cls, amplitude, rate):
         """amplitude * exp(rate*t)."""
-        return cls(KIND_EXP, [float(amplitude), float(rate), 0.0],
-                   label="exponential",
-                   meta=(float(amplitude), float(rate)))
+        return cls(KIND_EXP, [float(amplitude), float(rate)])
 
     @classmethod
     def tabulated(cls, times, values):
@@ -102,18 +97,22 @@ class TimeFunction:
         if np.any(np.diff(t) <= 0):
             raise ValidationError("tabulated sample times must increase strictly")
         h = np.diff(t)
-        slope = np.diff(v) / h
-        M = np.zeros_like(t)
-        M[1:-1] = 6.0 * np.diff(slope)
-        tridiag.solve(2.0 * (h[:-1] + h[1:])[None], h[None, 1:-1],
-                      M[None, 1:-1])
         coefs = np.zeros((t.shape[0] - 1, 5))
-        coefs[:, 0] = v[:-1]
-        coefs[:, 1] = slope - h * (2.0 * M[:-1] + M[1:]) / 6.0
-        coefs[:, 2] = 0.5 * M[:-1]
-        coefs[:, 3] = np.diff(M) / (6.0 * h)
-        return cls(KIND_PPOLY, [], breaks=t, coefs=coefs, label="tabulated",
-                   meta=(tuple(t.tolist()), tuple(v.tolist())))
+        # knots a few ulps apart overflow; the check below reports them
+        with np.errstate(over="ignore", invalid="ignore"):
+            slope = np.diff(v) / h
+            M = np.zeros_like(t)
+            M[1:-1] = 6.0 * np.diff(slope)
+            tridiag.solve(2.0 * (h[:-1] + h[1:])[None], h[None, 1:-1],
+                          M[None, 1:-1])
+            coefs[:, 0] = v[:-1]
+            coefs[:, 1] = slope - h * (2.0 * M[:-1] + M[1:]) / 6.0
+            coefs[:, 2] = 0.5 * M[:-1]
+            coefs[:, 3] = np.diff(M) / (6.0 * h)
+        if not np.all(np.isfinite(coefs)):
+            raise ValidationError("tabulated samples too close for a finite spline")
+        return cls(KIND_PPOLY, [], breaks=t, coefs=coefs,
+                   samples=(tuple(t.tolist()), tuple(v.tolist())))
 
     # ---------- evaluation ----------
     @property
@@ -220,8 +219,8 @@ class TimeFunction:
         return TimeFunction(KIND_PPOLY, [], breaks=self.breaks, coefs=coefs)
 
     def __eq__(self, other):
-        """Equal when the encoded functions are; ``label`` and ``meta`` only
-        record how one was built."""
+        """Equal when the encoded functions are; ``samples`` only records
+        what a spline was built from."""
         if not isinstance(other, TimeFunction):
             return NotImplemented
         return (self.kind == other.kind
@@ -319,26 +318,28 @@ class Scenario:
         return np.linspace(self.qmin, self.qmax, self.npoints)
 
 
-# ---------- scenario document parsing ----------
+# ---------- the scenario document ----------
 
-_TF_SECTIONS = ("omega", "damping", "force")
-_KNOWN_KEYS = {
-    "scenario": {"m", "hbar", "t0", "t1"},
-    "omega": {"type", "value", "a", "b", "amplitude", "frequency", "phase",
-              "rate", "file", "samples"},
-    "beta0": {"re", "im", "dre", "dim"},
-    "grid": {"qmin", "qmax", "npoints"},
-    "integrator": {"rtol", "atol", "max_step"},
+# Each section: how many of its leading keys a present section must have,
+# and its keys, in the order serialize_scenario writes them.
+_SECTIONS = {
+    "scenario": (2, ("t0", "t1", "m", "hbar")),
+    "beta0": (4, ("re", "im", "dre", "dim")),
+    "grid": (3, ("qmin", "qmax", "npoints")),
+    "integrator": (0, ("rtol", "atol", "max_step")),
 }
-_KNOWN_KEYS["damping"] = _KNOWN_KEYS["omega"]
-_KNOWN_KEYS["force"] = _KNOWN_KEYS["omega"]
-
-
-def _get_float(sect, key, raw):
-    try:
-        return float(raw)
-    except ValueError as e:
-        raise ParseError(f"[{sect}] {key} = {raw!r} is not a number") from e
+# The sections that hold a time function, and the types they take: kind,
+# how many leading keys are required, and the keys in ``params`` order (an
+# optional key left out reads as 0).  ``tabulated`` takes exactly one of
+# its two keys, a file or inline samples.
+_TF_SECTIONS = ("omega", "damping", "force")
+_TYPES = {
+    "constant": (KIND_POLY, 1, ("value",)),
+    "linear": (KIND_POLY, 2, ("a", "b")),
+    "sinusoid": (KIND_SIN, 2, ("amplitude", "frequency", "phase")),
+    "exponential": (KIND_EXP, 2, ("amplitude", "rate")),
+    "tabulated": (KIND_PPOLY, 0, ("file", "samples")),
+}
 
 
 def _require(cp, sect, key):
@@ -347,51 +348,62 @@ def _require(cp, sect, key):
     return cp.get(sect, key)
 
 
-def _parse_tf(cp, sect, base_dir):
-    kind = _require(cp, sect, "type").strip().lower()
-    getf = lambda key: _get_float(sect, key, _require(cp, sect, key))
-    if kind == "constant":
-        return TimeFunction.constant(getf("value"))
-    if kind == "linear":
-        return TimeFunction.linear(getf("a"), getf("b"))
-    if kind == "sinusoid":
-        phase = 0.0
-        if cp.has_option(sect, "phase"):
-            phase = _get_float(sect, "phase", cp.get(sect, "phase"))
-        return TimeFunction.sinusoid(getf("amplitude"), getf("frequency"), phase)
-    if kind == "exponential":
-        return TimeFunction.exponential(getf("amplitude"), getf("rate"))
-    if kind == "tabulated":
-        has_file = cp.has_option(sect, "file")
-        has_inline = cp.has_option(sect, "samples")
-        if has_file == has_inline:
-            raise ParseError(
-                f"[{sect}] tabulated needs exactly one of 'file' or 'samples'")
-        if has_file:
-            path = cp.get(sect, "file").strip()
-            if base_dir is not None:
-                path = os.path.join(base_dir, path)
+def _check_keys(cp, sect, keys):
+    for key in cp.options(sect):
+        if key not in keys:
+            raise ParseError(f"unknown key '{key}' in [{sect}]")
+
+
+def _read(cp, sect, nreq, keys):
+    """The section's numbers by key; the first ``nreq`` keys must be there."""
+    out = {}
+    for i, key in enumerate(keys):
+        if i < nreq or cp.has_option(sect, key):
+            raw = _require(cp, sect, key)
             try:
-                ts, vs = _read_samples_csv(path)
-            except OSError as e:
-                raise ParseError(f"[{sect}] cannot read '{path}': {e}") from e
-        else:
-            ts, vs = _parse_inline_samples(sect, cp.get(sect, "samples"))
-        return TimeFunction.tabulated(ts, vs)
-    raise ParseError(f"[{sect}] unknown type '{kind}'")
+                # npoints is the one integer in the document
+                out[key] = int(raw) if key == "npoints" else float(raw)
+            except ValueError as e:
+                what = "an integer" if key == "npoints" else "a number"
+                raise ParseError(f"[{sect}] {key} = {raw!r} is not {what}") from e
+    return out
+
+
+def _parse_tf(cp, sect, base_dir):
+    name = _require(cp, sect, "type").strip().lower()
+    if name not in _TYPES:
+        raise ParseError(f"[{sect}] unknown type '{name}'")
+    kind, nreq, keys = _TYPES[name]
+    _check_keys(cp, sect, ("type", *keys))
+    if kind != KIND_PPOLY:
+        values = _read(cp, sect, nreq, keys)
+        return TimeFunction(kind, [values.get(key, 0.0) for key in keys])
+    has_file = cp.has_option(sect, "file")
+    if has_file == cp.has_option(sect, "samples"):
+        raise ParseError(
+            f"[{sect}] tabulated needs exactly one of 'file' or 'samples'")
+    if has_file:
+        path = cp.get(sect, "file").strip()
+        if base_dir is not None:
+            path = os.path.join(base_dir, path)
+        try:
+            ts, vs = _read_samples_csv(path)
+        except OSError as e:
+            raise ParseError(f"[{sect}] cannot read '{path}': {e}") from e
+    else:
+        ts, vs = _parse_inline_samples(sect, cp.get(sect, "samples"))
+    return TimeFunction.tabulated(ts, vs)
 
 
 def _read_samples_csv(path):
     ts, vs = [], []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
+        for i, row in enumerate(filter(None, csv.reader(fh))):
             try:
                 t, v = float(row[0]), float(row[1])
             except (ValueError, IndexError):
-                if not ts:
-                    continue  # tolerate a single header row
+                if i == 0:
+                    continue  # a header row
                 raise ParseError(f"bad sample row {row!r} in {path}")
             ts.append(t)
             vs.append(v)
@@ -424,59 +436,30 @@ def parse_scenario(text, base_dir=None):
         raise ParseError(f"bad scenario document: {e}") from e
 
     for sect in cp.sections():
-        if sect not in _KNOWN_KEYS:
+        if sect in _SECTIONS:
+            _check_keys(cp, sect, _SECTIONS[sect][1])
+        elif sect not in _TF_SECTIONS:
             raise ParseError(f"unknown section [{sect}]")
-        for key in cp.options(sect):
-            if key not in _KNOWN_KEYS[sect]:
-                raise ParseError(f"unknown key '{key}' in [{sect}]")
+    for sect in ("scenario", "omega"):
+        if not cp.has_section(sect):
+            raise ParseError(f"missing [{sect}] section")
 
-    if not cp.has_section("scenario"):
-        raise ParseError("missing [scenario] section")
-    if not cp.has_section("omega"):
-        raise ParseError("missing [omega] section")
-
-    t0 = _get_float("scenario", "t0", _require(cp, "scenario", "t0"))
-    t1 = _get_float("scenario", "t1", _require(cp, "scenario", "t1"))
-    kw = {"t0": t0, "t1": t1}
-    for key in ("m", "hbar"):
-        if cp.has_option("scenario", key):
-            kw[key] = _get_float("scenario", key, cp.get("scenario", key))
-
-    kw["omega"] = _parse_tf(cp, "omega", base_dir)
-    for sect in ("damping", "force"):
+    kw = {}
+    for sect in _TF_SECTIONS:
         if cp.has_section(sect):
             kw[sect] = _parse_tf(cp, sect, base_dir)
-
+    for sect in ("scenario", "grid", "integrator"):
+        if cp.has_section(sect):
+            kw.update(_read(cp, sect, *_SECTIONS[sect]))
     if cp.has_section("beta0"):
-        vals = {k: _get_float("beta0", k, _require(cp, "beta0", k))
-                for k in ("re", "im", "dre", "dim")}
-        kw["beta0"] = (complex(vals["re"], vals["im"]),
-                       complex(vals["dre"], vals["dim"]))
-
-    if cp.has_section("grid"):
-        kw["qmin"] = _get_float("grid", "qmin", _require(cp, "grid", "qmin"))
-        kw["qmax"] = _get_float("grid", "qmax", _require(cp, "grid", "qmax"))
-        npoints = _require(cp, "grid", "npoints")
-        try:
-            kw["npoints"] = int(npoints)
-        except ValueError as e:
-            raise ParseError(f"[grid] npoints = {npoints!r} is not an integer") from e
-
-    if cp.has_section("integrator"):
-        for key in ("rtol", "atol", "max_step"):
-            if cp.has_option("integrator", key):
-                kw[key] = _get_float("integrator", key, cp.get("integrator", key))
-
+        re, im, dre, dim = _read(cp, "beta0", *_SECTIONS["beta0"]).values()
+        kw["beta0"] = (complex(re, im), complex(dre, dim))
     return Scenario(**kw)
 
 
 def parse_scenario_file(path):
     with open(path) as fh:
         return parse_scenario(fh.read(), base_dir=os.path.dirname(os.path.abspath(path)))
-
-
-def _fmt(x):
-    return f"{x:.17g}"
 
 
 def write_rows(fh, *columns):
@@ -488,47 +471,40 @@ def write_rows(fh, *columns):
     fh.writelines(line % row for row in rows)
 
 
-def _serialize_tf(out, sect, f):
+def tf_document(f):
+    """The type that writes ``f`` in a scenario document, and its keys'
+    values: the first type whose keys cover the nonzero ``params``, or
+    ``tabulated`` with the samples of a spline.  Any other function, such
+    as an offset sinusoid or a spline's derivative, raises ValidationError."""
+    if f.samples is not None:
+        pairs = ", ".join(f"{t:.17g}:{v:.17g}" for t, v in zip(*f.samples))
+        return "tabulated", {"samples": pairs}
+    for name, (kind, _, keys) in _TYPES.items():
+        if kind == f.kind != KIND_PPOLY and not np.any(f.params[len(keys):]):
+            return name, dict(zip(keys, f.params.tolist()))
+    raise ValidationError(f"cannot serialize derived time function {f!r}")
+
+
+def _write_section(out, sect, values):
     out.write(f"[{sect}]\n")
-    out.write(f"type = {f.label}\n")
-    if f.label == "constant":
-        out.write(f"value = {_fmt(f.meta[0])}\n")
-    elif f.label == "linear":
-        out.write(f"a = {_fmt(f.meta[0])}\nb = {_fmt(f.meta[1])}\n")
-    elif f.label == "sinusoid":
-        out.write(f"amplitude = {_fmt(f.meta[0])}\n"
-                  f"frequency = {_fmt(f.meta[1])}\n"
-                  f"phase = {_fmt(f.meta[2])}\n")
-    elif f.label == "exponential":
-        out.write(f"amplitude = {_fmt(f.meta[0])}\nrate = {_fmt(f.meta[1])}\n")
-    elif f.label == "tabulated":
-        ts, vs = f.meta
-        pairs = ", ".join(f"{_fmt(t)}:{_fmt(v)}" for t, v in zip(ts, vs))
-        out.write(f"samples = {pairs}\n")
-    else:
-        raise ValidationError(f"cannot serialize derived time function {f!r}")
+    for key, v in values.items():
+        if v is not None:
+            out.write(f"{key} = {v}\n" if isinstance(v, str)
+                      else f"{key} = {v:.17g}\n")
     out.write("\n")
 
 
 def serialize_scenario(s):
     """Render a Scenario back into the document format; round-trips exactly."""
     out = io.StringIO()
-    out.write("[scenario]\n")
-    out.write(f"m = {_fmt(s.m)}\nhbar = {_fmt(s.hbar)}\n")
-    out.write(f"t0 = {_fmt(s.t0)}\nt1 = {_fmt(s.t1)}\n\n")
-    _serialize_tf(out, "omega", s.omega)
-    _serialize_tf(out, "damping", s.damping)
-    _serialize_tf(out, "force", s.force)
-    if s.beta0 is not None:
-        b0, db0 = s.beta0
-        out.write("[beta0]\n")
-        out.write(f"re = {_fmt(b0.real)}\nim = {_fmt(b0.imag)}\n")
-        out.write(f"dre = {_fmt(db0.real)}\ndim = {_fmt(db0.imag)}\n\n")
-    out.write("[grid]\n")
-    out.write(f"qmin = {_fmt(s.qmin)}\nqmax = {_fmt(s.qmax)}\n")
-    out.write(f"npoints = {s.npoints}\n\n")
-    out.write("[integrator]\n")
-    out.write(f"rtol = {_fmt(s.rtol)}\natol = {_fmt(s.atol)}\n")
-    if s.max_step is not None:
-        out.write(f"max_step = {_fmt(s.max_step)}\n")
+    for sect in _TF_SECTIONS:
+        name, values = tf_document(getattr(s, sect))
+        _write_section(out, sect, {"type": name, **values})
+    for sect, (_, keys) in _SECTIONS.items():
+        if sect != "beta0":
+            _write_section(out, sect, {key: getattr(s, key) for key in keys})
+        elif s.beta0 is not None:
+            b0, db0 = s.beta0
+            _write_section(out, sect, dict(zip(
+                keys, (b0.real, b0.imag, db0.real, db0.imag))))
     return out.getvalue()

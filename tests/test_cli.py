@@ -464,9 +464,13 @@ def test_public_names_resolve_once():
 
 
 def test_unknown_flag_raises_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--scenario", SHO, "--frobnicate"])
-    assert exc.value.code == 2
+    # propagate reads no --tol and wavefunction no --samples, so neither
+    # takes them
+    for argv in (["verify", "--frobnicate"], ["propagate", "--tol", "1e-6"],
+                 ["wavefunction", "--samples", "64"]):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--scenario", SHO, *argv[1:]])
+        assert exc.value.code == 2
     capsys.readouterr()
 
 

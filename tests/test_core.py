@@ -2,10 +2,13 @@
 
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -121,6 +124,14 @@ def test_tabulated_rejects_bad_samples():
             TimeFunction.tabulated([0.0, 1.0, bad, 3.0], [1.0, 2.0, 1.0, 0.0])
         with pytest.raises(ValidationError, match="finite"):
             TimeFunction.tabulated([0.0, 1.0, 2.0, 3.0], [1.0, bad, 1.0, 0.0])
+
+
+def test_tabulated_rejects_a_spline_that_is_not_finite():
+    # knots one subnormal apart overflow the slopes: an error, not a NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="finite spline"):
+            TimeFunction.tabulated([0.0, 5e-324, 1.0, 2.0], [0.0, 1e3, 0.0, 1.0])
 
 
 # ---------- derivatives ----------
@@ -345,8 +356,14 @@ def test_parse_defaults_omitted_sections():
     "[scenario]\nt0 = 0\nt1 = 5\n[omega]\ntype = tabulated\n"
     "file = x.csv\nsamples = 0:1\n",                             # both sources
     "not an ini file at all [",
+    "[scenario]\nt0 = 0\nt1 = 5\n[omega]\ntype = constant\nvalue = 1\n"
+    "frequency = 7\nrate = 3\n",                                  # keys of others
+    "[scenario]\nt0 = 0\nt1 = 5\n[omega]\ntype = constant\nvalue = 1\n"
+    "[force]\ntype = sinusoid\namplitude = 1\nfrequency = 2\n"
+    "value = 9\nsamples = 0:1\n",                                # ditto
 ], ids=["no-scenario", "no-omega", "bad-type", "missing-key", "bad-float",
-        "bad-section", "bad-key", "two-sources", "bad-syntax"])
+        "bad-section", "bad-key", "two-sources", "bad-syntax",
+        "stray-constant-keys", "stray-sinusoid-keys"])
 def test_parse_rejects_malformed_documents(doc):
     with pytest.raises(ParseError):
         parse_scenario(doc)
@@ -373,6 +390,18 @@ def test_parse_tabulated_file(tmp_path):
     s = parse_scenario("[scenario]\nt0 = 0\nt1 = 3\n[omega]\ntype = tabulated\n"
                        f"file = {p.name}\n", base_dir=str(tmp_path))
     assert_allclose(s.omega(2.0), 1.2, rtol=1e-15)
+
+
+def test_parse_tabulated_file_takes_one_header_row(tmp_path):
+    p = tmp_path / "om.csv"
+    p.write_text("\n\nt,value\n0,1.0\n1,1.1\n2,1.2\n3,1.3\n")
+    doc = ("[scenario]\nt0 = 0\nt1 = 3\n[omega]\ntype = tabulated\n"
+           f"file = {p.name}\n")
+    assert_allclose(parse_scenario(doc, base_dir=str(tmp_path)).omega(2.0),
+                    1.2, rtol=1e-15)
+    p.write_text("# omega\nt,value\nunit,none\n0,1.0\n1,1.1\n2,1.2\n3,1.3\n")
+    with pytest.raises(ParseError, match="bad sample row"):
+        parse_scenario(doc, base_dir=str(tmp_path))
 
 
 def test_parse_tabulated_file_missing(tmp_path):
@@ -427,6 +456,80 @@ def test_equal_scenarios_hash_equal():
 
 
 def test_serialize_rejects_derived_functions():
-    s = _minimal(omega=TimeFunction.sinusoid(1.0, 0.3).derivative())
-    with pytest.raises(ValidationError):
-        serialize_scenario(s)
+    spline = TimeFunction.tabulated([0.0, 4.0, 8.0, 12.0], [1.0, 1.2, 1.1, 0.9])
+    for omega in (TimeFunction.sinusoid(1.0, 0.3).affine(1.0, 0.5),
+                  TimeFunction.linear(1.0, 0.5).antiderivative(),
+                  spline.derivative()):
+        s = _minimal(omega=omega)
+        with pytest.raises(ValidationError):
+            serialize_scenario(s)
+
+
+def test_serialize_writes_a_derived_function_as_its_type():
+    # a function is written as the first type that holds all of it
+    built = TimeFunction.sinusoid(0.5, 0.9, 0.2).affine(2.0, 0.0)
+    direct = TimeFunction.sinusoid(1.0, 0.9, 0.2)
+    assert (serialize_scenario(_minimal(omega=built))
+            == serialize_scenario(_minimal(omega=direct)))
+    s = _minimal(force=TimeFunction.sinusoid(1.0, 0.3).derivative())
+    assert parse_scenario(serialize_scenario(s)) == s
+    text = serialize_scenario(_minimal(omega=TimeFunction.linear(2.0, 0.0)))
+    assert "type = constant\nvalue = 2\n" in text
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _time_functions(draw, t0, t1):
+    kind = draw(st.sampled_from(
+        ("constant", "linear", "sinusoid", "exponential", "tabulated")))
+    x = _finite(-1e3, 1e3)
+    if kind == "constant":
+        return TimeFunction.constant(draw(x))
+    if kind == "linear":
+        return TimeFunction.linear(draw(x), draw(st.just(0.0) | x))
+    if kind == "sinusoid":
+        args = draw(st.lists(x, min_size=2, max_size=3))
+        return TimeFunction.sinusoid(*args)
+    if kind == "exponential":
+        return TimeFunction.exponential(draw(x), draw(_finite(-1.0, 1.0)))
+    inner = draw(st.lists(_finite(t0, t1).filter(lambda t: t0 < t < t1),
+                          min_size=2, max_size=8, unique=True))
+    times = [t0 - draw(_finite(0.0, 5.0)), *sorted(inner),
+             t1 + draw(_finite(0.0, 5.0))]
+    values = draw(st.lists(x, min_size=len(times), max_size=len(times)))
+    try:
+        return TimeFunction.tabulated(times, values)
+    except ValidationError:  # knots too close for a finite spline
+        reject()
+
+
+@st.composite
+def _scenarios(draw):
+    t0 = draw(_finite(-100.0, 100.0))
+    t1 = t0 + draw(_finite(0.01, 100.0))
+    qmin = draw(_finite(-50.0, 0.0))
+    kw = dict(t0=t0, t1=t1, m=draw(_finite(0.1, 10.0)),
+              hbar=draw(_finite(0.1, 10.0)),
+              qmin=qmin, qmax=qmin + draw(_finite(0.1, 50.0)),
+              npoints=draw(st.integers(16, 4096)),
+              rtol=draw(_finite(1e-14, 1e-3)), atol=draw(_finite(1e-16, 1e-3)),
+              max_step=draw(st.none() | _finite(1e-3, 10.0)))
+    for name in ("omega", "damping", "force"):
+        kw[name] = draw(_time_functions(t0, t1))
+    if draw(st.booleans()):
+        x = _finite(-10.0, 10.0)
+        kw["beta0"] = (complex(draw(_finite(0.1, 10.0)), draw(x)),
+                       complex(draw(x), draw(x)))
+    return Scenario(**kw)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_scenarios())
+def test_serialize_round_trip_property(s):
+    text = serialize_scenario(s)
+    back = parse_scenario(text)
+    assert back == s
+    assert serialize_scenario(back) == text
