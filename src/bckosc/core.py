@@ -13,7 +13,7 @@ import csv
 import io
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -22,42 +22,49 @@ from . import tridiag
 from .errors import InvalidIC, OutOfDomain, ParseError, ValidationError
 
 # TimeFunction kinds
-KIND_POLY = 0     # params: up to 6 ascending polynomial coefficients
-KIND_SIN = 1      # params: A, angular frequency, phase, offset
-KIND_EXP = 2      # params: A, rate, offset
-KIND_PPOLY = 3    # piecewise polynomial: breaks + per-segment ascending coeffs
+KIND_POLY = 0     # params: six ascending coefficients, a row per spline segment
+KIND_SIN = 1      # params: A, angular frequency, phase
+KIND_EXP = 2      # params: A, rate
 
-_EMPTY_BREAKS = np.zeros(0)
-_EMPTY_COEFS = np.zeros((0, 5))
+
+def _horner(c, u):
+    """c[0] + c[1] u + ... + c[5] u^5, from the sixth coefficient down,
+    adding in place: one temporary array per power, not two."""
+    out = c[5]
+    for k in (4, 3, 2, 1, 0):
+        out = out * u
+        out += c[k]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class TimeFunction:
     """One scalar function of time in encoded form.
 
-    ``params`` holds up to six ascending polynomial coefficients (POLY), or
-    (amplitude, angular frequency, phase, offset) for SIN, or
-    (amplitude, rate, offset) for EXP.  PPOLY stores breakpoints plus
-    per-segment ascending coefficients of degree <= 4.  A spline built by
-    ``tabulated`` also keeps its ``samples``, the (times, values) it was
+    ``params`` holds six ascending polynomial coefficients (POLY),
+    (amplitude, angular frequency, phase) for SIN, or (amplitude, rate) for
+    EXP, padded with zeros to six; every entry must be finite.  A spline is
+    a POLY with non-empty ``breaks``: ``params`` has one row per segment
+    [breaks[i], breaks[i+1]], in powers of t - breaks[i].  A spline built
+    by ``tabulated`` also keeps its ``samples``, the (times, values) it was
     built from, since a spline does not give back its last value exactly.
     ``tf_document`` gives a function's type and keys in a scenario document.
     """
 
     kind: int
     params: np.ndarray
-    breaks: np.ndarray = field(default_factory=lambda: _EMPTY_BREAKS)
-    coefs: np.ndarray = field(default_factory=lambda: _EMPTY_COEFS)
+    breaks: np.ndarray = ()
     samples: tuple | None = None
 
     def __post_init__(self):
-        p = np.zeros(6)
         raw = np.asarray(self.params, dtype=float)
-        p[:raw.shape[0]] = raw
+        p = np.zeros(raw.shape[:-1] + (6,))
+        p[..., :raw.shape[-1]] = raw
+        if not np.isfinite(p).all():
+            raise ValidationError(
+                f"time function parameters must be finite, got {raw.tolist()}")
         object.__setattr__(self, "params", p)
         object.__setattr__(self, "breaks", np.asarray(self.breaks, dtype=float))
-        coefs = np.asarray(self.coefs, dtype=float).reshape(-1, 5)
-        object.__setattr__(self, "coefs", coefs)
 
     # ---------- constructors ----------
     @classmethod
@@ -97,7 +104,7 @@ class TimeFunction:
         if np.any(np.diff(t) <= 0):
             raise ValidationError("tabulated sample times must increase strictly")
         h = np.diff(t)
-        coefs = np.zeros((t.shape[0] - 1, 5))
+        coefs = np.zeros((t.shape[0] - 1, 4))
         # knots a few ulps apart overflow; the check below reports them
         with np.errstate(over="ignore", invalid="ignore"):
             slope = np.diff(v) / h
@@ -111,13 +118,13 @@ class TimeFunction:
             coefs[:, 3] = np.diff(M) / (6.0 * h)
         if not np.all(np.isfinite(coefs)):
             raise ValidationError("tabulated samples too close for a finite spline")
-        return cls(KIND_PPOLY, [], breaks=t, coefs=coefs,
+        return cls(KIND_POLY, coefs, breaks=t,
                    samples=(tuple(t.tolist()), tuple(v.tolist())))
 
     # ---------- evaluation ----------
     @property
     def domain(self):
-        if self.kind == KIND_PPOLY:
+        if self.breaks.size:
             return float(self.breaks[0]), float(self.breaks[-1])
         return -math.inf, math.inf
 
@@ -125,98 +132,54 @@ class TimeFunction:
         """Value at t; a float for a scalar t, else an array of t's shape."""
         arr = np.asarray(t, dtype=float)
         p = self.params
-        if self.kind == KIND_POLY:
-            out = p[5]
-            for c in p[4::-1]:
-                out = out * arr + c
-        elif self.kind == KIND_SIN:
-            out = p[0] * np.sin(p[1] * arr + p[2]) + p[3]
+        if self.kind == KIND_SIN:
+            out = p[0] * np.sin(p[1] * arr + p[2])
         elif self.kind == KIND_EXP:
-            out = p[0] * np.exp(p[1] * arr) + p[2]
+            out = p[0] * np.exp(p[1] * arr)
+        elif not self.breaks.size:
+            out = _horner(p, arr)
         else:
             lo, hi = self.domain
             if np.any(arr < lo) or np.any(arr > hi):
                 raise OutOfDomain(
                     f"time {t} outside tabulated range [{lo}, {hi}]")
             seg = np.clip(np.searchsorted(self.breaks, arr, side="right") - 1,
-                          0, self.coefs.shape[0] - 1)
-            u = arr - self.breaks[seg]
-            c = self.coefs[seg]
-            out = c[..., 4]
-            for k in (3, 2, 1, 0):
-                out = out * u + c[..., k]
+                          0, p.shape[0] - 1)
+            out = _horner(p.T[:, seg], arr - self.breaks[seg])
         return float(out) if arr.ndim == 0 else out
 
     # ---------- calculus ----------
     def derivative(self):
-        if self.kind == KIND_POLY:
-            p = [k * self.params[k] for k in range(1, 6)]
-            return TimeFunction(KIND_POLY, p)
+        p = self.params
         if self.kind == KIND_SIN:
-            a, w, ph, _ = self.params[:4]
-            return TimeFunction(KIND_SIN, [a * w, w, ph + 0.5 * math.pi, 0.0])
+            return TimeFunction(KIND_SIN, [p[0] * p[1], p[1], p[2] + 0.5 * math.pi])
         if self.kind == KIND_EXP:
-            a, k, _ = self.params[:3]
-            return TimeFunction(KIND_EXP, [a * k, k, 0.0])
-        coefs = np.zeros_like(self.coefs)
-        for j in range(4):
-            coefs[:, j] = (j + 1) * self.coefs[:, j + 1]
-        return TimeFunction(KIND_PPOLY, [], breaks=self.breaks, coefs=coefs)
+            return TimeFunction(KIND_EXP, [p[0] * p[1], p[1]])
+        return TimeFunction(KIND_POLY, p[..., 1:] * np.arange(1, 6),
+                            breaks=self.breaks)
 
     def antiderivative(self):
-        """Some antiderivative; only the variants produced by the public
-        constructors are supported (offsets are rejected)."""
-        if self.kind == KIND_POLY:
-            if self.params[5] != 0.0:
-                raise ValidationError("polynomial degree too high to integrate")
-            p = [0.0] + [self.params[k] / (k + 1) for k in range(5)]
-            return TimeFunction(KIND_POLY, p)
+        """Some antiderivative; a polynomial's sixth coefficient must be 0."""
+        p = self.params
         if self.kind == KIND_SIN:
-            a, w, ph, off = self.params[:4]
-            if off != 0.0:
-                raise ValidationError("cannot integrate offset sinusoid")
+            a, w, ph = p[:3]
             if w == 0.0:
                 return TimeFunction(KIND_POLY, [0.0, a * math.sin(ph)])
-            return TimeFunction(KIND_SIN, [a / w, w, ph - 0.5 * math.pi, 0.0])
+            return TimeFunction(KIND_SIN, [a / w, w, ph - 0.5 * math.pi])
         if self.kind == KIND_EXP:
-            a, k, off = self.params[:3]
-            if off != 0.0:
-                raise ValidationError("cannot integrate offset exponential")
+            a, k = p[:2]
             if k == 0.0:
                 return TimeFunction(KIND_POLY, [0.0, a])
-            return TimeFunction(KIND_EXP, [a / k, k, 0.0])
-        nseg = self.coefs.shape[0]
-        coefs = np.zeros((nseg, 5))
-        if np.any(self.coefs[:, 4] != 0.0):
-            raise ValidationError("piecewise degree too high to integrate")
-        for j in range(4):
-            coefs[:, j + 1] = self.coefs[:, j] / (j + 1)
-        # accumulate constants so segments join continuously
-        run = 0.0
-        for s in range(nseg):
-            coefs[s, 0] = run
-            h = self.breaks[s + 1] - self.breaks[s]
-            v = 0.0
-            for j in range(4, -1, -1):
-                v = v * h + coefs[s, j]
-            run = v
-        return TimeFunction(KIND_PPOLY, [], breaks=self.breaks, coefs=coefs)
-
-    def affine(self, scale, shift):
-        """scale * f(t) + shift as a new TimeFunction."""
-        if self.kind == KIND_POLY:
-            p = self.params * scale
-            p[0] += shift
-            return TimeFunction(KIND_POLY, p)
-        if self.kind == KIND_SIN:
-            a, w, ph, off = self.params[:4]
-            return TimeFunction(KIND_SIN, [a * scale, w, ph, off * scale + shift])
-        if self.kind == KIND_EXP:
-            a, k, off = self.params[:3]
-            return TimeFunction(KIND_EXP, [a * scale, k, off * scale + shift])
-        coefs = self.coefs * scale
-        coefs[:, 0] += shift
-        return TimeFunction(KIND_PPOLY, [], breaks=self.breaks, coefs=coefs)
+            return TimeFunction(KIND_EXP, [a / k, k])
+        if np.any(p[..., 5] != 0.0):
+            raise ValidationError("polynomial degree too high to integrate")
+        anti = np.zeros_like(p)
+        anti[..., 1:] = p[..., :5] / np.arange(1, 6)
+        if self.breaks.size:
+            # each segment starts at the value the one before it ends with
+            ends = _horner(anti.T, np.diff(self.breaks))
+            anti[1:, 0] = np.cumsum(ends)[:-1]
+        return TimeFunction(KIND_POLY, anti, breaks=self.breaks)
 
     def __eq__(self, other):
         """Equal when the encoded functions are; ``samples`` only records
@@ -225,17 +188,18 @@ class TimeFunction:
             return NotImplemented
         return (self.kind == other.kind
                 and np.array_equal(self.params, other.params)
-                and np.array_equal(self.breaks, other.breaks)
-                and np.array_equal(self.coefs, other.coefs))
+                and np.array_equal(self.breaks, other.breaks))
 
     def __hash__(self):
-        return hash((self.kind, *self.params.tolist()))
+        return hash((self.kind, *self.params.ravel().tolist()))
 
 
 def twice_integral(damping, t0):
-    """G(t) = 2 * (A(t) - A(t0)) for A an antiderivative of the damping."""
+    """G(t) = 2 (A(t) - A(t0)) for A an antiderivative of the damping, as a
+    plain function of t (a float for a scalar t, else an array)."""
     anti = damping.antiderivative()
-    return anti.affine(2.0, -2.0 * anti(t0))
+    a0 = anti(t0)
+    return lambda t: 2.0 * (anti(t) - a0)
 
 
 _CONST_ZERO = TimeFunction.constant(0.0)
@@ -261,6 +225,11 @@ class Scenario:
     max_step: float | None = None
 
     def __post_init__(self):
+        for name in ("t0", "t1", "m", "hbar", "qmin", "qmax", "rtol", "atol",
+                     "max_step"):
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise ValidationError(f"{name} must be finite, got {v}")
         if not self.m > 0:
             raise ValidationError(f"m must be positive, got {self.m}")
         if not self.hbar > 0:
@@ -279,6 +248,8 @@ class Scenario:
             b0, db0 = complex(self.beta0[0]), complex(self.beta0[1])
             if b0 == 0 and db0 == 0:
                 raise ValidationError("beta ICs must not both vanish")
+            if not np.isfinite([b0, db0]).all():
+                raise ValidationError(f"beta ICs must be finite, got {b0}, {db0}")
             object.__setattr__(self, "beta0", (b0, db0))
         for name in ("omega", "damping", "force"):
             f = getattr(self, name)
@@ -297,7 +268,8 @@ class Scenario:
 
     @cached_property
     def G(self):
-        """The damping integral as a TimeFunction (exact per variant)."""
+        """The damping integral G(t) = 2 int_{t0}^t g as a function of t
+        (exact per variant)."""
         return twice_integral(self.damping, self.t0)
 
     def resolved_beta0(self):
@@ -331,14 +303,14 @@ _SECTIONS = {
 # The sections that hold a time function, and the types they take: kind,
 # how many leading keys are required, and the keys in ``params`` order (an
 # optional key left out reads as 0).  ``tabulated`` takes exactly one of
-# its two keys, a file or inline samples.
+# its two keys, a file or inline samples, and builds a spline from them.
 _TF_SECTIONS = ("omega", "damping", "force")
 _TYPES = {
     "constant": (KIND_POLY, 1, ("value",)),
     "linear": (KIND_POLY, 2, ("a", "b")),
     "sinusoid": (KIND_SIN, 2, ("amplitude", "frequency", "phase")),
     "exponential": (KIND_EXP, 2, ("amplitude", "rate")),
-    "tabulated": (KIND_PPOLY, 0, ("file", "samples")),
+    "tabulated": (KIND_POLY, 0, ("file", "samples")),
 }
 
 
@@ -375,7 +347,7 @@ def _parse_tf(cp, sect, base_dir):
         raise ParseError(f"[{sect}] unknown type '{name}'")
     kind, nreq, keys = _TYPES[name]
     _check_keys(cp, sect, ("type", *keys))
-    if kind != KIND_PPOLY:
+    if name != "tabulated":
         values = _read(cp, sect, nreq, keys)
         return TimeFunction(kind, [values.get(key, 0.0) for key in keys])
     has_file = cp.has_option(sect, "file")
@@ -405,6 +377,9 @@ def _read_samples_csv(path):
                 if i == 0:
                     continue  # a header row
                 raise ParseError(f"bad sample row {row!r} in {path}")
+            if len(row) != 2:
+                raise ParseError(f"bad sample row {row!r} in {path}: "
+                                 "a row has two fields")
             ts.append(t)
             vs.append(v)
     return ts, vs
@@ -473,14 +448,15 @@ def write_rows(fh, *columns):
 
 def tf_document(f):
     """The type that writes ``f`` in a scenario document, and its keys'
-    values: the first type whose keys cover the nonzero ``params``, or
-    ``tabulated`` with the samples of a spline.  Any other function, such
-    as an offset sinusoid or a spline's derivative, raises ValidationError."""
+    values: the first type whose keys cover the nonzero ``params`` of a
+    function without breaks, or ``tabulated`` with the samples of a spline.
+    Any other function, such as a quadratic or a spline's derivative, raises
+    ValidationError."""
     if f.samples is not None:
         pairs = ", ".join(f"{t:.17g}:{v:.17g}" for t, v in zip(*f.samples))
         return "tabulated", {"samples": pairs}
     for name, (kind, _, keys) in _TYPES.items():
-        if kind == f.kind != KIND_PPOLY and not np.any(f.params[len(keys):]):
+        if kind == f.kind and not (f.breaks.size or np.any(f.params[len(keys):])):
             return name, dict(zip(keys, f.params.tolist()))
     raise ValidationError(f"cannot serialize derived time function {f!r}")
 

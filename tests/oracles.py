@@ -125,12 +125,11 @@ class UnderdampedParams:
 
 def _constant_value(tf):
     """Value of a time function that is constant, else None."""
-    if tf.kind == KIND_POLY and not np.any(tf.params[1:]):
+    if tf.kind == KIND_POLY and not tf.breaks.size \
+            and not np.any(tf.params[1:]):
         return float(tf.params[0])
-    if tf.kind == KIND_SIN and tf.params[0] == 0.0:
-        return float(tf.params[3])
-    if tf.kind == KIND_EXP and tf.params[0] == 0.0:
-        return float(tf.params[2])
+    if tf.kind in (KIND_SIN, KIND_EXP) and tf.params[0] == 0.0:
+        return 0.0
     return None
 
 
@@ -154,8 +153,7 @@ def underdamped_params(s):
     fv = _constant_value(s.force)
     if fv == 0.0:
         F0, alpha = 0.0, 0.0
-    elif s.force.kind == KIND_SIN and s.force.params[2] == 0.0 \
-            and s.force.params[3] == 0.0:
+    elif s.force.kind == KIND_SIN and s.force.params[2] == 0.0:
         F0 = float(s.force.params[0])
         alpha = float(s.force.params[1])
     else:

@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 
 import bckosc
 from bckosc import _accel
-from bckosc.cli import main
+from bckosc.cli import _sweep_scenario, main
 
 from conftest import SCENARIO_DIR
 
@@ -363,6 +363,42 @@ def test_sweep_bad_range_is_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_sweep_steps_must_be_positive(tmp_path, capsys):
+    rc = main(["sweep", "--scenario", SHO, "--out", str(tmp_path),
+               "--param", "g", "--range", "0:0.1", "--steps", "0"])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_sweep_omega_lands_its_value(tmp_path):
+    rc = main(["sweep", "--scenario", SHO, "--out", str(tmp_path),
+               "--param", "omega", "--range", "1.5:1.5", "--steps", "1",
+               "--quiet"])
+    assert rc == 0
+    row = (tmp_path / "sweep.csv").read_text().splitlines()[1].split(",")
+    assert row[:2] == ["omega", "1.5"] and row[-1] == "ok"
+    # the undamped Omega is 2 m omega hbar
+    assert_allclose(float(row[2]), 3.0, rtol=0, atol=1e-9)
+
+
+def test_sweep_force_params_land_their_value():
+    s = bckosc.parse_scenario_file(DRIVEN)
+    assert _sweep_scenario(s, "alpha", 0.7).force \
+        == bckosc.TimeFunction.sinusoid(0.5, 0.7)
+    assert _sweep_scenario(s, "F0", 0.2).force \
+        == bckosc.TimeFunction.sinusoid(0.2, 0.9)
+
+
+def test_sweep_non_finite_value_fails_its_row(tmp_path):
+    rc = main(["sweep", "--scenario", SHO, "--out", str(tmp_path),
+               "--param", "g", "--range", "0:nan", "--steps", "2",
+               "--quiet"])
+    assert rc == 1
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert len(lines) == 2
+    assert all(l.endswith(",failed:ValidationError") for l in lines)
+
+
 # ---------- error paths ----------
 
 def test_missing_file_is_exit_2(tmp_path, capsys):
@@ -386,6 +422,23 @@ def test_non_finite_tabulated_sample_is_exit_2(tmp_path, capsys):
     rc = main(["verify", "--scenario", str(doc), "--out", str(tmp_path)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, flags", [
+    (("value = 1", "value = nan"), []),
+    (("t1 = 6.2831853071795862", "t1 = inf"), []),
+    (None, ["--rtol", "inf"]),
+], ids=["omega-nan", "t1-inf", "rtol-inf"])
+def test_non_finite_number_is_exit_2(tmp_path, capsys, edit, flags):
+    doc = tmp_path / "sho.cfg"
+    text = (SCENARIO_DIR / "sho.cfg").read_text()
+    doc.write_text(text if edit is None else text.replace(*edit))
+    rc = main(["verify", "--scenario", str(doc), "--out", str(tmp_path),
+               *flags])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "finite" in err
+    assert "Traceback" not in err
 
 
 def test_degenerate_amplitude_is_exit_3(tmp_path, capsys):

@@ -201,29 +201,45 @@ def test_degree_limits_on_integration():
         full.antiderivative()
 
 
-def test_affine_rescaling():
-    f = TimeFunction.sinusoid(0.5, 0.9, 0.2)
-    g = f.affine(3.0, -1.0)
-    assert_allclose(g(TS), 3.0 * f(TS) - 1.0, rtol=0, atol=1e-15)
-
-
 def test_equality_compares_the_encoded_function():
     one = TimeFunction(KIND_POLY, [1.0])
     two = TimeFunction(KIND_POLY, [2.0])
     assert one != two
     assert _minimal(omega=one) != _minimal(omega=two)
     # the same function built two ways compares and hashes equal
-    built = TimeFunction.sinusoid(0.5, 0.9, 0.2).affine(2.0, 0.0)
-    direct = TimeFunction.sinusoid(1.0, 0.9, 0.2)
+    built, direct = TimeFunction.linear(2.0, 0.0), TimeFunction.constant(2.0)
     assert built == direct and hash(built) == hash(direct)
-    spline = TimeFunction.tabulated([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 0.0, 1.0])
-    assert spline != spline.affine(1.0, 1.0)
+    ts = [0.0, 1.0, 2.0, 3.0]
+    spline = TimeFunction.tabulated(ts, [1.0, 2.0, 0.0, 1.0])
+    assert spline == TimeFunction.tabulated(ts, [1.0, 2.0, 0.0, 1.0])
+    assert spline != TimeFunction.tabulated(ts, [2.0, 3.0, 1.0, 2.0])
 
 
 def test_twice_integral_constant_damping():
     G = twice_integral(TimeFunction.constant(0.1), 0.0)
     assert_allclose(G(7.0), 1.4, rtol=1e-15)
     assert G(0.0) == 0.0
+
+
+@pytest.mark.parametrize("damping", [
+    TimeFunction.constant(0.1),
+    TimeFunction.linear(0.05, 0.004),
+    TimeFunction.sinusoid(0.05, 0.7, 0.3),
+    TimeFunction.exponential(0.05, 0.03),
+    TimeFunction.tabulated(np.linspace(0.0, 10.0, 21),
+                           0.1 + 0.02 * np.sin(np.linspace(0.0, 10.0, 21))),
+], ids=["constant", "linear", "sinusoid", "exponential", "tabulated"])
+def test_twice_integral_matches_quadrature_away_from_zero(damping):
+    t0 = 1.3
+    G = twice_integral(damping, t0)
+    assert G(t0) == 0.0
+    ts = np.array([0.4, 2.9, 7.6, 10.0])
+    # the spline's knots split the quadrature where its third derivative jumps
+    knots = list(damping.breaks) or None
+    ref = [2.0 * quad(damping, t0, t, points=knots, epsabs=1e-14,
+                      epsrel=1e-14, limit=200)[0] for t in ts]
+    assert_allclose(G(ts), ref, rtol=0, atol=1e-12)
+    assert_allclose([G(t) for t in ts], ref, rtol=0, atol=1e-12)
 
 
 def test_twice_integral_tabulated_damping():
@@ -233,6 +249,17 @@ def test_twice_integral_tabulated_damping():
     ref, _ = quad(lambda u: 2.0 * damping(u), 0.0, 8.1, limit=200)
     assert_allclose(G(8.1), ref, rtol=0, atol=1e-9)
     assert G(0.0) == 0.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TimeFunction.constant(math.nan),
+    lambda: TimeFunction.linear(1.0, math.inf),
+    lambda: TimeFunction.sinusoid(1.0, -math.inf),
+    lambda: TimeFunction.exponential(1.0, math.nan),
+], ids=["constant", "linear", "sinusoid", "exponential"])
+def test_time_function_rejects_non_finite_params(make):
+    with pytest.raises(ValidationError, match="finite"):
+        make()
 
 
 # ---------- scenario construction ----------
@@ -260,6 +287,18 @@ def test_scenario_defaults():
         "max_step", "beta0"])
 def test_scenario_rejects_invalid_fields(kw):
     with pytest.raises(ValidationError):
+        _minimal(**kw)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(t0=-math.inf), dict(t1=math.inf), dict(m=math.nan),
+    dict(hbar=math.inf), dict(qmin=-math.inf), dict(qmax=math.inf),
+    dict(rtol=math.inf), dict(atol=math.nan), dict(max_step=math.inf),
+    dict(beta0=(1.0, complex(0.0, math.nan))),
+], ids=["t0", "t1", "m", "hbar", "qmin", "qmax", "rtol", "atol", "max_step",
+        "beta0"])
+def test_scenario_rejects_non_finite_fields(kw):
+    with pytest.raises(ValidationError, match="finite"):
         _minimal(**kw)
 
 
@@ -361,9 +400,11 @@ def test_parse_defaults_omitted_sections():
     "[scenario]\nt0 = 0\nt1 = 5\n[omega]\ntype = constant\nvalue = 1\n"
     "[force]\ntype = sinusoid\namplitude = 1\nfrequency = 2\n"
     "value = 9\nsamples = 0:1\n",                                # ditto
+    "[scenario]\nt0 = 0\nt1 = 3\n[omega]\ntype = tabulated\n"
+    "samples = 0:1, 1:1, 2 1, 3:1\n",                           # no colon
 ], ids=["no-scenario", "no-omega", "bad-type", "missing-key", "bad-float",
         "bad-section", "bad-key", "two-sources", "bad-syntax",
-        "stray-constant-keys", "stray-sinusoid-keys"])
+        "stray-constant-keys", "stray-sinusoid-keys", "sample-no-colon"])
 def test_parse_rejects_malformed_documents(doc):
     with pytest.raises(ParseError):
         parse_scenario(doc)
@@ -402,6 +443,18 @@ def test_parse_tabulated_file_takes_one_header_row(tmp_path):
     p.write_text("# omega\nt,value\nunit,none\n0,1.0\n1,1.1\n2,1.2\n3,1.3\n")
     with pytest.raises(ParseError, match="bad sample row"):
         parse_scenario(doc, base_dir=str(tmp_path))
+
+
+def test_parse_tabulated_file_rows_have_two_fields(tmp_path):
+    p = tmp_path / "om.csv"
+    doc = ("[scenario]\nt0 = 0\nt1 = 3\n[omega]\ntype = tabulated\n"
+           f"file = {p.name}\n")
+    for text in ("0,1.0,junk\n1,1.1,junk\n2,1.2,junk\n3,1.3,junk\n",
+                 "0,1.0,junk\n1,1.1\n2,1.2\n3,1.3\n",
+                 "t,value\n0,1.0\n1,1.1\n2,1.2,\n3,1.3\n"):
+        p.write_text(text)
+        with pytest.raises(ParseError, match="bad sample row"):
+            parse_scenario(doc, base_dir=str(tmp_path))
 
 
 def test_parse_tabulated_file_missing(tmp_path):
@@ -457,8 +510,7 @@ def test_equal_scenarios_hash_equal():
 
 def test_serialize_rejects_derived_functions():
     spline = TimeFunction.tabulated([0.0, 4.0, 8.0, 12.0], [1.0, 1.2, 1.1, 0.9])
-    for omega in (TimeFunction.sinusoid(1.0, 0.3).affine(1.0, 0.5),
-                  TimeFunction.linear(1.0, 0.5).antiderivative(),
+    for omega in (TimeFunction.linear(1.0, 0.5).antiderivative(),
                   spline.derivative()):
         s = _minimal(omega=omega)
         with pytest.raises(ValidationError):
@@ -467,8 +519,8 @@ def test_serialize_rejects_derived_functions():
 
 def test_serialize_writes_a_derived_function_as_its_type():
     # a function is written as the first type that holds all of it
-    built = TimeFunction.sinusoid(0.5, 0.9, 0.2).affine(2.0, 0.0)
-    direct = TimeFunction.sinusoid(1.0, 0.9, 0.2)
+    built = TimeFunction.exponential(0.5, 0.2).derivative()
+    direct = TimeFunction.exponential(0.1, 0.2)
     assert (serialize_scenario(_minimal(omega=built))
             == serialize_scenario(_minimal(omega=direct)))
     s = _minimal(force=TimeFunction.sinusoid(1.0, 0.3).derivative())

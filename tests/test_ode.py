@@ -285,6 +285,15 @@ def test_step_size_underflow_names_system_and_time_quietly():
             integrate_beta(s)
 
 
+def test_step_count_guard_names_the_system(monkeypatch):
+    # the first grid of a hundred steps already exceeds a cap of ten
+    monkeypatch.setattr(ode, "MAX_STEPS", 10)
+    s = Scenario(omega=TimeFunction.constant(1.0), t0=0.0, t1=1.0)
+    with pytest.raises(StepSizeUnderflow,
+                       match=r"^amplitude system needs more than 10 steps"):
+        integrate_beta(s)
+
+
 def test_grid_contains_spline_knots():
     # a tabulated omega is only C^2 at its knots, so steps must end there;
     # the solution is checked against scipy's DOP853 through the knots

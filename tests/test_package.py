@@ -101,7 +101,7 @@ def test_no_unused_imports(path):
 # errors, never an operation of the paths its references are compared with
 ORACLE_ALLOWED = {
     "bckosc": {"InvariantFrame", "Scenario", "TimeFunction"},
-    "bckosc.core": {"KIND_EXP", "KIND_POLY", "KIND_PPOLY", "KIND_SIN"},
+    "bckosc.core": {"KIND_EXP", "KIND_POLY", "KIND_SIN"},
     "bckosc.quantum": {"MAX_DEGREE"},
 }
 
