@@ -43,6 +43,25 @@ def _check(args, label, value, tol):
     return ok
 
 
+# what each numeric flag must be, checked before any work
+_FLAG_RULES = {
+    "samples": (lambda v: v >= 2, ">= 2"),
+    "tol": (lambda v: 0 < v < math.inf, "positive and finite"),
+    "min_overlap": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "periods": (lambda v: 0 < v < math.inf, "positive and finite"),
+    "nmax": (lambda v: v >= 0, ">= 0"),
+    "steps": (lambda v: v >= 1, ">= 1"),
+}
+
+
+def _check_flags(args):
+    for name, (ok, what) in _FLAG_RULES.items():
+        v = getattr(args, name, None)
+        if v is not None and not ok(v):
+            flag = name.replace("_", "-")
+            raise ValidationError(f"--{flag} must be {what}, got {v}")
+
+
 def _apply_overrides(s, args):
     kw = {}
     if args.rtol is not None:
@@ -158,10 +177,11 @@ def cmd_sweep(s, args, outdir):
         lo, hi = float(lo_s), float(hi_s)
     except ValueError:
         raise ValidationError(f"bad --range {args.range!r}; expected lo:hi")
-    if args.steps < 1:
-        raise ValidationError("--steps must be >= 1")
-    values = [lo] if (args.steps == 1 or lo == hi) \
-        else list(np.linspace(lo, hi, args.steps))
+    # an infinite end makes np.linspace warn; its non-finite values fail
+    # their rows below
+    with np.errstate(invalid="ignore"):
+        values = [lo] if (args.steps == 1 or lo == hi) \
+            else list(np.linspace(lo, hi, args.steps))
     rows = []
     any_failed = False
     for v in values:
@@ -253,6 +273,7 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         s = parse_scenario_file(args.scenario)
         s = _apply_overrides(s, args)
         outdir = Path(args.out)

@@ -272,6 +272,15 @@ class Scenario:
         (exact per variant)."""
         return twice_integral(self.damping, self.t0)
 
+    def hamiltonian_coefficients(self, t):
+        """(K, V, D) of H = K p^2/2 + V q^2/2 - D q at t: K = e^{-G}/m,
+        V = m omega^2 e^G and D = e^G F; only the Hamiltonian route reads
+        them (see ``ode``)."""
+        G = self.G(t)
+        eG = np.exp(G)
+        return (np.exp(-G) / self.m, eG * self.m * self.omega(t) ** 2,
+                eG * self.force(t))
+
     def resolved_beta0(self):
         """Amplitude ICs: user-specified, or the underdamped default
         beta(t0) = 1, beta'(t0) = -g(t0) + i*sqrt(omega(t0)^2 - g(t0)^2)."""

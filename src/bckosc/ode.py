@@ -1,5 +1,13 @@
 """Integration of the amplitude, classical, envelope and coefficient systems.
 
+They make the two routes the checks compare.  The amplitude route
+(``integrate_beta``, ``integrate_gamma``, ``integrate_sigma``) forms e^G F
+from omega, g and F itself.  The Hamiltonian route (``integrate_classical``,
+``integrate_c_system`` and ``propagator``) reads the (K, V, D) of
+H = K p^2/2 + V q^2/2 - D q from ``Scenario.hamiltonian_coefficients``
+alone.  Along a trajectory dI/dt = beta (D_classical - D_amplitude), so the
+linear invariant's drift sees a wrong D only while the routes code it apart.
+
 Every system here is linear, y' = A(t) y, once a forcing term b(t) is
 carried as one more column of A acting on a constant component 1.  For a
 linear system one explicit Runge-Kutta step is a matrix: the stage
@@ -468,14 +476,11 @@ def integrate_beta(s):
 
 
 def integrate_classical(s, q0, p0):
-    """Integrate Hamilton's equations q' = e^{-G} p/m,
-    p' = e^G (F - m omega^2 q).  The columns are q and p."""
+    """Integrate Hamilton's equations q' = K p, p' = D - V q, with (K, V, D)
+    from ``Scenario.hamiltonian_coefficients``.  The columns are q and p."""
     def coef(t):
-        G = s.G(t)
-        eG = np.exp(G)
-        return _assemble(t, 3, {
-            (0, 1): np.exp(-G) / s.m, (1, 0): -eG * s.m * s.omega(t) ** 2,
-            (1, 2): eG * s.force(t)})
+        K, V, D = s.hamiltonian_coefficients(t)
+        return _assemble(t, 3, {(0, 1): K, (1, 0): -V, (1, 2): D})
 
     return _integrate(s, "classical", coef, [[q0], [p0], [1.0]], 2)
 
@@ -499,12 +504,14 @@ def integrate_gamma(s, gamma0, dgamma0, ddgamma0):
                       3)
 
 
-def integrate_sigma(s, gamma_sol, sigma0=0.0, dsigma0=0.0):
+def integrate_sigma(s, gamma_sol, sigma0, dsigma0):
     """Integrate the driven envelope companion
     sigma'' + 2g sigma' + omega^2 sigma =
-    -(3/2) e^G F gamma' - e^G (F' + 4 g F) gamma,
-    with gamma taken from a dense envelope solution.  The columns are sigma
-    and sigma'."""
+    -(3/2) e^G F gamma' - e^G (F' + 4 g F) gamma
+    from sigma(t0) = sigma0, sigma'(t0) = dsigma0, with gamma taken from a
+    dense envelope solution (``invariants.envelope_ics`` gives the initial
+    values of the -2 Re(beta* F) solution).  The columns are sigma and
+    sigma'."""
     dF = s.force.derivative()
 
     def coef(t):
@@ -528,13 +535,9 @@ def integrate_c_system(s, c0):
         raise ValueError("c0 must have five components")
 
     def coef(t):
-        G = s.G(t)
-        eG = np.exp(G)
-        kin = np.exp(-G) / s.m
-        pot = eG * s.m * s.omega(t) ** 2
-        drive = eG * s.force(t)
+        K, V, D = s.hamiltonian_coefficients(t)
         return _assemble(t, 5, {
-            (0, 1): 2.0 * pot, (1, 0): -kin, (1, 2): pot, (2, 1): -2.0 * kin,
-            (3, 1): -drive, (3, 4): pot, (4, 2): -drive, (4, 3): -kin})
+            (0, 1): 2.0 * V, (1, 0): -K, (1, 2): V, (2, 1): -2.0 * K,
+            (3, 1): -D, (3, 4): V, (4, 2): -D, (4, 3): -K})
 
     return _integrate(s, "coefficient", coef, c0[:, None], 5)

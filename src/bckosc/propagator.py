@@ -1,6 +1,8 @@
 """Independent Crank-Nicolson solver for the scaled-mass Schrodinger
 equation, used as an end-to-end check: analytically constructed
-eigenfunctions propagated numerically must stay on themselves.
+eigenfunctions propagated numerically must stay on themselves.  It ends
+the Hamiltonian route (see ``ode``): H takes its (K, V, D) from
+``Scenario.hamiltonian_coefficients``, the analytic states come from beta.
 
 Second-order spatial stencil (the tridiagonal solve requires it) with
 Dirichlet ends, midpoint-evaluated Hamiltonian for time dependence, and a
@@ -17,8 +19,9 @@ is solved by its inverse.  Its off-diagonal is one number per step, so the
 first level of the elimination keeps one coupling array instead of two.
 
 H(t) does not depend on psi, so steps run in blocks of ``BLOCK`` on one
-``_Plan`` per run: ``build_hamiltonian`` writes (1 + i a H)/2 at a block's
-midpoints into its buffer, one elimination fills its factors, and one
+``_Plan`` per run: ``build_hamiltonian`` writes H's diagonal at a block's
+midpoints into the imaginary part of its buffer, ``_factor`` turns the
+buffer into (1 + i a H)/2, one elimination fills its factors, and one
 ``np.linalg.inv`` inverts the reduced systems.  For a finite H every pivot
 has real part >= 1/2 (the Hermitian part is I/2, and Schur complements
 keep that), so only non-finite values can break the factorisation, and one
@@ -57,41 +60,29 @@ BLOCK = 24
 REDUCED = 8
 
 
-def build_hamiltonian(s, t, a=None, out=None):
+def build_hamiltonian(s, t, out=None):
     """Tridiagonal Hamiltonian on the scenario grid at time t, or at each
     time of an array t.
 
-    Returns (diag, off): the diagonal entries, of shape t.shape +
-    (npoints,), and the off-diagonal, constant along the grid, of shape
-    t.shape (a float for a scalar t).  Kinetic term is the
-    second-difference stencil scaled by e^{-G}; the potential is
-    (1/2) m omega^2 e^G q^2 - e^G F q.  Given a complex ``out`` of the
-    diagonal's shape, writes (1 + i a H)/2 there instead, with no
-    temporary of that shape, and returns (out, its off-diagonal).
+    H = K p^2/2 + V q^2/2 - D q with (K, V, D) from
+    ``Scenario.hamiltonian_coefficients`` and p^2 the second-difference
+    stencil times -hbar^2.  Returns (diag, off): the diagonal entries
+    (V q/2 - D) q - 2 off, of shape t.shape + (npoints,), and the
+    off-diagonal -hbar^2 K / (2 dq^2), constant along the grid, of shape
+    t.shape (a float for a scalar t).  The diagonal is written into
+    ``out`` when it is given, with no temporary of its shape.
     """
     qs = s.grid()
     dq = float(qs[1] - qs[0])
     tc = np.asarray(t, dtype=float)[..., None]
-    G = s.G(tc)
-    eG = np.exp(G)
-    kin = s.hbar ** 2 * np.exp(-G) / (2.0 * s.m)
-    off = -kin / (dq * dq)
-    if out is None:
-        diag = np.empty(np.shape(t) + qs.shape)
-        force = np.empty_like(diag)
-    else:
-        # the real part holds the force term until it is set to 1/2
-        diag, force = out.imag, out.real
-    # 2 kin/dq^2 + (1/2) m omega^2 e^G q^2 - e^G F q, term by term
-    np.multiply(0.5 * s.m * s.omega(tc) ** 2 * eG, qs ** 2, out=diag)
-    np.add(2.0 * kin / (dq * dq), diag, out=diag)
-    np.multiply(eG * s.force(tc), qs, out=force)
-    diag -= force
-    if out is None:
-        return diag, (float(off[0]) if np.ndim(t) == 0 else off[..., 0])
-    diag *= 0.5 * a
-    force[...] = 0.5
-    return out, 0.5j * a * off
+    K, V, D = s.hamiltonian_coefficients(tc)
+    off = -0.5 * s.hbar ** 2 * K / (dq * dq)
+    diag = np.empty(np.shape(t) + qs.shape) if out is None else out
+    np.multiply(0.5 * V, qs, out=diag)
+    diag -= D
+    diag *= qs
+    diag -= 2.0 * off
+    return diag, (float(off[0]) if np.ndim(t) == 0 else off[..., 0])
 
 
 class _Plan:
@@ -125,15 +116,21 @@ class _Plan:
 def _factor(s, ts, dt, plan):
     """Factor (1 + i a H(t))/2, a = dt/(2 hbar), at every time of the 1-d
     array ts into the first rows of ``plan``, down to ``REDUCED`` unknowns
-    whose inverses come from one ``np.linalg.inv``.
+    whose inverses come from one ``np.linalg.inv``.  The buffer's imaginary
+    part takes H's diagonal from ``build_hamiltonian``, scaled by a/2, its
+    real part 1/2, and the coupling is i a off/2.
     Returns (levels, reduced inverses), indexed by time first.  Raises
     SolverBreakdown unless the eliminated buffer, the reduced coupling and
     the inverses are all finite.
     """
     k = ts.shape[0]
-    h, c = build_hamiltonian(s, ts, 0.5 * dt / s.hbar, plan.h[:k])
-    levels, b, c = tridiag.eliminate(h, c, REDUCED, plan.levels,
-                                     plan.scratch)
+    a = 0.5 * dt / s.hbar
+    h = plan.h[:k]
+    diag, off = build_hamiltonian(s, ts, out=h.imag)
+    diag *= 0.5 * a
+    h.real = 0.5
+    levels, b, c = tridiag.eliminate(h, 0.5j * a * off[:, None], REDUCED,
+                                     plan.levels, plan.scratch)
     r = b.shape[1]
     flat = plan.reduced[:k].reshape(k, r * r)
     flat[:, ::r + 1] = b

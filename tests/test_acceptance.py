@@ -121,7 +121,7 @@ def test_criterion_05_coefficient_reduction(driven, ramp, sho, capsys):
     for s in (driven, ramp):
         gamma_ics = envelope_ics(s)[0]
         gamma_sol = integrate_gamma(s, *gamma_ics)
-        sigma_sol = integrate_sigma(s, gamma_sol)
+        sigma_sol = integrate_sigma(s, gamma_sol, 0.0, 0.0)
         c0 = c_ics_from_gamma_sigma(s, gamma_ics, (0.0, 0.0))
         rep = verify_c_reduction(s, integrate_c_system(s, c0), gamma_sol,
                                  sigma_sol)

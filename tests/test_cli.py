@@ -296,6 +296,16 @@ def test_propagate_rejects_a_bad_dt(tmp_path, capsys, dt):
     assert not (tmp_path / "propagation.csv").exists()
 
 
+def test_propagate_negative_omega_is_exit_3(tmp_path, capsys):
+    # beta(t0) = 1, beta'(t0) = -i turns the sho.cfg oscillator's Omega to -2
+    doc = tmp_path / "retrograde.cfg"
+    doc.write_text((SCENARIO_DIR / "sho.cfg").read_text()
+                   + "\n[beta0]\nre = 1\nim = 0\ndre = 0\ndim = -1\n")
+    rc = main(["propagate", "--scenario", str(doc), "--out", str(tmp_path)])
+    assert rc == 3
+    assert "error: effective frequency not positive" in capsys.readouterr().err
+
+
 def test_propagate_grid_clipped_in_mid_run_is_exit_4(tmp_path, capsys):
     # undamped, the packet keeps its width while its center drifts: the
     # grid holds psi_0 at t0 and clips it half a period later
@@ -399,7 +409,47 @@ def test_sweep_non_finite_value_fails_its_row(tmp_path):
     assert all(l.endswith(",failed:ValidationError") for l in lines)
 
 
+def test_sweep_infinite_range_end_warns_nothing(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["sweep", "--scenario", SHO, "--out", str(tmp_path),
+                   "--param", "g", "--range", "0:inf", "--steps", "3",
+                   "--quiet"])
+    assert rc == 1
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert len(lines) == 3
+    assert all(l.endswith(",failed:ValidationError") for l in lines)
+
+
 # ---------- error paths ----------
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--samples", "0"],
+    ["verify", "--samples", "-3"],
+    ["verify", "--samples", "1"],
+    ["verify", "--tol", "inf"],
+    ["verify", "--tol", "nan"],
+    ["verify", "--tol", "0"],
+    ["spectrum", "--nmax", "-1"],
+    ["propagate", "--min-overlap", "nan"],
+    ["propagate", "--min-overlap", "1.5"],
+    ["propagate", "--periods", "0"],
+    ["propagate", "--periods", "inf"],
+    ["sweep", "--param", "g", "--range", "0:1", "--samples", "1"],
+], ids=["samples-0", "samples-negative", "samples-1", "tol-inf", "tol-nan",
+        "tol-0", "nmax-negative", "min-overlap-nan", "min-overlap-above-1",
+        "periods-0", "periods-inf", "sweep-samples-1"])
+def test_bad_numeric_flag_is_exit_2_before_any_work(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([*argv, "--scenario", SHO, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {argv[-2]} must be ")
+    assert "Traceback" not in err
+    assert not out.exists()     # refused before the output directory is made
+
 
 def test_missing_file_is_exit_2(tmp_path, capsys):
     rc = main(["verify", "--scenario", str(tmp_path / "absent.cfg")])

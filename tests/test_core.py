@@ -417,6 +417,12 @@ def test_parse_inline_tabulated_samples():
     assert_allclose(s.omega(1.5), 1.15, rtol=0, atol=1e-9)
 
 
+def test_parse_inline_samples_take_a_trailing_comma():
+    s = parse_scenario("[scenario]\nt0 = 0\nt1 = 3\n[omega]\ntype = tabulated\n"
+                       "samples = 0:1.0, 1:1.1, 2:1.2, 3:1.3,\n")
+    assert s.omega.samples == ((0.0, 1.0, 2.0, 3.0), (1.0, 1.1, 1.2, 1.3))
+
+
 def test_parse_readme_inline_samples_example():
     readme = (SCENARIO_DIR.parent / "README.md").read_text()
     line = re.search(r"`(samples = [^`]*)`", readme).group(1)

@@ -200,7 +200,7 @@ def test_scaling_covariance(driven, driven_beta):
 def _c_pipeline(s, c0_shift=0.0):
     gamma_ics = envelope_ics(s)[0]
     gamma_sol = integrate_gamma(s, *gamma_ics)
-    sigma_sol = integrate_sigma(s, gamma_sol)
+    sigma_sol = integrate_sigma(s, gamma_sol, 0.0, 0.0)
     c0 = c_ics_from_gamma_sigma(s, gamma_ics, (0.0, 0.0))
     c0[2] += c0_shift
     c_sol = integrate_c_system(s, c0)

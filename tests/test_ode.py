@@ -223,7 +223,7 @@ def test_envelope_tracks_amplitude(driven, driven_beta):
 
 def test_companion_tracks_amplitude(driven, driven_beta):
     gamma_sol = integrate_gamma(driven, *envelope_ics(driven)[0])
-    sigma_sol = integrate_sigma(driven, gamma_sol)
+    sigma_sol = integrate_sigma(driven, gamma_sol, 0.0, 0.0)
     ts = np.linspace(driven.t0, driven.t1, 256)
     fr = frame_from_beta(driven, driven_beta, ts)
     ref = -2.0 * (np.conjugate(fr.beta) * fr.F).real

@@ -120,3 +120,36 @@ def test_oracles_import_only_types_constants_and_errors():
     for module, name in from_bckosc:
         assert (module == "bckosc.errors"
                 or name in ORACLE_ALLOWED.get(module, ())), (module, name)
+
+
+# ---------- the two routes ----------
+
+# the functions that read H's coefficients, the Hamiltonian route; the
+# amplitude route (integrate_beta, integrate_gamma, integrate_sigma, the
+# invariants and the wavefunctions) and the oracles code the force apart
+HAMILTONIAN_ROUTE = {"ode.integrate_classical", "ode.integrate_c_system",
+                     "propagator.build_hamiltonian"}
+
+
+def referrers(path, name):
+    """The module's top-level functions, methods (Class.method) and other
+    statements that read ``name``, as a bare name or an attribute."""
+    owners = []
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.ClassDef):
+            owners += [(f"{node.name}.{getattr(n, 'name', '<body>')}", n)
+                       for n in node.body]
+        else:
+            owners.append((getattr(node, "name", "<module>"), node))
+    return {f"{path.stem}.{owner}" for owner, node in owners
+            if any(isinstance(n, ast.Name) and n.id == name
+                   or isinstance(n, ast.Attribute) and n.attr == name
+                   for n in ast.walk(node))}
+
+
+def test_only_the_hamiltonian_route_reads_its_coefficients():
+    paths = [*(ROOT / "src" / "bckosc").glob("*.py"),
+             ROOT / "tests" / "oracles.py"]
+    found = set().union(*(referrers(p, "hamiltonian_coefficients")
+                          for p in paths))
+    assert found == HAMILTONIAN_ROUTE

@@ -186,10 +186,10 @@ def test_non_finite_reduced_coupling_alone_is_a_breakdown(sho, monkeypatch):
     s = replace(sho, npoints=37)
     object.__setattr__(s, "npoints", REDUCED)
 
-    def infinite_coupling(s, t, a=None, out=None):
-        h, c = build_hamiltonian(s, t, a, out)
+    def infinite_coupling(s, t, out=None):
+        h, c = build_hamiltonian(s, t, out)
         assert np.isfinite(h).all()
-        return h, np.full_like(c, complex(0.0, np.inf))
+        return h, np.full_like(c, np.inf)
 
     monkeypatch.setattr(propagator, "build_hamiltonian", infinite_coupling)
     psi = WaveFunction(qs=s.grid(), values=np.ones(REDUCED, dtype=complex),
