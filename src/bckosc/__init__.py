@@ -2,58 +2,66 @@
 time-dependent harmonic oscillator in the scaled-mass (exponentially
 time-dependent mass) formulation."""
 
+import importlib
 import os
 import sys
 
-# numpy's OpenBLAS starts a spinning worker per CPU when it loads, and
-# bckosc's matrix products are too small to use one: load it with one
-# thread, unless the user set a count (OpenBLAS reads these once, at load).
+# numpy is the one module bckosc loads at import.  Its OpenBLAS starts a
+# spinning worker per CPU when it loads, and bckosc's matrix products are
+# too small to use one: load it with one thread, unless the user set a
+# count (OpenBLAS reads these once, at load).
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_VARS):
+if "numpy" in sys.modules or any(v in os.environ for v in _BLAS_VARS):
+    __import__("numpy")
+else:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         __import__("numpy")
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from .core import (Scenario, TimeFunction, parse_scenario,
-                   parse_scenario_file, serialize_scenario, twice_integral)
-from .errors import (BckoscError, DegenerateSolutions, DegreeTooLarge,
-                     GammaVanishes, GridTooNarrow, InvalidIC,
-                     OmegaNotPositive, OutOfDomain, ParseError,
-                     SolverBreakdown, StepSizeUnderflow, ValidationError)
-from .invariants import (CReductionReport, InvariantFrame, OmegaReport,
-                         c_ics_from_gamma_sigma, compute_omega,
-                         ermakov_residual, eval_linear_invariant,
-                         eval_quadratic_invariant, first_integral_C,
-                         frame_from_beta, omega_of_frame, verification_series,
-                         verify_c_reduction, write_verification_report)
-from .ode import (ODESolution, integrate_beta, integrate_c_system,
-                  integrate_classical, integrate_gamma, integrate_sigma)
-from .propagator import (PropagationRun, build_hamiltonian,
-                         crank_nicolson_step, propagate_and_compare)
-from .quantum import (SpectrumEntry, UncertaintyReport, WaveFunction,
-                      apply_IQ, apply_ladder, build_spectrum, eval_psin,
-                      expectation_qp, inner, uncertainty_product,
-                      write_spectrum_csv)
+# Each public name and the submodule that defines it.  A name's module is
+# imported when the name is first read (PEP 562), so a process compiles
+# only the modules it uses: `bckosc verify` never loads propagator or
+# quantum.
+_EXPORTS = {
+    "core": ("Scenario", "TimeFunction", "parse_scenario",
+             "parse_scenario_file", "serialize_scenario", "twice_integral"),
+    "errors": ("BckoscError", "DegenerateSolutions", "DegreeTooLarge",
+               "GammaVanishes", "GridTooNarrow", "InvalidIC",
+               "OmegaNotPositive", "OutOfDomain", "ParseError",
+               "SolverBreakdown", "StepSizeUnderflow", "ValidationError"),
+    "invariants": ("CReductionReport", "InvariantFrame", "OmegaReport",
+                   "c_ics_from_gamma_sigma", "compute_omega",
+                   "ermakov_residual", "eval_linear_invariant",
+                   "eval_quadratic_invariant", "first_integral_C",
+                   "frame_from_beta", "omega_of_frame", "verification_series",
+                   "verify_c_reduction", "write_verification_report"),
+    "ode": ("ODESolution", "integrate_beta", "integrate_c_system",
+            "integrate_classical", "integrate_gamma", "integrate_sigma"),
+    "propagator": ("PropagationRun", "build_hamiltonian",
+                   "crank_nicolson_step", "propagate_and_compare"),
+    "quantum": ("SpectrumEntry", "UncertaintyReport", "WaveFunction",
+                "apply_IQ", "apply_ladder", "build_spectrum", "eval_psin",
+                "expectation_qp", "inner", "uncertainty_product",
+                "write_spectrum_csv"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BckoscError", "CReductionReport", "DegenerateSolutions",
-    "DegreeTooLarge", "GammaVanishes", "GridTooNarrow", "InvalidIC",
-    "InvariantFrame", "ODESolution", "OmegaNotPositive", "OmegaReport",
-    "OutOfDomain", "ParseError", "PropagationRun", "Scenario",
-    "SolverBreakdown", "SpectrumEntry", "StepSizeUnderflow", "TimeFunction",
-    "UncertaintyReport", "ValidationError", "WaveFunction", "apply_IQ",
-    "apply_ladder", "build_hamiltonian", "build_spectrum",
-    "c_ics_from_gamma_sigma", "compute_omega", "crank_nicolson_step",
-    "ermakov_residual", "eval_linear_invariant", "eval_psin",
-    "eval_quadratic_invariant", "expectation_qp", "first_integral_C",
-    "frame_from_beta", "inner", "integrate_beta", "integrate_c_system",
-    "integrate_classical", "integrate_gamma", "integrate_sigma",
-    "omega_of_frame", "parse_scenario", "parse_scenario_file",
-    "propagate_and_compare", "serialize_scenario", "twice_integral",
-    "uncertainty_product", "verification_series", "verify_c_reduction",
-    "write_verification_report",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -8,6 +8,7 @@ printed).
 """
 
 import argparse
+import importlib
 import math
 import sys
 from dataclasses import replace
@@ -21,9 +22,25 @@ from .invariants import (compute_omega, envelope_ics, frame_from_beta,
                          verification_series, write_verification_report)
 from .ode import (integrate_beta, integrate_classical, integrate_gamma,
                   integrate_sigma)
-from .propagator import propagate_and_compare
-from .quantum import (build_spectrum, eval_psin, expectation_qp,
-                      uncertainty_product, write_spectrum_csv)
+
+# What each command other than verify takes from propagator and quantum,
+# which verify never runs.  main binds a command's names into this
+# module's globals just before the command runs, and __getattr__ serves
+# them before that: perfbench/spans.py reads and rebinds them as
+# attributes of this module to trace them, and main leaves a name it finds
+# bound alone.  Once spans.py is gone these can become local imports.
+_DEFERRED = {
+    "spectrum": ("build_spectrum", "write_spectrum_csv"),
+    "wavefunction": ("eval_psin", "expectation_qp", "uncertainty_product"),
+    "propagate": ("propagate_and_compare",),
+    "sweep": ("uncertainty_product",),
+}
+
+
+def __getattr__(name):
+    if not any(name in names for names in _DEFERRED.values()):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(__package__), name)
 
 
 def _say(args, msg):
@@ -51,6 +68,9 @@ _FLAG_RULES = {
     "periods": (lambda v: 0 < v < math.inf, "positive and finite"),
     "nmax": (lambda v: v >= 0, ">= 0"),
     "steps": (lambda v: v >= 1, ">= 1"),
+    "dt": (lambda v: 0 < v < math.inf, "positive and finite"),
+    "n": (lambda v: v >= 0, ">= 0"),
+    "t": (math.isfinite, "finite"),
 }
 
 
@@ -177,11 +197,13 @@ def cmd_sweep(s, args, outdir):
         lo, hi = float(lo_s), float(hi_s)
     except ValueError:
         raise ValidationError(f"bad --range {args.range!r}; expected lo:hi")
-    # an infinite end makes np.linspace warn; its non-finite values fail
-    # their rows below
+    # an infinite end makes np.linspace warn and turns the other end into
+    # nan (0 * inf), so both ends are pinned; non-finite values fail their
+    # rows below
     with np.errstate(invalid="ignore"):
-        values = [lo] if (args.steps == 1 or lo == hi) \
-            else list(np.linspace(lo, hi, args.steps))
+        values = np.linspace(lo, hi, args.steps)
+    values[0], values[-1] = lo, hi
+    values = [lo] if (args.steps == 1 or lo == hi) else list(values)
     rows = []
     any_failed = False
     for v in values:
@@ -274,6 +296,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _check_flags(args)
+        for name in _DEFERRED.get(args.command, ()):
+            if name not in globals():
+                globals()[name] = __getattr__(name)
         s = parse_scenario_file(args.scenario)
         s = _apply_overrides(s, args)
         outdir = Path(args.out)

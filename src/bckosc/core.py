@@ -9,7 +9,6 @@ G(t) = 2 * int_{t0}^t g is exact for the analytic variants.
 """
 
 import configparser
-import csv
 import io
 import math
 import os
@@ -18,7 +17,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import tridiag
 from .errors import InvalidIC, OutOfDomain, ParseError, ValidationError
 
 # TimeFunction kinds
@@ -103,6 +101,8 @@ class TimeFunction:
             raise ValidationError("tabulated samples must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValidationError("tabulated sample times must increase strictly")
+        from . import tridiag  # only splines solve a tridiagonal system
+
         h = np.diff(t)
         coefs = np.zeros((t.shape[0] - 1, 4))
         # knots a few ulps apart overflow; the check below reports them
@@ -377,6 +377,8 @@ def _parse_tf(cp, sect, base_dir):
 
 
 def _read_samples_csv(path):
+    import csv
+
     ts, vs = [], []
     with open(path, newline="") as fh:
         for i, row in enumerate(filter(None, csv.reader(fh))):

@@ -1,6 +1,7 @@
 """Command-line plumbing: every subcommand, every exit code, reproducible
 artifacts."""
 
+import json
 import math
 import os
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import bckosc
+import bckosc.cli
 from bckosc import _accel
 from bckosc.cli import _sweep_scenario, main
 
@@ -22,6 +24,8 @@ DATA_DIR = SCENARIO_DIR.parent / "tests" / "data"
 DRIVEN = str(SCENARIO_DIR / "underdamped_driven.cfg")
 SHO = str(SCENARIO_DIR / "sho.cfg")
 RAMP = str(SCENARIO_DIR / "ramp_omega.cfg")
+TABULATED = ("[scenario]\nt0 = 0\nt1 = 3\n[omega]\ntype = tabulated\n"
+             "samples = 0:1.0, 1:1.1, 2:1.2, 3:1.3\n")
 
 
 # ---------- verify ----------
@@ -406,7 +410,9 @@ def test_sweep_non_finite_value_fails_its_row(tmp_path):
     assert rc == 1
     lines = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
     assert len(lines) == 2
-    assert all(l.endswith(",failed:ValidationError") for l in lines)
+    assert lines[0].startswith("g,0,") and lines[0].endswith(",ok")
+    assert lines[1].startswith("g,nan,")
+    assert lines[1].endswith(",failed:ValidationError")
 
 
 def test_sweep_infinite_range_end_warns_nothing(tmp_path):
@@ -418,7 +424,9 @@ def test_sweep_infinite_range_end_warns_nothing(tmp_path):
     assert rc == 1
     lines = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
     assert len(lines) == 3
-    assert all(l.endswith(",failed:ValidationError") for l in lines)
+    # the finite end keeps its value: 0 * inf would make it nan
+    assert lines[0].startswith("g,0,") and lines[0].endswith(",ok")
+    assert all(l.endswith(",failed:ValidationError") for l in lines[1:])
 
 
 # ---------- error paths ----------
@@ -436,9 +444,18 @@ def test_sweep_infinite_range_end_warns_nothing(tmp_path):
     ["propagate", "--periods", "0"],
     ["propagate", "--periods", "inf"],
     ["sweep", "--param", "g", "--range", "0:1", "--samples", "1"],
+    ["propagate", "--dt", "0"],
+    ["propagate", "--dt", "nan"],
+    ["propagate", "--dt", "inf"],
+    ["propagate", "--n", "-1"],
+    ["wavefunction", "--n", "-1"],
+    ["wavefunction", "--t", "nan"],
+    ["wavefunction", "--t", "inf"],
 ], ids=["samples-0", "samples-negative", "samples-1", "tol-inf", "tol-nan",
         "tol-0", "nmax-negative", "min-overlap-nan", "min-overlap-above-1",
-        "periods-0", "periods-inf", "sweep-samples-1"])
+        "periods-0", "periods-inf", "sweep-samples-1", "dt-0", "dt-nan",
+        "dt-inf", "propagate-n-negative", "wavefunction-n-negative",
+        "t-nan", "t-inf"])
 def test_bad_numeric_flag_is_exit_2_before_any_work(tmp_path, capsys, argv):
     out = tmp_path / "out"
     with warnings.catch_warnings():
@@ -529,9 +546,7 @@ def test_cli_loads_neither_scipy_linalg_nor_numba(tmp_path):
         "print(rc, sorted(m for m in sys.modules\n"
         "                 if m.startswith(tuple(sys.argv[3:]))))\n")
     tabulated = tmp_path / "tabulated.cfg"
-    tabulated.write_text("[scenario]\nt0 = 0\nt1 = 3\n[omega]\n"
-                         "type = tabulated\n"
-                         "samples = 0:1.0, 1:1.1, 2:1.2, 3:1.3\n")
+    tabulated.write_text(TABULATED)
     path = os.pathsep.join(p for p in sys.path if p)
     for cfg, prefixes in ((DRIVEN, ["scipy.linalg", "numba",
                                     "numpy.polynomial"]),
@@ -542,6 +557,69 @@ def test_cli_loads_neither_scipy_linalg_nor_numba(tmp_path):
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "0 []", cfg
+
+
+# the bckosc modules every CLI command loads
+CLI_MODULES = ["bckosc", "bckosc.cli", "bckosc.core", "bckosc.errors",
+               "bckosc.invariants", "bckosc.ode"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], ["bckosc"]),
+    (["verify", "--scenario", DRIVEN], CLI_MODULES),
+    (["verify", "--scenario", "tabulated.cfg"],
+     CLI_MODULES + ["bckosc.tridiag"]),
+    (["spectrum", "--scenario", SHO], CLI_MODULES + ["bckosc.quantum"]),
+], ids=["import", "verify", "verify-tabulated", "spectrum"])
+def test_each_entry_point_loads_only_the_code_it_runs(tmp_path, argv,
+                                                      loaded):
+    # each bckosc module a process imports is compiled from source where
+    # no bytecode is cached: verify needs neither the quantum nor the
+    # Crank-Nicolson modules, and only a spline solves a tridiagonal system
+    code = ("import json, sys, bckosc\n"
+            "if sys.argv[1:]:\n"
+            "    from bckosc.cli import main\n"
+            "    assert main(sys.argv[1:]) == 0\n"
+            "assert 'numpy' in sys.modules\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m.split('.')[0] == 'bckosc')))\n")
+    (tmp_path / "tabulated.cfg").write_text(TABULATED)
+    if argv:
+        argv = [*argv, "--out", str(tmp_path), "--quiet"]
+    path = os.pathsep.join(p for p in sys.path if p)
+    out = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path,
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == loaded
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["propagate", "--dt", "0.01", "--periods", "0.2"],
+     "propagate_and_compare"),
+    (["wavefunction"], "eval_psin"),
+], ids=["propagate", "wavefunction"])
+def test_commands_call_the_function_bound_on_cli(tmp_path, monkeypatch, argv,
+                                                 name):
+    # the benchmark's traced run rebinds these names on bckosc.cli before
+    # main runs, and restores them after: main must call what it finds
+    # bound there, and bind the module's own function where nothing is
+    own = getattr(bckosc, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return own(*args, **kwargs)
+
+    argv = [*argv, "--scenario", SHO, "--out", str(tmp_path), "--quiet"]
+    monkeypatch.setattr(bckosc.cli, name, spy)
+    assert main(argv) == 0
+    assert calls
+    monkeypatch.undo()
+    assert getattr(bckosc.cli, name) is own
+    monkeypatch.delitem(vars(bckosc.cli), name, raising=False)
+    assert main(argv) == 0
+    assert vars(bckosc.cli)[name] is own
 
 
 def test_bench_trace_targets_resolve():
@@ -562,8 +640,11 @@ def test_bench_trace_targets_resolve():
 def test_public_names_resolve_once():
     names = bckosc.__all__
     assert len(set(names)) == len(names)
+    assert set(names) <= set(dir(bckosc))
     for name in names:
-        assert hasattr(bckosc, name), name
+        # the object its defining module holds, not a copy
+        obj = getattr(bckosc, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
 
 
 def test_unknown_flag_raises_usage_error(capsys):
