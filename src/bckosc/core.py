@@ -25,11 +25,19 @@ KIND_SIN = 1      # params: A, angular frequency, phase
 KIND_EXP = 2      # params: A, rate
 
 
-def _horner(c, u):
-    """c[0] + c[1] u + ... + c[5] u^5, from the sixth coefficient down,
-    adding in place: one temporary array per power, not two."""
-    out = c[5]
-    for k in (4, 3, 2, 1, 0):
+def _top(c):
+    """The highest k with c[..., k] not +0.0 in some row, or 0."""
+    kept = ((c != 0.0) | np.signbit(c)).reshape(-1, 6).any(axis=0)
+    return int(np.flatnonzero(kept).max(initial=0))
+
+
+def _horner(c, u, top):
+    """c[0] + c[1] u + ... + c[top] u^top, adding in place: one temporary
+    array per power, not two.  Above ``top`` (see _top) the six-coefficient
+    sum stays +0.0 (+-0.0 + 0.0 is +0.0) and reaches c[top] + 0.0 u, so for
+    finite u this start gives its bits, unless c[5] is -0.0."""
+    out = c[top] + 0.0 * u
+    for k in range(top - 1, -1, -1):
         out = out * u
         out += c[k]
     return out
@@ -63,6 +71,7 @@ class TimeFunction:
                 f"time function parameters must be finite, got {raw.tolist()}")
         object.__setattr__(self, "params", p)
         object.__setattr__(self, "breaks", np.asarray(self.breaks, dtype=float))
+        object.__setattr__(self, "_top", _top(p))
 
     # ---------- constructors ----------
     @classmethod
@@ -137,15 +146,17 @@ class TimeFunction:
         elif self.kind == KIND_EXP:
             out = p[0] * np.exp(p[1] * arr)
         elif not self.breaks.size:
-            out = _horner(p, arr)
+            out = _horner(p, arr, self._top)
         else:
             lo, hi = self.domain
-            if np.any(arr < lo) or np.any(arr > hi):
+            # a nan lies in no interval, so it is refused with the infinities
+            if not np.all((arr >= lo) & (arr <= hi)):
                 raise OutOfDomain(
                     f"time {t} outside tabulated range [{lo}, {hi}]")
             seg = np.clip(np.searchsorted(self.breaks, arr, side="right") - 1,
                           0, p.shape[0] - 1)
-            out = _horner(p.T[:, seg], arr - self.breaks[seg])
+            out = _horner(p.T[:self._top + 1, seg], arr - self.breaks[seg],
+                          self._top)
         return float(out) if arr.ndim == 0 else out
 
     # ---------- calculus ----------
@@ -177,7 +188,7 @@ class TimeFunction:
         anti[..., 1:] = p[..., :5] / np.arange(1, 6)
         if self.breaks.size:
             # each segment starts at the value the one before it ends with
-            ends = _horner(anti.T, np.diff(self.breaks))
+            ends = _horner(anti.T, np.diff(self.breaks), _top(anti))
             anti[1:, 0] = np.cumsum(ends)[:-1]
         return TimeFunction(KIND_POLY, anti, breaks=self.breaks)
 

@@ -18,9 +18,12 @@ y_n as well.  The method is Dormand and Prince's 8(5,3) pair DOP853
 the 8th-order step, the 13th is the derivative at its end, three more give
 the 7th-order continuous extension, which is stored and evaluated in
 DOP853's own nested form (II.6, as in dop853.f).  The engine builds these
-matrices for every step of a grid at once, chains the steps with matrix
-products and applies the remaining matrices to the chained states.
-Complex amplitudes are two real columns of one chain, since A is real.
+matrices for a chunk of steps at once, chains the steps with matrix
+products and applies the remaining matrices to the chained states.  Only
+the amplitude system, whose riders read every stage value, keeps all 16
+stage maps; the others keep one.  Complex amplitudes are two real columns
+of one chain, since A is real.  The extension's rows are stored
+degree-major, (7, steps, columns), and evaluated one row at a time.
 
 The grid is uniform between the knots of any tabulated time function.  Its
 step count comes from the embedded error estimate: each step's error norm
@@ -269,7 +272,7 @@ def _sweep(ts, coef, y0, nout, rtol, atol, rider=None):
     initial values and ``fn(t, Y)``, their derivatives from the stage times
     (16, steps) and stage values (16, steps, d, k), of shape (16, steps, r).
     The state block and the riders fill the columns of ``ys``
-    (steps + 1, d*k + r) and ``qs`` (steps, d*k + r, 7), the latter holding
+    (steps + 1, d*k + r) and ``qs`` (7, steps, d*k + r), the latter holding
     each step's extension rows F0 .. F6 (see _weights); the first ``nout``
     columns are the solution's components, and only they enter the error
     norm, each scaled by atol + rtol * |value|.
@@ -285,7 +288,7 @@ def _sweep(ts, coef, y0, nout, rtol, atol, rider=None):
     dk = d * k
     z0, fn = rider if rider is not None else ((), None)
     ys = np.empty((n + 1, dk + len(z0)))
-    qs = np.empty((n, dk + len(z0), _DEGREE))
+    qs = np.empty((_DEGREE, n, dk + len(z0)))
     errn = np.empty(n)
     ys[0] = np.concatenate((y0.ravel(), z0))
     eye = np.eye(d)
@@ -295,16 +298,22 @@ def _sweep(ts, coef, y0, nout, rtol, atol, rider=None):
         hh = h[:, None, None]
         tst = np.minimum(ts[i0:i1, None] + h[:, None] * _NODES, ts[-1])
         amat = coef(tst)
-        # stage maps S_s (stage value = S_s y_n) and stage derivatives M_s
-        smaps = np.empty((_STAGES, i1 - i0, d, d))
-        mats = np.empty_like(smaps)
-        smaps[0] = eye
+        # stage maps S_s (stage value = S_s y_n) and stage derivatives M_s;
+        # only the riders read every S_s, the chain reads S_12 alone
+        smaps = np.empty((_STAGES if fn else 1, i1 - i0, d, d))
+        mats = np.empty((_STAGES, i1 - i0, d, d))
         for st in range(_STAGES):
+            sm = smaps[st if fn else 0]
             if st:
-                smaps[st] = eye + hh * _combine(_A[st, :st], mats[:st])
-            np.matmul(amat[:, _NODE_OF[st]], smaps[st], out=mats[st])
+                np.multiply(hh, _combine(_A[st, :st], mats[:st]), out=sm)
+                sm += eye
+            else:
+                sm[...] = eye
+            np.matmul(amat[:, _NODE_OF[st]], sm, out=mats[st])
+            if st == _STEP:
+                chain = sm.copy()
+        del amat  # as mats below: freed once read, to keep the peak down
         # chain the step maps R_n = S_12 by a prefix product over the chunk
-        chain = smaps[_STEP].copy()
         off = 1
         while off < i1 - i0:
             chain[off:] = chain[off:] @ chain[:-off]
@@ -313,13 +322,17 @@ def _sweep(ts, coef, y0, nout, rtol, atol, rider=None):
                                    ).reshape(-1, dk)
         yn = ys[i0:i1, :dk].reshape(-1, d, k)
         # the extension's rows, then the two error estimates
-        out = (hh * _combine(_W, mats) @ yn).reshape(-1, i1 - i0, dk)
-        qs[i0:i1, :dk] = np.moveaxis(out[:_DEGREE], 0, -1)
+        out = _combine(_W, mats)
+        out *= hh
+        out = (out @ yn).reshape(-1, i1 - i0, dk)
+        del mats
+        qs[:, i0:i1, :dk] = out[:_DEGREE]
         err = out[_DEGREE:]
         if fn is not None:
-            f = h[:, None] * _combine(_W, fn(tst[:, _NODE_OF].T, smaps @ yn))
+            f = _combine(_W, fn(tst[:, _NODE_OF].T, smaps @ yn))
+            f *= h[:, None]
             ys[i0 + 1:i1 + 1, dk:] = ys[i0, dk:] + np.cumsum(f[0], axis=0)
-            qs[i0:i1, dk:] = np.moveaxis(f[:_DEGREE], 0, -1)
+            qs[:, i0:i1, dk:] = f[:_DEGREE]
             err = np.concatenate([err, f[_DEGREE:]], axis=2)
         ya, yb = ys[i0:i1, :nout], ys[i0 + 1:i1 + 1, :nout]
         scale = atol + rtol * np.maximum(np.abs(ya), np.abs(yb))
@@ -355,9 +368,11 @@ def _bounds(s):
 class ODESolution:
     """Dense solution of one system over the scenario window.
 
-    ``ys`` holds the state at each time of the grid ``ts`` and ``qs`` each
-    step's rows F0 .. F6 of the continuous extension.  Calling the solution
-    evaluates the extension at the step fraction theta; at a grid time the
+    ``ys`` holds the state at each time of the grid ``ts`` and ``qs``
+    (7, steps, columns) each step's rows F0 .. F6 of the continuous
+    extension, degree-major.  Calling the solution evaluates the extension
+    at the step fraction theta, reading one row of every point at a time,
+    so its peak memory is about twice the result's; at a grid time the
     stored state itself is returned.  The columns are the system's
     components in its integrator's order.  ``stats`` counts the work:
     ``naccept`` is the number of steps of the grid kept, ``nreject`` the
@@ -382,19 +397,22 @@ class ODESolution:
 
     def __call__(self, t):
         tq = np.atleast_1d(np.asarray(t, dtype=float))
-        if tq.size and (tq.min() < self.t0 - 1e-12 or tq.max() > self.t1 + 1e-12):
+        # a nan lies in no interval, so it is refused with the infinities
+        if not np.all((tq >= self.t0 - 1e-12) & (tq <= self.t1 + 1e-12)):
             raise OutOfDomain(
                 f"evaluation time outside [{self.t0}, {self.t1}]")
         idx = np.searchsorted(self.ts, tq, side="right") - 1
         idx = np.clip(idx, 0, self.ts.shape[0] - 2)
         th = (tq - self.ts[idx]) / (self.ts[idx + 1] - self.ts[idx])
         th = th[..., None]
-        q = self.qs[idx]
-        # F0 + (1 - th) (F1 + th (F2 + ... (1 - th) (F5 + th F6))), inside out
-        acc = q[..., -1]
-        for j in range(q.shape[-1] - 2, -1, -1):
-            acc = q[..., j] + (th if j % 2 else 1.0 - th) * acc
-        out = self.ys[idx] + th * acc
+        # F0 + (1 - th) (F1 + th (F2 + ... (1 - th) (F5 + th F6))), inside
+        # out, one row of every point at a time
+        out = self.qs[-1][idx]
+        for j in range(self.qs.shape[0] - 2, -1, -1):
+            out *= th if j % 2 else 1.0 - th
+            out += self.qs[j][idx]
+        out *= th
+        out += self.ys[idx]
         at_end = tq == self.ts[-1]
         if np.any(at_end):
             out[at_end] = self.ys[-1]
@@ -443,7 +461,7 @@ def _integrate(s, name, coef, y0, nout, rider=None):
             del ys, qs, errn
             h /= min(_MAX_REFINE, _MARGIN * need / done)
     stats = {"naccept": n, "nreject": nreject, "nfev": nfev}
-    return ODESolution(ts, ys[:, :nout], qs[:, :nout], stats)
+    return ODESolution(ts, ys[:, :nout], qs[..., :nout], stats)
 
 
 def integrate_beta(s):
@@ -463,9 +481,8 @@ def integrate_beta(s):
 
     def riders(t, stages):
         # P' = e^{-G} F_int^2 / beta^2, phi' = Im(beta' conj(beta)) / |beta|^2
-        b = stages[..., 0, 0] + 1j * stages[..., 0, 1]
-        db = stages[..., 1, 0] + 1j * stages[..., 1, 1]
-        Fc = stages[..., 2, 0] + 1j * stages[..., 2, 1]
+        z = stages.view(complex)  # each row's two columns as one number
+        b, db, Fc = z[..., 0, 0], z[..., 1, 0], z[..., 2, 0]
         pv = np.exp(-s.G(t)) * (Fc * Fc) / (b * b)
         dphi = (db * b.conjugate()).imag / (b.real ** 2 + b.imag ** 2)
         return np.stack((pv.real, pv.imag, dphi), axis=-1)

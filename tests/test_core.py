@@ -29,6 +29,10 @@ def test_constant_evaluates():
     f = TimeFunction.constant(2.5)
     assert_allclose(f(TS), np.full_like(TS, 2.5), rtol=0, atol=0)
     assert f(0.3) == 2.5
+    # zero is +0.0 at every time, negative ones included
+    zero = TimeFunction.constant(0.0)
+    assert math.copysign(1.0, zero(-2.0)) == 1.0
+    assert not np.signbit(zero(TS)).any()
 
 
 def test_linear_evaluates():
@@ -106,10 +110,58 @@ def test_tridiag_solve_matches_a_banded_solve():
 def test_tabulated_domain_is_enforced():
     f = TimeFunction.tabulated([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 1.0, 0.0])
     assert f.domain == (0.0, 3.0)
-    with pytest.raises(OutOfDomain):
-        f(3.5)
-    with pytest.raises(OutOfDomain):
-        f(np.array([1.0, -0.1]))
+    # a nan lies in no interval: it is refused like the infinities
+    for t in (3.5, np.array([1.0, -0.1]), np.nan, np.array([1.0, np.nan]),
+              np.inf, -np.inf):
+        with pytest.raises(OutOfDomain):
+            f(t)
+
+
+def _six_term_horner(c, u):
+    """c[0] + c[1] u + ... + c[5] u^5 from the sixth coefficient down, the
+    form a polynomial of lower degree is evaluated as if padded to."""
+    out = c[5]
+    for k in (4, 3, 2, 1, 0):
+        out = out * u + c[k]
+    return out
+
+
+_COEF = st.floats(-1e3, 1e3)
+_TIMES = st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=20)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.sampled_from([0, 1, 2, 5]).flatmap(
+           lambda deg: st.lists(_COEF, min_size=deg + 1, max_size=deg + 1)),
+       _TIMES)
+def test_polynomial_evaluates_at_its_true_degree(coefs, times):
+    # zeros at the top, leading included, are drawn as often as any value;
+    # a sixth coefficient of -0.0 is the one case _horner leaves apart
+    if len(coefs) == 6 and coefs[5] == 0.0:
+        coefs[5] = 0.0
+    f = TimeFunction(KIND_POLY, coefs)
+    t = np.array(times)
+    ref = _six_term_horner(f.params, t)
+    assert np.array_equal(np.signbit(f(t)), np.signbit(ref))
+    assert np.array_equal(f(t), ref)
+    assert [f(x) for x in times] == [float(r) for r in ref]
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.lists(st.lists(_COEF, min_size=4, max_size=4), min_size=3,
+                max_size=3),
+       st.lists(st.booleans(), min_size=3, max_size=3),
+       st.lists(st.floats(0.0, 3.0), min_size=1, max_size=20))
+def test_spline_evaluates_at_its_true_degree(rows, cubic, times):
+    # splines whose leading coefficients are zero on some segments or on all
+    rows = [r if keep else r[:3] + [0.0] for r, keep in zip(rows, cubic)]
+    f = TimeFunction(KIND_POLY, rows, breaks=[0.0, 1.0, 2.0, 3.0])
+    t = np.array(times)
+    seg = np.clip(np.searchsorted(f.breaks, t, side="right") - 1, 0, 2)
+    ref = _six_term_horner(f.params[seg].T, t - f.breaks[seg])
+    got = f(t)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+    assert np.array_equal(got, ref)
 
 
 def test_tabulated_rejects_bad_samples():

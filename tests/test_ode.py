@@ -3,6 +3,7 @@ augmented amplitude system, quadrature oracles for the ride-along integrals
 and the documented failure modes."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -152,7 +153,7 @@ def test_sweep_converges_at_eighth_order():
 def test_interpolant_ends_at_the_next_state():
     for _, ys, qs in _oscillator_sweeps():
         # at theta = 1 the extension is y_n + F0
-        assert_allclose(ys[:-1] + qs[..., 0], ys[1:], rtol=0, atol=1e-13)
+        assert_allclose(ys[:-1] + qs[0], ys[1:], rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("system", ["amplitude", "trajectory"])
@@ -164,7 +165,7 @@ def test_interpolant_ends_at_the_next_state_on_driven(system):
     sol = (integrate_beta(s) if system == "amplitude"
            else integrate_classical(s, 1.0, 0.0))
     ys, qs = sol.ys, sol.qs
-    miss = np.abs(ys[:-1] + qs[..., 0] - ys[1:]) / (1.0 + np.abs(ys[1:]))
+    miss = np.abs(ys[:-1] + qs[0] - ys[1:]) / (1.0 + np.abs(ys[1:]))
     assert np.max(miss) <= 1e-12
     assert np.array_equal(sol(sol.ts[:-1]), ys[:-1])
 
@@ -248,10 +249,40 @@ def test_c0_shape_is_checked(sho):
 # ---------- solution object behavior ----------
 
 def test_out_of_domain_evaluation(sho_beta):
-    with pytest.raises(OutOfDomain):
-        sho_beta(sho_beta.t1 + 1.0)
-    with pytest.raises(OutOfDomain):
-        sho_beta(np.array([0.0, -5.0]))
+    # a nan lies in no interval: it is refused like the infinities
+    for t in (sho_beta.t1 + 1.0, np.array([0.0, -5.0]), np.nan,
+              np.array([0.0, np.nan]), np.inf, np.array([-np.inf])):
+        with pytest.raises(OutOfDomain):
+            sho_beta(t)
+
+
+def test_dense_output_is_the_nested_extension(driven_beta):
+    # y_n + th (F0 + (1 - th) (F1 + th (F2 + ... (1 - th) (F5 + th F6)))),
+    # written out here from the stored rows, bit for bit
+    sol = driven_beta
+    t = np.random.default_rng(7).uniform(sol.t0, sol.t1, 500)
+    idx = np.searchsorted(sol.ts, t, side="right") - 1
+    th = ((t - sol.ts[idx]) / (sol.ts[idx + 1] - sol.ts[idx]))[:, None]
+    q = sol.qs[:, idx]
+    acc = q[6]
+    for j in (5, 4, 3, 2, 1, 0):
+        acc = q[j] + (th if j % 2 else 1.0 - th) * acc
+    assert np.array_equal(sol(t), sol.ys[idx] + th * acc)
+
+
+def test_dense_output_memory_is_a_small_multiple_of_the_result(driven_beta):
+    # one row of every point at a time: gathering all seven rows at once
+    # peaked at about ten times the result's bytes
+    t = np.random.default_rng(11).uniform(driven_beta.t0, driven_beta.t1,
+                                          20000)
+    driven_beta(t[:10])
+    tracemalloc.start()
+    try:
+        out = driven_beta(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * out.nbytes
 
 
 def test_accepted_steps_cover_window(driven, driven_beta):
