@@ -31,14 +31,13 @@ _EXPORTS = {
                "GammaVanishes", "GridTooNarrow", "InvalidIC",
                "OmegaNotPositive", "OutOfDomain", "ParseError",
                "SolverBreakdown", "StepSizeUnderflow", "ValidationError"),
-    "invariants": ("CReductionReport", "InvariantFrame", "OmegaReport",
-                   "c_ics_from_gamma_sigma", "compute_omega",
+    "invariants": ("InvariantFrame", "OmegaReport", "compute_omega",
                    "ermakov_residual", "eval_linear_invariant",
                    "eval_quadratic_invariant", "first_integral_C",
                    "frame_from_beta", "omega_of_frame", "verification_series",
-                   "verify_c_reduction", "write_verification_report"),
-    "ode": ("ODESolution", "integrate_beta", "integrate_c_system",
-            "integrate_classical", "integrate_gamma", "integrate_sigma"),
+                   "write_verification_report"),
+    "ode": ("ODESolution", "integrate_beta", "integrate_classical",
+            "integrate_gamma", "integrate_sigma"),
     "propagator": ("PropagationRun", "build_hamiltonian",
                    "crank_nicolson_step", "propagate_and_compare"),
     "quantum": ("SpectrumEntry", "UncertaintyReport", "WaveFunction",

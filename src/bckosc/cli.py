@@ -108,6 +108,9 @@ def cmd_verify(s, args, outdir):
     ts, fr = series["ts"], series["frame"]
     gamma_dev = float(np.max(np.abs(gamma_sol(ts)[:, 0] - fr.gamma)))
     sigma_dev = float(np.max(np.abs(sigma_sol(ts)[:, 0] - fr.sigma)))
+    C = series["C"]
+    c_dev = float(np.max(np.abs(C - 2.0 * om.omega ** 2 / (s.m * s.hbar) ** 2))
+                  / (1.0 + np.max(np.abs(C))))
     path = outdir / "verify_report.csv"
     write_verification_report(path, series)
     ok = True
@@ -115,6 +118,7 @@ def cmd_verify(s, args, outdir):
     ok &= _check(args, "IQ drift", series["drift_IQ"], args.tol)
     ok &= _check(args, "omega drift", om.max_rel_drift, args.tol)
     ok &= _check(args, "C drift", series["drift_C"], args.tol)
+    ok &= _check(args, "C vs 2(Omega/m hbar)^2", c_dev, args.tol)
     ok &= _check(args, "ermakov residual", series["max_ermakov"], args.tol)
     ok &= _check(args, "gamma ODE vs 2|beta|^2", gamma_dev, args.tol)
     ok &= _check(args, "sigma ODE vs -2Re(b*F)", sigma_dev, args.tol)

@@ -38,7 +38,7 @@ class DegenerateSolutions(BckoscError):
 
 
 class GammaVanishes(BckoscError):
-    """gamma <= 0 where a positive envelope is required (division by gamma)."""
+    """e^G gamma <= 1e-12 where a positive envelope is required (division by gamma)."""
     exit_code = 3
 
 

@@ -3,11 +3,11 @@ the envelope first integral and its Ermakov-type residual.
 
 This module owns the quantities the paper derives from the amplitude beta:
 the envelope group (``envelope_group``, ``envelope_ics``), the five
-coefficients of I_Q (``iq_coefficients``) and their initial values
-(``c_ics_from_gamma_sigma``), and Omega (``omega_of_frame``).
+coefficients of I_Q (``iq_coefficients``) and Omega (``omega_of_frame``).
 The other modules call these definitions rather than restate them.  The
-constant-parameter closed forms the tests compare them with restate them
-on purpose, outside the package, in ``tests/oracles.py``.
+references the tests compare them with, the constant-parameter closed
+forms and the five coefficient ODEs, restate them on purpose, outside the
+package, in ``tests/oracles.py``.
 
 An InvariantFrame collects everything needed to evaluate the invariants at
 one instant.  Fields may be scalars or equally-shaped arrays; every
@@ -16,7 +16,6 @@ evaluates whole drift series in one call.
 """
 
 from dataclasses import dataclass, fields, replace
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -86,17 +85,6 @@ def envelope_ics(s):
     group = envelope_group(b0, db0, 0j, s.omega(s.t0), s.damping(s.t0), 1.0,
                            s.force(s.t0))
     return group[:3], group[3:5]
-
-
-def c_ics_from_gamma_sigma(s, gamma_ics, sigma_ics):
-    """Coefficient ICs at t0 that reduce the five-ODE system to
-    (gamma, sigma): ``iq_coefficients`` of the envelope ICs."""
-    (gamma, dgamma, ddgamma), (sigma, dsigma) = gamma_ics, sigma_ics
-    # e^{G(t0)} = 1 by the gauge choice
-    return np.array(iq_coefficients(SimpleNamespace(
-        m=s.m, expG=1.0, omega=s.omega(s.t0), damping=s.damping(s.t0),
-        force=s.force(s.t0), gamma=gamma, dgamma=dgamma, ddgamma=ddgamma,
-        sigma=sigma, dsigma=dsigma)))
 
 
 def frame_from_beta(s, beta_sol, t):
@@ -204,6 +192,13 @@ def eval_quadratic_invariant(fr, q, p):
             + c5 * p - fr.F_sigma)
 
 
+def _require_gamma(fr, what):
+    """Raise GammaVanishes where e^G gamma, which keeps its scale as
+    damping shrinks gamma like e^{-G}, is <= 1e-12."""
+    if np.any(fr.expG * fr.gamma <= 1e-12):
+        raise GammaVanishes(f"e^G gamma <= 1e-12: {what} undefined")
+
+
 def first_integral_C(fr):
     """Conserved first integral of the envelope equation:
 
@@ -212,8 +207,7 @@ def first_integral_C(fr):
 
     For the amplitude-derived envelope, C = 2 Omega^2 / (m hbar)^2.
     """
-    if np.any(np.asarray(fr.gamma) <= 1e-12):
-        raise GammaVanishes("gamma <= 0: envelope first integral undefined")
+    _require_gamma(fr, "envelope first integral")
     return fr.expG ** 2 * (fr.gamma * fr.ddgamma
                            + 2.0 * fr.damping * fr.gamma * fr.dgamma
                            + 2.0 * fr.omega ** 2 * fr.gamma ** 2
@@ -223,54 +217,12 @@ def first_integral_C(fr):
 def ermakov_residual(fr, C):
     """Residual of r'' + 2g r' + omega^2 r = e^{-2G} C / (2 r^3) for
     r = sqrt(gamma), with r'' formed from the frame's gamma group."""
-    if np.any(np.asarray(fr.gamma) <= 1e-12):
-        raise GammaVanishes("gamma <= 0: Ermakov residual undefined")
+    _require_gamma(fr, "Ermakov residual")
     r = np.sqrt(fr.gamma)
     dr = 0.5 * fr.dgamma / r
     ddr = (fr.ddgamma - 0.5 * fr.dgamma ** 2 / fr.gamma) / (2.0 * r)
     return (ddr + 2.0 * fr.damping * dr + fr.omega ** 2 * r
             - np.exp(-2.0 * fr.G) * C / (2.0 * r ** 3))
-
-
-@dataclass(frozen=True, eq=False)
-class CReductionReport:
-    """Max deviations of the five coefficient relations on a sample grid.
-
-    Each deviation is scaled by (1 + sup |reference|) for its relation, so
-    coefficients that grow exponentially large are compared in relative
-    terms while order-one coefficients keep their absolute scale.
-    """
-
-    ts: np.ndarray
-    dev_c1: float
-    dev_c2: float
-    dev_c3: float
-    dev_c4: float
-    dev_c5: float
-
-    @property
-    def max_deviation(self):
-        return max(self.dev_c1, self.dev_c2, self.dev_c3,
-                   self.dev_c4, self.dev_c5)
-
-
-def verify_c_reduction(s, c_sol, gamma_sol, sigma_sol, samples=512):
-    """Check the reduction of the five coefficient ODEs onto (gamma, sigma):
-    each c_k against ``iq_coefficients`` of the envelope solutions."""
-    ts = np.linspace(s.t0, s.t1, samples)
-    c = c_sol(ts)
-    ga = gamma_sol(ts)
-    si = sigma_sol(ts)
-    ref = iq_coefficients(SimpleNamespace(
-        m=s.m, expG=np.exp(s.G(ts)), omega=s.omega(ts), damping=s.damping(ts),
-        force=s.force(ts), gamma=ga[:, 0], dgamma=ga[:, 1], ddgamma=ga[:, 2],
-        sigma=si[:, 0], dsigma=si[:, 1]))
-
-    def dev(k):
-        return float(np.max(np.abs(c[:, k] - ref[k]))
-                     / (1.0 + np.max(np.abs(ref[k]))))
-
-    return CReductionReport(ts, *(dev(k) for k in range(5)))
 
 
 def drift(series, reference=None):

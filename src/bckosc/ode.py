@@ -1,12 +1,12 @@
-"""Integration of the amplitude, classical, envelope and coefficient systems.
+"""Integration of the amplitude, classical and envelope systems.
 
 They make the two routes the checks compare.  The amplitude route
 (``integrate_beta``, ``integrate_gamma``, ``integrate_sigma``) forms e^G F
-from omega, g and F itself.  The Hamiltonian route (``integrate_classical``,
-``integrate_c_system`` and ``propagator``) reads the (K, V, D) of
-H = K p^2/2 + V q^2/2 - D q from ``Scenario.hamiltonian_coefficients``
-alone.  Along a trajectory dI/dt = beta (D_classical - D_amplitude), so the
-linear invariant's drift sees a wrong D only while the routes code it apart.
+from omega, g and F itself.  The Hamiltonian route (``integrate_classical``
+and ``propagator``) reads the (K, V, D) of H = K p^2/2 + V q^2/2 - D q from
+``Scenario.hamiltonian_coefficients`` alone.  Along a trajectory
+dI/dt = beta (D_classical - D_amplitude), so the linear invariant's drift
+sees a wrong D only while the routes code it apart.
 
 Every system here is linear, y' = A(t) y, once a forcing term b(t) is
 carried as one more column of A acting on a constant component 1.  For a
@@ -22,7 +22,7 @@ matrices for a chunk of steps at once, chains the steps with matrix
 products and applies the remaining matrices to the chained states.  Only
 the amplitude system, whose riders read every stage value, keeps all 16
 stage maps; the others keep one.  Complex amplitudes are two real columns
-of one chain, since A is real.  The extension's rows are stored
+of one chain, since A (3x3) is real.  The extension's rows are stored
 degree-major, (7, steps, columns), and evaluated one row at a time.
 
 The grid is uniform between the knots of any tabulated time function.  Its
@@ -249,10 +249,10 @@ _MARGIN = 1.2
 _MAX_REFINE = 100.0
 
 
-def _assemble(t, d, entries):
-    """Coefficient matrices A(t) of shape t.shape + (d, d) from
+def _assemble(t, entries):
+    """Coefficient matrices A(t) of shape t.shape + (3, 3) from
     {(row, col): values}; the other entries are zero."""
-    out = np.zeros(t.shape + (d, d))
+    out = np.zeros(t.shape + (3, 3))
     for (i, j), v in entries.items():
         out[..., i, j] = v
     return out
@@ -475,7 +475,7 @@ def integrate_beta(s):
 
     def coef(t):
         # (beta, beta', F_int)
-        return _assemble(t, 3, {
+        return _assemble(t, {
             (0, 1): 1.0, (1, 0): -s.omega(t) ** 2, (1, 1): -2.0 * s.damping(t),
             (2, 0): np.exp(s.G(t)) * s.force(t)})
 
@@ -497,7 +497,7 @@ def integrate_classical(s, q0, p0):
     from ``Scenario.hamiltonian_coefficients``.  The columns are q and p."""
     def coef(t):
         K, V, D = s.hamiltonian_coefficients(t)
-        return _assemble(t, 3, {(0, 1): K, (1, 0): -V, (1, 2): D})
+        return _assemble(t, {(0, 1): K, (1, 0): -V, (1, 2): D})
 
     return _integrate(s, "classical", coef, [[q0], [p0], [1.0]], 2)
 
@@ -511,7 +511,7 @@ def integrate_gamma(s, gamma0, dgamma0, ddgamma0):
 
     def coef(t):
         w, g = s.omega(t), s.damping(t)
-        return _assemble(t, 3, {
+        return _assemble(t, {
             (0, 1): 1.0, (1, 2): 1.0,
             (2, 0): -2.0 * (2.0 * w * wd(t) + 4.0 * w * w * g),
             (2, 1): -2.0 * (gd(t) + 4.0 * g * g + 2.0 * w * w),
@@ -537,24 +537,9 @@ def integrate_sigma(s, gamma_sol, sigma0, dsigma0):
         ga = gamma_sol(t)
         drive = (-1.5 * eG * F * ga[..., 1]
                  - eG * (dF(t) + 4.0 * g * F) * ga[..., 0])
-        return _assemble(t, 3, {
+        return _assemble(t, {
             (0, 1): 1.0, (1, 0): -s.omega(t) ** 2, (1, 1): -2.0 * g,
             (1, 2): drive})
 
     return _integrate(s, "companion", coef, [[sigma0], [dsigma0], [1.0]], 2)
 
-
-def integrate_c_system(s, c0):
-    """Integrate the five first-order coefficient ODEs of the quadratic
-    invariant, the columns c1 .. c5."""
-    c0 = np.asarray(c0, dtype=float)
-    if c0.shape != (5,):
-        raise ValueError("c0 must have five components")
-
-    def coef(t):
-        K, V, D = s.hamiltonian_coefficients(t)
-        return _assemble(t, 5, {
-            (0, 1): 2.0 * V, (1, 0): -K, (1, 2): V, (2, 1): -2.0 * K,
-            (3, 1): -D, (3, 4): V, (4, 2): -D, (4, 3): -K})
-
-    return _integrate(s, "coefficient", coef, c0[:, None], 5)

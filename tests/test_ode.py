@@ -13,12 +13,11 @@ from scipy.integrate import quad, solve_ivp
 
 from bckosc import ode
 from bckosc import (OutOfDomain, Scenario, StepSizeUnderflow, TimeFunction,
-                    c_ics_from_gamma_sigma, integrate_beta, integrate_c_system,
-                    integrate_classical, integrate_gamma, integrate_sigma,
-                    parse_scenario_file)
+                    integrate_beta, integrate_classical, integrate_gamma,
+                    integrate_sigma, parse_scenario_file)
 from bckosc.invariants import envelope_ics, frame_from_beta
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, coefficient_reduction
 
 OMEGA_BAR = math.sqrt(0.99)
 
@@ -132,7 +131,9 @@ def test_tableau_order_conditions():
 def _oscillator_sweeps():
     # y'' = -y on [0, 10], y(0) = 1, y'(0) = 0, over fixed uniform grids
     def coef(t):
-        return ode._assemble(t, 2, {(0, 1): 1.0, (1, 0): -1.0})
+        out = np.zeros(t.shape + (2, 2))
+        out[..., 0, 1], out[..., 1, 0] = 1.0, -1.0
+        return out
 
     for n in (20, 40, 80):
         ts = np.linspace(0.0, 10.0, n + 1)
@@ -233,17 +234,12 @@ def test_companion_tracks_amplitude(driven, driven_beta):
 
 def test_energy_ics_freeze_the_coefficients(sho):
     # gamma = 2, sigma = 0 is a fixed point of the coefficient system when
-    # omega is constant: every c_i must stay put to solver accuracy
-    c0 = c_ics_from_gamma_sigma(sho, (2.0, 0.0, 0.0), (0.0, 0.0))
+    # omega is constant: every c_i of the oracle's solution must stay put to
+    # solver accuracy
+    c0, c_sol, _ = coefficient_reduction(sho)
     assert_allclose(c0, [2.0, 0.0, 2.0, 0.0, 0.0], rtol=0, atol=0)
-    c_sol = integrate_c_system(sho, c0)
     ts = np.linspace(sho.t0, sho.t1, 64)
-    assert_allclose(c_sol(ts), np.tile(c0, (64, 1)), rtol=0, atol=1e-10)
-
-
-def test_c0_shape_is_checked(sho):
-    with pytest.raises(ValueError):
-        integrate_c_system(sho, [1.0, 2.0, 3.0])
+    assert_allclose(c_sol(ts).T, np.tile(c0, (64, 1)), rtol=0, atol=1e-10)
 
 
 # ---------- solution object behavior ----------

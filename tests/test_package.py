@@ -127,8 +127,7 @@ def test_oracles_import_only_types_constants_and_errors():
 # the functions that read H's coefficients, the Hamiltonian route; the
 # amplitude route (integrate_beta, integrate_gamma, integrate_sigma, the
 # invariants and the wavefunctions) and the oracles code the force apart
-HAMILTONIAN_ROUTE = {"ode.integrate_classical", "ode.integrate_c_system",
-                     "propagator.build_hamiltonian"}
+HAMILTONIAN_ROUTE = {"ode.integrate_classical", "propagator.build_hamiltonian"}
 
 
 def referrers(path, name):
