@@ -27,12 +27,16 @@ has real part >= 1/2 (the Hermitian part is I/2, and Schur complements
 keep that), so only non-finite values can break the factorisation, and one
 check of the eliminated buffer, the reduced coupling and the inverses
 replaces pivot bookkeeping.  Each step's views are bound once per run, so
-``_cn_step``, which every caller steps with, indexes nothing.  The slices
-a block reaches are compared with the analytic states in one evaluation
-per block, by direct trapezoid sums.
+``_cn_step``, which every caller steps with, indexes nothing.  Once a block
+is factored its buffer is free, so the analytic states at the slices the
+block reaches are written into it, one evaluation per block, and compared
+with the propagated ones, views of the block's states, by trapezoid inner
+products (one ``np.vecdot`` each).  So after the plan a run allocates
+nothing of a block's size.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,15 +45,17 @@ from .core import write_rows
 from .errors import OutOfDomain, SolverBreakdown, ValidationError
 from .invariants import frame_from_beta
 from .ode import integrate_beta
-from .quantum import WaveFunction, eval_psin, l2_norm, psin_values, trapezoid
+from .quantum import (WaveFunction, eval_psin, l2_norm, psin_values,
+                      trapezoid_inner)
 
-# Steps factored together.  A run's plan holds one block's buffer, factors
-# (about 2.5 * BLOCK * npoints complex values, 1 MB at 1024 points) and
-# states.  Fresh 1024-point `bckosc propagate` processes (2-vCPU VM,
-# medians of 24 interleaved runs) ran about 2% faster with blocks of 24
-# and the elimination's scratch in the states than with blocks of 20 and a
-# scratch of their own, and peaked at 34.1 against 33.7 MB RSS.
-BLOCK = 24
+# Steps factored together.  A run's plan, its memory peak, holds one
+# block's buffer, factors (about 2.5 * BLOCK * npoints complex values,
+# 0.65 MB at 1024 points), states and the analytic states' scratch.  Fresh
+# 1024-point `bckosc propagate` processes of 789 steps (2-vCPU Xeon VM,
+# numpy 2.4, 30 interleaved runs each) peaked at 32.87 MB RSS with blocks
+# of 16, 33.71 MB with 24 and 32.71 MB with 12, in median walls of 211,
+# 208 and 217 ms.
+BLOCK = 16
 
 # Unknowns at or below which the elimination stops and the stored inverse
 # of the reduced system takes over.  At 1024 points (a 2-vCPU Xeon VM), 8
@@ -60,6 +66,15 @@ BLOCK = 24
 REDUCED = 8
 
 
+@lru_cache(maxsize=1)
+def _grid_powers(qmin, qmax, npoints):
+    """The spacing of ``Scenario.grid`` and its (q^2, q, 1), read-only."""
+    qs = np.linspace(qmin, qmax, npoints)
+    powers = np.stack((qs * qs, qs, np.ones_like(qs)))
+    powers.flags.writeable = False
+    return float(qs[1] - qs[0]), powers
+
+
 def build_hamiltonian(s, t, out=None):
     """Tridiagonal Hamiltonian on the scenario grid at time t, or at each
     time of an array t.
@@ -67,35 +82,37 @@ def build_hamiltonian(s, t, out=None):
     H = K p^2/2 + V q^2/2 - D q with (K, V, D) from
     ``Scenario.hamiltonian_coefficients`` and p^2 the second-difference
     stencil times -hbar^2.  Returns (diag, off): the diagonal entries
-    (V q/2 - D) q - 2 off, of shape t.shape + (npoints,), and the
-    off-diagonal -hbar^2 K / (2 dq^2), constant along the grid, of shape
-    t.shape (a float for a scalar t).  The diagonal is written into
-    ``out`` when it is given, with no temporary of its shape.
+    V q^2/2 - D q - 2 off, of shape t.shape + (npoints,), formed as one
+    product of (V/2, -D, -2 off) with (q^2, q, 1), and the off-diagonal
+    -hbar^2 K / (2 dq^2), constant along the grid, of shape t.shape (a
+    float for a scalar t).  The diagonal is written into ``out`` when it
+    is given, with no temporary of its shape.
     """
-    qs = s.grid()
-    dq = float(qs[1] - qs[0])
-    tc = np.asarray(t, dtype=float)[..., None]
-    K, V, D = s.hamiltonian_coefficients(tc)
+    dq, powers = _grid_powers(s.qmin, s.qmax, s.npoints)
+    t = np.asarray(t, dtype=float)
+    K, V, D = s.hamiltonian_coefficients(t)
     off = -0.5 * s.hbar ** 2 * K / (dq * dq)
-    diag = np.empty(np.shape(t) + qs.shape) if out is None else out
-    np.multiply(0.5 * V, qs, out=diag)
-    diag -= D
-    diag *= qs
-    diag -= 2.0 * off
-    return diag, (float(off[0]) if np.ndim(t) == 0 else off[..., 0])
+    coefs = np.empty(t.shape + (3,))
+    coefs[..., 0] = 0.5 * V
+    coefs[..., 1] = -D
+    coefs[..., 2] = -2.0 * off
+    diag = np.matmul(coefs, powers, out=out)
+    return diag, (float(off) if t.ndim == 0 else off)
 
 
 class _Plan:
     """One propagation's arrays for blocks of up to ``rows`` steps: the
     buffer ``h``, eliminated in place, its ``levels`` and ``scratch``, the
-    reduced matrices and their inverses, and the ``states``.
+    reduced matrices and their inverses, the ``states``, and ``work``,
+    the float scratch of up to ``slices`` analytic states at a time.
     ``steps[j]`` binds slot j's state, factor views and inverse once."""
 
-    def __init__(self, npoints, rows):
+    def __init__(self, npoints, rows, slices=0):
         dtype = np.complex128
         self.h = np.empty((rows, npoints), dtype)
         self.levels = tridiag.allocate(rows, npoints, REDUCED, dtype, True)
         self.states = np.empty((rows, npoints), dtype)
+        self.work = np.empty((2, slices, npoints))
         # The elimination's scratch is the head of the states: a block is
         # factored before its steps write them, and in a run of several
         # blocks the state the next one starts from is the last of BLOCK
@@ -140,7 +157,10 @@ def _factor(s, ts, dt, plan):
         inv = np.linalg.inv(plan.reduced[:k])
     except np.linalg.LinAlgError:   # only non-finite entries make one
         inv = None
-    if not (inv is not None and np.isfinite(h.view(np.float64)).all()
+    # the buffer's extremes are finite only if all of it is, and finding
+    # them allocates nothing of its size
+    parts = h.view(np.float64)
+    if not (inv is not None and np.isfinite((parts.min(), parts.max())).all()
             and np.isfinite(c).all() and np.isfinite(inv).all()):
         raise SolverBreakdown("tridiagonal elimination of (1 + i a H)/2 "
                               "is not finite")
@@ -222,6 +242,9 @@ def propagate_and_compare(s, n, t0, t1, dt, max_slices=201, beta_sol=None):
     dt_eff = (t1 - t0) / nsteps
     stride = max(1, -(-nsteps // max(1, max_slices - 1)))  # ceiling
     steps = np.arange(0, nsteps + 1, stride)
+    # steps[:regular] are every stride-th step, and the last step follows
+    # them when the stride does not divide it
+    regular = steps.shape[0]
     if steps[-1] != nsteps:
         steps = np.append(steps, nsteps)
     slice_ts = t0 + dt_eff * steps
@@ -231,20 +254,23 @@ def propagate_and_compare(s, n, t0, t1, dt, max_slices=201, beta_sol=None):
         frames = frame_from_beta(s, beta_sol, slice_ts)
     psi0 = eval_psin(n, s, frames.at(0), t0)
     qs, dq = psi0.qs, psi0.dq
+    rows = min(BLOCK, nsteps)
+    plan = _Plan(qs.shape[0], rows, -(-rows // stride))
     overlaps = np.empty(steps.shape[0])
     norms = np.empty(steps.shape[0])
 
-    def compare(ks, values, values_norms, work=None):
-        ana = psin_values(n, s, frames.at(ks), qs)
-        ana_norms = l2_norm(ana, dq, work)
-        # in place: the conjugate analytic states times the propagated ones
-        np.multiply(np.conjugate(ana, out=ana), values, out=ana)
-        overlaps[ks] = np.abs(trapezoid(ana, dq)) / (ana_norms * values_norms)
-        norms[ks] = values_norms
+    def compare(lo, hi, values, values_norms):
+        # the analytic states at slices lo .. hi - 1 go to the buffer, free
+        # once a block is factored
+        k = hi - lo
+        ana = psin_values(n, s, frames.at(slice(lo, hi)), qs, plan.h[:k],
+                          plan.work[:, :k])
+        overlaps[lo:hi] = (np.abs(trapezoid_inner(ana, values, dq))
+                           / (l2_norm(ana, dq) * values_norms))
+        norms[lo:hi] = values_norms
 
-    compare(np.arange(1), psi0.values[None], psi0.norm)
+    compare(0, 1, psi0.values[None], psi0.norm)
     step_norms = np.empty(nsteps)
-    plan = _Plan(qs.shape[0], min(BLOCK, nsteps))
     psi = psi0.values
     # a block's last state, in its last row, is read by the next block's
     # first step, which writes row 0
@@ -255,14 +281,16 @@ def propagate_and_compare(s, n, t0, t1, dt, max_slices=201, beta_sol=None):
             _factor(s, t0 + ks * dt_eff + 0.5 * dt_eff, dt_eff, plan)
             for step in plan.steps[:ks.shape[0]]:
                 psi = _cn_step(step, psi)
-            # the buffer is free once the block is factored
-            step_norms[ks] = l2_norm(block, dq, plan.h[:ks.shape[0]])
-        # the slices at steps ks[0] + 1 .. ks[-1] + 1, compared outside
-        # errstate: the analytic states' warnings are not muted
-        reached = np.arange(*np.searchsorted(steps, (ks[0] + 1, ks[-1] + 2)))
-        if reached.size:
-            compare(reached, block[steps[reached] - 1 - start],
-                    step_norms[steps[reached] - 1], plan.h[:reached.size])
+            step_norms[ks] = l2_norm(block, dq)
+        # the slices at steps ks[0] + 1 .. ks[-1] + 1, as views of the
+        # block a stride apart, compared outside errstate: the analytic
+        # states' warnings are not muted
+        lo, hi = np.searchsorted(steps, (ks[0] + 1, ks[-1] + 2))
+        for a, b in ((lo, min(hi, regular)), (max(lo, regular), hi)):
+            if a < b:
+                first, last = steps[a] - 1, steps[b - 1]
+                compare(a, b, block[first - start:last - start:stride],
+                        step_norms[first:last:stride])
     return PropagationRun(initial=psi0, dt=dt_eff, slice_ts=slice_ts,
                           slice_norms=norms, overlaps=overlaps,
                           fidelity_defects=1.0 - overlaps,

@@ -78,40 +78,43 @@ def inner(left, right):
     """Trapezoid inner product <left|right> of two grid wavefunctions."""
     if left.qs.shape != right.qs.shape:
         raise ValidationError("wavefunctions live on different grids")
-    return complex(trapezoid(np.conjugate(left.values) * right.values,
-                             left.dq))
+    return complex(trapezoid_inner(left.values, right.values, left.dq))
 
 
-def trapezoid(y, dq):
-    """Trapezoid rule along the last axis of ``y`` at spacing dq, as the
-    direct sum dq (sum - (first + last)/2)."""
-    return dq * (y.sum(axis=-1) - 0.5 * (y[..., 0] + y[..., -1]))
+def trapezoid_inner(left, right, dq):
+    """Trapezoid rule for conj(left) * right along the last axis at spacing
+    dq: one ``np.vecdot`` less half the end terms, so no array of the
+    operands' shape is formed."""
+    ends = (np.conjugate(left[..., 0]) * right[..., 0]
+            + np.conjugate(left[..., -1]) * right[..., -1])
+    return dq * (np.vecdot(left, right) - 0.5 * ends)
 
 
-def l2_norm(values, dq, work=None):
-    """Trapezoid L2 norm of ``values`` along its last axis.  The squares
-    of the real and imaginary parts go to ``work``, a complex array of
-    ``values``' shape, or to one new array."""
-    if work is None:
-        work = np.empty(values.shape, dtype=np.complex128)
-    squares = work.view(np.float64).reshape((2,) + values.shape)
-    re2, im2 = squares
-    np.square(values.real, out=re2)
-    np.square(values.imag, out=im2)
-    re2 += im2
-    return np.sqrt(trapezoid(re2, dq))
+def l2_norm(values, dq):
+    """Trapezoid L2 norm of ``values`` along its last axis."""
+    return np.sqrt(trapezoid_inner(values, values, dq).real)
 
 
-def _normalized_hermite(n, x):
+def _normalized_hermite(n, x, h, h_prev, work):
     """h_n(x) = H_n(x) e^{-x^2/2} / sqrt(2^n n! sqrt(pi)); unit L2 norm in
-    x, stable to n = 200."""
-    h_prev = np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    x, stable to n = 200.  Formed in place in the float arrays h and
+    h_prev, with ``work`` for products, all of x's shape; returns the one
+    of h and h_prev that holds h_n."""
+    np.multiply(x, -0.5, out=h_prev)
+    h_prev *= x
+    np.exp(h_prev, out=h_prev)
+    h_prev *= np.pi ** -0.25
     if n == 0:
         return h_prev
-    h = x * math.sqrt(2.0) * h_prev
+    np.multiply(x, math.sqrt(2.0), out=h)
+    h *= h_prev
     for k in range(1, n):
-        h, h_prev = (x * math.sqrt(2.0 / (k + 1)) * h
-                     - math.sqrt(k / (k + 1.0)) * h_prev), h
+        # h_prev becomes x sqrt(2/(k+1)) h - sqrt(k/(k+1)) h_prev
+        np.multiply(x, math.sqrt(2.0 / (k + 1)), out=work)
+        work *= h
+        h_prev *= math.sqrt(k / (k + 1.0))
+        np.subtract(work, h_prev, out=h_prev)
+        h, h_prev = h_prev, h
     return h
 
 
@@ -159,26 +162,50 @@ def check_grid(s, fr, n):
     return om, a, q0
 
 
-def psin_values(n, s, frame, qs):
+def psin_values(n, s, frame, qs, out=None, scratch=None):
     """Values of psi_n on the grid qs for a scalar frame, or one row per
     sample of a vector frame.  The grid is checked at every sample
-    (``check_grid``); n is not validated here."""
+    (``check_grid``); n is not validated here.
+
+    The values are written into ``out``, a C-contiguous complex array of
+    the result's shape, and formed with ``scratch``, a float array of
+    shape (2,) + the result's shape; either one is new when not given.
+    Nothing else of the result's shape is allocated.
+    """
     _, a, q0 = check_grid(s, frame, n)
 
     def col(v):
         return np.asarray(v)[..., None]
 
-    x = col(np.sqrt(a)) * (qs - col(q0))
-    h = _normalized_hermite(int(n), x)
+    shape = np.shape(a) + qs.shape
+    if out is None:
+        out = np.empty(shape, dtype=np.complex128)
+    if scratch is None:
+        scratch = np.empty((2,) + shape)
+    # x and the recurrence's products live in the two halves of out's own
+    # memory (a buffer of it, so never a copy) until the values fill it
+    x, work = np.ndarray((2,) + shape, buffer=out)
+    np.subtract(qs, col(q0), out=x)
+    x *= col(np.sqrt(a))
+    first, second = scratch
+    h = _normalized_hermite(int(n), x, first, second, work)
+    phi_q = second if h is first else first
     b = frame.beta
     ratio_bd = frame.dbeta / b
     ratio_F = frame.F / b
-    phi_q = (col(s.m * frame.expG * ratio_bd.real) * qs ** 2
-             + col(2.0 * ratio_F.real) * qs) / (2.0 * s.hbar)
+    np.multiply(col(s.m * frame.expG * ratio_bd.real), qs, out=phi_q)
+    phi_q += col(2.0 * ratio_F.real)
+    phi_q *= qs
+    phi_q /= 2.0 * s.hbar
     theta = (-0.5 * frame.phase
              - np.real(frame.phase_integral) / (2.0 * s.m * s.hbar))
     pref = (1j ** int(n)) * np.exp(1j * (theta - n * frame.phase))
-    return col(pref * a ** 0.25) * h * np.exp(1j * phi_q)
+    # h e^{i phi_q}, then times the prefactor
+    np.sin(phi_q, out=out.imag)
+    out.imag *= h
+    np.multiply(np.cos(phi_q, out=phi_q), h, out=out.real)
+    out *= col(pref * a ** 0.25)
+    return out
 
 
 def eval_psin(n, s, frame, t):

@@ -1,14 +1,18 @@
 """Package-wide checks: the BLAS thread pool numpy starts when bckosc loads
-it, and module-level imports that nothing reads."""
+it, module-level imports that nothing reads, and the module constants the
+README quotes."""
 
 import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
+
+from bckosc import ode, propagator
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -152,3 +156,15 @@ def test_only_the_hamiltonian_route_reads_its_coefficients():
     found = set().union(*(referrers(p, "hamiltonian_coefficients")
                           for p in paths))
     assert found == HAMILTONIAN_ROUTE
+
+
+# ---------- figures the README quotes ----------
+
+@pytest.mark.parametrize("pattern, value", [
+    (r"`propagator\.BLOCK` \((\d+)\)", propagator.BLOCK),
+    (r"`propagator\.REDUCED` \((\d+)\)", propagator.REDUCED),
+    (r"(\d+) steps at a time", ode._CHUNK),
+])
+def test_readme_quotes_the_module_constants(pattern, value):
+    text = " ".join((ROOT / "README.md").read_text().split())
+    assert re.findall(pattern, text) == [str(value)]

@@ -370,6 +370,38 @@ def test_propagation_memory_does_not_grow_with_steps(driven, driven_beta):
     assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
+# numpy's iterator buffers (up to about 200 KB for one broadcasting
+# operation in numpy 2.4, whatever the grid), the initial state and the
+# run's records: a float (BLOCK, 4096) temporary alone is 512 KiB
+ALLOWANCE = 320 * 1024
+
+
+@pytest.mark.parametrize("npoints", [1024, 4096])
+def test_blocks_allocate_nothing_past_the_plan(driven, driven_beta, npoints):
+    # a slice every step, so each block compares all its BLOCK states; the
+    # first run fills the cached grid powers
+    s = replace(driven, qmin=-13.0, qmax=13.0, npoints=npoints)
+    nsteps, dt = 3 * BLOCK, 2e-3
+
+    def run():
+        propagate_and_compare(s, 0, 0.0, nsteps * dt, dt,
+                              beta_sol=driven_beta)
+
+    run()
+    tracemalloc.start()
+    try:
+        plan = _Plan(npoints, BLOCK, BLOCK)
+        plan_bytes = tracemalloc.get_traced_memory()[0]
+        del plan
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= plan_bytes + ALLOWANCE, (peak - plan_bytes, plan_bytes)
+
+
 def test_unitarity_over_many_steps(driven):
     s = replace(driven, npoints=512)
     run = propagate_and_compare(s, 0, 0.0, 10.0, 1e-3)
