@@ -53,13 +53,6 @@ def _fmt(v):
     return f"{v + 0.0:.17g}"
 
 
-def _check(args, label, value, tol):
-    ok = value <= tol
-    _say(args, f"{label:<22s} {value:12.5e}  (tol {tol:g})  "
-               f"{'PASS' if ok else 'FAIL'}")
-    return ok
-
-
 # what each numeric flag must be, checked before any work
 _FLAG_RULES = {
     "samples": (lambda v: v >= 2, ">= 2"),
@@ -83,48 +76,45 @@ def _check_flags(args):
 
 
 def _apply_overrides(s, args):
-    kw = {}
-    if args.rtol is not None:
-        kw["rtol"] = args.rtol
-    if args.atol is not None:
-        kw["atol"] = args.atol
+    kw = {k: getattr(args, k) for k in ("rtol", "atol")
+          if getattr(args, k) is not None}
     return replace(s, **kw) if kw else s
 
 
-def _verify_pipeline(s, samples):
-    """Shared by verify and sweep: beta, one trajectory, drift series."""
+def _verify_checks(s, samples, tol):
+    """Shared by verify and sweep: the amplitude, the drift series and
+    verify's eight (label, value, bound) checks."""
     beta_sol = integrate_beta(s)
     traj = integrate_classical(s, 1.0, 0.0)
     series = verification_series(s, beta_sol, traj, samples=samples)
-    return beta_sol, series
-
-
-def cmd_verify(s, args, outdir):
-    _, series = _verify_pipeline(s, args.samples)
-    om = series["omega_report"]
     gamma_ics, sigma_ics = envelope_ics(s)
     gamma_sol = integrate_gamma(s, *gamma_ics)
     sigma_sol = integrate_sigma(s, gamma_sol, *sigma_ics)
     ts, fr = series["ts"], series["frame"]
     gamma_dev = float(np.max(np.abs(gamma_sol(ts)[:, 0] - fr.gamma)))
     sigma_dev = float(np.max(np.abs(sigma_sol(ts)[:, 0] - fr.sigma)))
-    C = series["C"]
-    c_dev = float(np.max(np.abs(C - 2.0 * om.omega ** 2 / (s.m * s.hbar) ** 2))
-                  / (1.0 + np.max(np.abs(C))))
+    checks = [("I drift", series["drift_I"], tol),
+              ("IQ drift", series["drift_IQ"], tol),
+              ("omega drift", series["omega_report"].max_rel_drift, tol),
+              ("C drift", series["drift_C"], tol),
+              ("C vs 2(Omega/m hbar)^2", series["C_vs_omega"], tol),
+              ("ermakov residual", series["max_ermakov"], tol),
+              ("gamma ODE vs 2|beta|^2", gamma_dev, tol),
+              ("sigma ODE vs -2Re(b*F)", sigma_dev, tol)]
+    return beta_sol, series, checks
+
+
+def _passed(checks):
+    return all(value <= bound for _, value, bound in checks)
+
+
+# each command returns (path written, (label, value, bound) checks, notes)
+
+def cmd_verify(s, args, outdir):
+    _, series, checks = _verify_checks(s, args.samples, args.tol)
     path = outdir / "verify_report.csv"
     write_verification_report(path, series)
-    ok = True
-    ok &= _check(args, "I drift", series["drift_I"], args.tol)
-    ok &= _check(args, "IQ drift", series["drift_IQ"], args.tol)
-    ok &= _check(args, "omega drift", om.max_rel_drift, args.tol)
-    ok &= _check(args, "C drift", series["drift_C"], args.tol)
-    ok &= _check(args, "C vs 2(Omega/m hbar)^2", c_dev, args.tol)
-    ok &= _check(args, "ermakov residual", series["max_ermakov"], args.tol)
-    ok &= _check(args, "gamma ODE vs 2|beta|^2", gamma_dev, args.tol)
-    ok &= _check(args, "sigma ODE vs -2Re(b*F)", sigma_dev, args.tol)
-    _say(args, f"Omega mean {_fmt(om.mean)}")
-    _say(args, f"wrote {path}")
-    return 0 if ok else 1
+    return path, checks, [f"Omega mean {_fmt(series['omega_report'].mean)}"]
 
 
 def cmd_spectrum(s, args, outdir):
@@ -135,9 +125,7 @@ def cmd_spectrum(s, args, outdir):
     write_spectrum_csv(path, entries)
     for e in entries:
         _say(args, f"n={e.n}  eigenvalue={_fmt(e.eigenvalue)}")
-    ok = _check(args, "omega drift", om.max_rel_drift, args.tol)
-    _say(args, f"wrote {path}")
-    return 0 if ok else 1
+    return path, [("omega drift", om.max_rel_drift, args.tol)], []
 
 
 def cmd_wavefunction(s, args, outdir):
@@ -152,11 +140,8 @@ def cmd_wavefunction(s, args, outdir):
                       _fmt(unc.var_p), _fmt(unc.product), _fmt(wf.norm)))
     path = outdir / "wavefunction.csv"
     wf.to_csv(path, footer=footer)
-    ok = _check(args, "norm defect", abs(wf.norm - 1.0), args.tol)
-    _say(args, f"<q>={_fmt(q_exp)}  <p>={_fmt(p_exp)}  "
-               f"product={_fmt(unc.product)}")
-    _say(args, f"wrote {path}")
-    return 0 if ok else 1
+    return path, [("norm defect", abs(wf.norm - 1.0), args.tol)], [
+        f"<q>={_fmt(q_exp)}  <p>={_fmt(p_exp)}  product={_fmt(unc.product)}"]
 
 
 def cmd_propagate(s, args, outdir):
@@ -174,12 +159,10 @@ def cmd_propagate(s, args, outdir):
                                 beta_sol=beta_sol)
     path = outdir / "propagation.csv"
     run.to_csv(path)
-    defect = 1.0 - run.min_overlap
-    ok = _check(args, "fidelity defect", defect, 1.0 - args.min_overlap)
-    _say(args, f"min overlap {_fmt(run.min_overlap)}  "
-               f"max step norm drift {run.max_step_norm_drift:.3e}")
-    _say(args, f"wrote {path}")
-    return 0 if ok else 1
+    return path, [("fidelity defect", 1.0 - run.min_overlap,
+                   1.0 - args.min_overlap)], [
+        f"min overlap {_fmt(run.min_overlap)}  "
+        f"max step norm drift {run.max_step_norm_drift:.3e}"]
 
 
 def _sweep_scenario(s, param, value):
@@ -197,8 +180,7 @@ def _sweep_scenario(s, param, value):
 
 def cmd_sweep(s, args, outdir):
     try:
-        lo_s, hi_s = args.range.split(":")
-        lo, hi = float(lo_s), float(hi_s)
+        lo, hi = map(float, args.range.split(":"))
     except ValueError:
         raise ValidationError(f"bad --range {args.range!r}; expected lo:hi")
     # an infinite end makes np.linspace warn and turns the other end into
@@ -209,23 +191,17 @@ def cmd_sweep(s, args, outdir):
     values[0], values[-1] = lo, hi
     values = [lo] if (args.steps == 1 or lo == hi) else list(values)
     rows = []
-    any_failed = False
     for v in values:
         try:
             sv = _sweep_scenario(s, args.param, v)
-            beta_sol, series = _verify_pipeline(sv, args.samples)
-            om = series["omega_report"]
+            beta_sol, series, checks = _verify_checks(sv, args.samples,
+                                                      args.tol)
             fr1 = frame_from_beta(sv, beta_sol, sv.t1)
             unc = uncertainty_product(0, fr1, sv).product
-            passed = (series["drift_I"] <= args.tol
-                      and series["drift_IQ"] <= args.tol
-                      and om.max_rel_drift <= args.tol)
-            status = "ok" if passed else "tolerance"
-            any_failed |= not passed
-            rows.append((v, _fmt(om.mean), _fmt(series["drift_I"]),
-                         _fmt(series["drift_IQ"]), _fmt(unc), status))
+            rows.append((v, _fmt(series["omega_report"].mean),
+                         _fmt(series["drift_I"]), _fmt(series["drift_IQ"]),
+                         _fmt(unc), "ok" if _passed(checks) else "tolerance"))
         except (BckoscError, FloatingPointError) as exc:
-            any_failed = True
             rows.append((v, "nan", "nan", "nan", "nan",
                          f"failed:{type(exc).__name__}"))
     path = outdir / "sweep.csv"
@@ -235,11 +211,10 @@ def cmd_sweep(s, args, outdir):
         for row in rows:
             fh.write(f"{args.param},{row[0]:.17g},{row[1]},{row[2]},"
                      f"{row[3]},{row[4]},{row[5]}\n")
-    for row in rows:
-        _say(args, f"{args.param}={row[0]:.17g}  Omega={row[1]}  "
-                   f"status={row[5]}")
-    _say(args, f"wrote {path}")
-    return 1 if any_failed else 0
+    failed = sum(row[5] != "ok" for row in rows)
+    return path, [("failed rows", failed, 0)], [
+        f"{args.param}={row[0]:.17g}  Omega={row[1]}  status={row[5]}"
+        for row in rows]
 
 
 def _build_parser():
@@ -303,11 +278,10 @@ def main(argv=None):
         for name in _DEFERRED.get(args.command, ()):
             if name not in globals():
                 globals()[name] = __getattr__(name)
-        s = parse_scenario_file(args.scenario)
-        s = _apply_overrides(s, args)
+        s = _apply_overrides(parse_scenario_file(args.scenario), args)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        return args.fn(s, args, outdir)
+        path, checks, notes = args.fn(s, args, outdir)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -317,6 +291,13 @@ def main(argv=None):
         if qmax is not None:
             print(f"suggested qmax: {qmax:g}", file=sys.stderr)
         return exc.exit_code
+    for label, value, bound in checks:
+        _say(args, f"{label:<22s} {value:12.5e}  (tol {bound:g})  "
+                   f"{'PASS' if value <= bound else 'FAIL'}")
+    for note in notes:
+        _say(args, note)
+    _say(args, f"wrote {path}")
+    return 0 if _passed(checks) else 1
 
 
 if __name__ == "__main__":

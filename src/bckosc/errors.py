@@ -43,7 +43,7 @@ class GammaVanishes(BckoscError):
 
 
 class OmegaNotPositive(BckoscError):
-    """The conserved normalization Omega is not real positive for this frame."""
+    """The conserved normalization Omega is not finite and positive."""
     exit_code = 3
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .core import write_rows
-from .errors import DegenerateSolutions, GammaVanishes
+from .errors import DegenerateSolutions, GammaVanishes, OmegaNotPositive
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,16 +115,20 @@ def eval_linear_invariant(fr, q, p):
 
 
 def _wronskian_omega(fr):
-    """The Wronskian W = beta'* beta - beta* beta' and the complex
-    i m hbar e^G W whose real part is Omega."""
+    """The Wronskian W = beta'* beta - beta* beta' and Omega, the real part
+    of i m hbar e^G W; raises OmegaNotPositive if Omega is not finite."""
     w = np.conjugate(fr.dbeta) * fr.beta - np.conjugate(fr.beta) * fr.dbeta
-    return w, 1j * fr.m * fr.hbar * fr.expG * w
+    with np.errstate(over="ignore", invalid="ignore"):
+        om = (1j * fr.m * fr.hbar * fr.expG * w).real
+    if not np.all(np.isfinite(om)):
+        raise OmegaNotPositive("Omega = i m hbar e^G W is not finite")
+    return w, om
 
 
 def omega_of_frame(fr):
     """Omega = i m hbar e^G (beta'* beta - beta* beta') evaluated on the
     frame; real by construction."""
-    return _wronskian_omega(fr)[1].real
+    return _wronskian_omega(fr)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +137,6 @@ class OmegaReport:
 
     ts: np.ndarray
     omega: np.ndarray       # real part of i m hbar e^G W per sample
-    imag_residue: float     # max |Im| of the same product, reported not dropped
     wronskian: np.ndarray
     mean: float
     max_rel_drift: float
@@ -149,17 +152,15 @@ def compute_omega(s, beta_sol, samples=512):
 def omega_report(fr):
     """The OmegaReport of a vector frame.  Raises DegenerateSolutions if
     the Wronskian vanishes at any sample."""
-    w, om_c = _wronskian_omega(fr)
+    w, om = _wronskian_omega(fr)
     if np.any(np.abs(w) < 1e-12 * (np.abs(fr.beta) * np.abs(fr.dbeta))):
         raise DegenerateSolutions(
             "Wronskian of (beta, beta*) vanishes: the two solutions are "
             "linearly dependent and no ladder normalization exists")
-    om = om_c.real
     mean = float(np.mean(om))
     drift = float(np.max(np.abs(om - mean)) / max(abs(mean), 1e-300))
-    return OmegaReport(ts=fr.t, omega=om,
-                       imag_residue=float(np.max(np.abs(om_c.imag))),
-                       wronskian=w, mean=mean, max_rel_drift=drift)
+    return OmegaReport(ts=fr.t, omega=om, wronskian=w, mean=mean,
+                       max_rel_drift=drift)
 
 
 def iq_coefficients(fr):
@@ -234,9 +235,10 @@ def drift(series, reference=None):
 
 
 def verification_series(s, beta_sol, trajectory, samples=512):
-    """Everything cmd-verify reports: per-sample I, I_Q, C and the Ermakov
-    residual along one trajectory, the OmegaReport of the same samples,
-    summary drifts and the vector frame they were evaluated on."""
+    """Everything cmd-verify reports but the envelope ODEs: per-sample I,
+    I_Q, C and the Ermakov residual along one trajectory, the OmegaReport
+    of the same samples, summary drifts, C's deviation from
+    2 Omega^2 / (m hbar)^2 and the vector frame they were evaluated on."""
     ts = np.linspace(s.t0, s.t1, samples)
     fr = frame_from_beta(s, beta_sol, ts)
     q, p = trajectory(ts).T
@@ -251,6 +253,9 @@ def verification_series(s, beta_sol, trajectory, samples=512):
         "drift_I": drift(lin),
         "drift_IQ": drift(quad),
         "drift_C": drift(C, float(np.mean(C))),
+        "C_vs_omega": float(np.max(np.abs(
+            C - 2.0 * om.omega ** 2 / (s.m * s.hbar) ** 2))
+            / (1.0 + np.max(np.abs(C)))),
         "max_ermakov": float(np.max(np.abs(erm))),
     }
 

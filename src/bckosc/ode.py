@@ -459,7 +459,8 @@ def _integrate(s, name, coef, y0, nout, rider=None):
                     f"t={ts[bad]:.17g}")
             nreject += n
             del ys, qs, errn
-            h /= min(_MAX_REFINE, _MARGIN * need / done)
+            # a first step that is not finite refines by _MAX_REFINE
+            h /= min(_MAX_REFINE, _MARGIN * need / max(done, 1))
     stats = {"naccept": n, "nreject": nreject, "nfev": nfev}
     return ODESolution(ts, ys[:, :nout], qs[..., :nout], stats)
 

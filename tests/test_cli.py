@@ -1,21 +1,29 @@
 """Command-line plumbing: every subcommand, every exit code, reproducible
 artifacts."""
 
+import ast
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import bckosc
 import bckosc.cli
 from bckosc import _accel, invariants
+from bckosc.core import Scenario
 from bckosc.cli import _sweep_scenario, main
 
 from conftest import SCENARIO_DIR
@@ -52,23 +60,34 @@ def _scaled(fn, k):
     return planted
 
 
-@pytest.mark.parametrize("name, k, check", [
-    ("iq_coefficients", 1, "IQ drift"),
-    ("iq_coefficients", 3, "IQ drift"),
-    ("_wronskian_omega", 1, "C vs 2(Omega/m hbar)^2"),
-], ids=["c2", "c4", "Omega"])
+_IQ_C_ENVELOPE = ["IQ drift", "C vs 2(Omega/m hbar)^2",
+                  "gamma ODE vs 2|beta|^2", "sigma ODE vs -2Re(b*F)"]
+
+
+@pytest.mark.parametrize("owner, name, k, failing", [
+    (invariants, "iq_coefficients", 1, ["IQ drift"]),
+    (invariants, "iq_coefficients", 3, ["IQ drift"]),
+    (invariants, "_wronskian_omega", 1, ["C vs 2(Omega/m hbar)^2"]),
+    *((invariants, "envelope_group", k, _IQ_C_ENVELOPE) for k in range(3)),
+    (invariants, "envelope_group", 3, ["IQ drift", "sigma ODE vs -2Re(b*F)"]),
+    (invariants, "envelope_group", 4, ["IQ drift"]),
+    (invariants, "envelope_group", 5, ["IQ drift"]),
+    *((Scenario, "hamiltonian_coefficients", k, ["I drift", "IQ drift"])
+      for k in range(3)),
+], ids=["c2", "c4", "Omega", "gamma", "gamma'", "gamma''", "sigma",
+        "sigma'", "F_sigma", "K", "V", "D"])
 def test_verify_catches_a_planted_error(tmp_path, capsys, monkeypatch,
-                                        name, k, check):
-    # one quantity 1% off, and exactly one check fails: c2 and c4 reach
-    # verify only through I_Q, and every drift is relative, so only the C
-    # identity sees Omega's value
-    monkeypatch.setattr(invariants, name, _scaled(getattr(invariants, name),
-                                                  k))
+                                        owner, name, k, failing):
+    # one quantity 1% off, and exactly the listed checks fail.  c2, c4,
+    # sigma' and F_sigma reach verify only through I_Q, and every drift is
+    # relative, so only the C identity sees Omega's value.  An envelope
+    # entry scales both the frame and the envelope ODEs' initial values
+    monkeypatch.setattr(owner, name, _scaled(getattr(owner, name), k))
     rc = main(["verify", "--scenario", DRIVEN, "--out", str(tmp_path)])
     out = capsys.readouterr().out
     failed = [line.rsplit(None, 4)[0] for line in out.splitlines()
               if line.endswith("FAIL")]
-    assert rc == 1 and failed == [check], out
+    assert rc == 1 and failed == failing, out
 
 
 def _force_at_t0(tmp_path):
@@ -375,7 +394,25 @@ def test_sweep_damping(tmp_path, capsys):
     row0 = lines[1].split(",")
     assert row0[1] == "0"
     assert_allclose(float(row0[2]), 2.0, rtol=0, atol=1e-9)
-    assert "status=ok" in capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "failed rows             0.00000e+00  (tol 0)  PASS"
+    assert out[1].endswith("status=ok") and out[3].startswith("wrote ")
+
+
+def test_sweep_row_is_ok_only_when_all_eight_checks_pass(tmp_path, capsys,
+                                                        monkeypatch):
+    # Omega 1% off fails only the C identity (see the planted-error table),
+    # and the row must see it, as verify does
+    monkeypatch.setattr(invariants, "_wronskian_omega",
+                        _scaled(invariants._wronskian_omega, 1))
+    rc = main(["sweep", "--scenario", DRIVEN, "--out", str(tmp_path),
+               "--param", "g", "--range", "0.1:0.1", "--steps", "1"])
+    assert rc == 1
+    row = (tmp_path / "sweep.csv").read_text().splitlines()[1]
+    assert row.startswith("g,0.10000000000000001,")
+    assert row.endswith(",tolerance")
+    out = capsys.readouterr().out
+    assert "failed rows             1.00000e+00  (tol 0)  FAIL" in out
 
 
 def test_sweep_reports_solver_failures(tmp_path):
@@ -540,6 +577,45 @@ def test_non_finite_number_is_exit_2(tmp_path, capsys, edit, flags):
     assert "Traceback" not in err
 
 
+# a drawn token in place of one document value or of a numeric flag's value
+_TOKENS = st.sampled_from(["nan", "inf", "-inf", "1e308", "-0", "", "word"]) \
+    | st.integers(-3, 12).map(str)
+_NUMERIC_FLAGS = {
+    "verify": ("--samples", "--tol", "--rtol", "--atol"),
+    "spectrum": ("--samples", "--tol", "--rtol", "--atol", "--nmax"),
+    "wavefunction": ("--tol", "--rtol", "--atol", "--n", "--t"),
+}
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from((SHO, DRIVEN, RAMP)), st.sampled_from(
+    sorted(_NUMERIC_FLAGS)), st.data())
+def test_any_token_at_the_boundary_is_an_exit_code(tmp_path, cfg, command,
+                                                   data):
+    lines = Path(cfg).read_text().splitlines()
+    values = [i for i, line in enumerate(lines) if " = " in line]
+    i = data.draw(st.sampled_from(values))
+    lines[i] = f"{lines[i].split(' = ')[0]} = {data.draw(_TOKENS)}"
+    doc = tmp_path / "doc.cfg"
+    doc.write_text("\n".join(lines) + "\n")
+    flags = data.draw(st.lists(st.sampled_from(_NUMERIC_FLAGS[command]),
+                               unique=True, max_size=2))
+    # flag=value, so that a value such as -inf is not read as a flag
+    argv = [command, "--scenario", str(doc), "--out", str(tmp_path),
+            *(f"{flag}={data.draw(_TOKENS)}" for flag in flags)]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            rc = main(argv)
+        except SystemExit as exc:   # argparse refuses a value it cannot
+            rc = exc.code           # convert, with a usage line
+    assert rc in (0, 1, 2, 3, 4), (argv, lines[i], err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
 def test_degenerate_amplitude_is_exit_3(tmp_path, capsys):
     doc = tmp_path / "degenerate.cfg"
     doc.write_text("[scenario]\nt0 = 0\nt1 = 5\n"
@@ -667,6 +743,41 @@ def test_bench_trace_targets_resolve():
     for owner, attr, name, _ in targets:
         assert callable(getattr(owner, attr, None)), (owner, attr, name)
     assert isinstance(_accel.NUMBA_ENABLED, bool)
+
+
+def _bench_constants(*names):
+    """The named constants of perfbench/run.py, read from its syntax tree
+    without running it: literals as they are, a re.compile(...) call as
+    its compiled pattern."""
+    path = SCENARIO_DIR.parent / "perfbench" / "run.py"
+    found = {}
+    for node in ast.parse(path.read_text()).body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) in names):
+            value = node.value
+            if isinstance(value, ast.Call):     # re.compile(pattern)
+                found[node.targets[0].id] = re.compile(
+                    ast.literal_eval(value.args[0]))
+            else:
+                found[node.targets[0].id] = ast.literal_eval(value)
+    return [found[name] for name in names]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--rtol", "1e-12", "--atol", "1e-14", "--tol", "1e-8"],
+    ["propagate", "--n", "0", "--periods", "0.5", "--dt", "0.004",
+     "--min-overlap", "0.9999"],
+], ids=["verify", "propagate"])
+def test_check_lines_match_the_bench_parser(tmp_path, capsys, argv):
+    # the benchmark counts a run as failed on a check line its CHECK_LINE
+    # does not parse, or on a label of CHECKS it does not find
+    checks, check_line = _bench_constants("CHECKS", "CHECK_LINE")
+    assert main([*argv, "--scenario", DRIVEN, "--out", str(tmp_path)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.endswith(("PASS", "FAIL"))]
+    assert lines and all(check_line.match(line) for line in lines), lines
+    labels = {check_line.match(line).group(1) for line in lines}
+    assert set(checks[argv[0]]) <= labels
 
 
 def test_public_names_resolve_once():

@@ -100,7 +100,6 @@ def test_omega_sho(sho, sho_beta):
     rep = compute_omega(sho, sho_beta)
     assert_allclose(rep.mean, 2.0, rtol=0, atol=1e-10)
     assert rep.max_rel_drift < 1e-9
-    assert rep.imag_residue == 0.0
     assert_allclose(rep.wronskian, -2.0j * np.ones_like(rep.ts), rtol=0,
                     atol=1e-9)
 
@@ -222,6 +221,7 @@ def test_verification_series_contents(driven, driven_beta):
     assert series["drift_IQ"] < 1e-7
     assert series["omega_report"].max_rel_drift < 1e-9
     assert series["drift_C"] < 1e-8
+    assert series["C_vs_omega"] < 1e-14
     assert series["max_ermakov"] < 1e-8
 
 
