@@ -110,17 +110,25 @@ class TimeFunction:
             raise ValidationError("tabulated samples must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValidationError("tabulated sample times must increase strictly")
-        from . import tridiag  # only splines solve a tridiagonal system
-
         h = np.diff(t)
         coefs = np.zeros((t.shape[0] - 1, 4))
         # knots a few ulps apart overflow; the check below reports them
         with np.errstate(over="ignore", invalid="ignore"):
             slope = np.diff(v) / h
-            M = np.zeros_like(t)
-            M[1:-1] = 6.0 * np.diff(slope)
-            tridiag.solve(2.0 * (h[:-1] + h[1:])[None], h[None, 1:-1],
-                          M[None, 1:-1])
+            # elimination and back substitution: each pivot stays above
+            # h[i-1] + h[i], so none vanishes
+            d = (2.0 * (h[:-1] + h[1:])).tolist()
+            c = h[1:-1].tolist()
+            r = (6.0 * np.diff(slope)).tolist()
+            for i, ci in enumerate(c):
+                w = ci / d[i]
+                d[i + 1] -= w * ci
+                r[i + 1] -= w * r[i]
+            M = [0.0] * t.shape[0]
+            M[-2] = r[-1] / d[-1]
+            for i in range(len(c) - 1, -1, -1):
+                M[i + 1] = (r[i] - c[i] * M[i + 2]) / d[i]
+            M = np.array(M)
             coefs[:, 0] = v[:-1]
             coefs[:, 1] = slope - h * (2.0 * M[:-1] + M[1:]) / 6.0
             coefs[:, 2] = 0.5 * M[:-1]

@@ -426,8 +426,9 @@ def _integrate(s, name, coef, y0, nout, rider=None):
     the scenario's tolerances.
 
     ``name`` names the system in errors.  A solution that leaves the float
-    range while the steps before it were fine enough, or that needs more
-    than MAX_STEPS steps, raises StepSizeUnderflow.
+    range while the steps before it were fine enough, or at a step where
+    A(t) is not finite, or that needs more than MAX_STEPS steps, raises
+    StepSizeUnderflow.
     """
     y0 = np.asarray(y0, dtype=float)
     bounds = _bounds(s)
@@ -445,6 +446,13 @@ def _integrate(s, name, coef, y0, nout, rider=None):
                                        rider)
             nfev += _NODES.shape[0] * n
             done = n if bad is None else bad
+            # no finer grid makes A(t) finite where it is not
+            if bad is not None and not np.isfinite(coef(np.minimum(
+                    ts[bad] + (ts[bad + 1] - ts[bad]) * _NODES,
+                    ts[-1]))).all():
+                raise StepSizeUnderflow(
+                    f"{name} system: coefficients not finite on "
+                    f"[{ts[bad]:.17g}, {ts[bad + 1]:.17g}]")
             # the step count of a grid that equidistributes the error at
             # _TARGET, over the steps this grid got through
             need = (np.sum((errn[:done] / _TARGET) ** 0.125) if done

@@ -13,10 +13,14 @@ Phys. 35, 177 (1967)), which needs no product with 1 - i a H.  It doubles
 the solve's rounding, so the norm drifts about twice as fast as in the
 product form (-9e-14 against -4.5e-14 over 6283 steps on sho.cfg), far
 inside the unitarity checks.  The tridiagonal system (1 + i a H)/2,
-exactly half of 1 + i a H, is solved by the odd-even cyclic reduction of
-``tridiag``, down to a reduced system of at most ``REDUCED`` unknowns that
-is solved by its inverse.  Its off-diagonal is one number per step, so the
-first level of the elimination keeps one coupling array instead of two.
+exactly half of 1 + i a H, is solved by odd-even cyclic reduction (Buzbee,
+Golub & Nielson, SIAM J. Numer. Anal. 7, 627 (1970)): each level
+eliminates the odd-numbered unknowns from the equations of the
+even-numbered ones, which leaves a symmetric tridiagonal system of half
+the size, so every level works on whole arrays of a block's steps.  The
+levels stop at a reduced system of at most ``REDUCED`` unknowns, which is
+solved by its inverse.  Its off-diagonal is one number per step, so the
+first level keeps one coupling array instead of two.
 
 H(t) does not depend on psi, so steps run in blocks of ``BLOCK`` on one
 ``_Plan`` per run: ``build_hamiltonian`` writes H's diagonal at a block's
@@ -40,7 +44,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import tridiag
 from .core import write_rows
 from .errors import OutOfDomain, SolverBreakdown, ValidationError
 from .invariants import frame_from_beta
@@ -100,6 +103,111 @@ def build_hamiltonian(s, t, out=None):
     return diag, (float(off) if t.ndim == 0 else off)
 
 
+def _lies_flat(a):
+    return a.shape[0] == 1 or a.strides[0] == a.shape[1] * a.strides[1]
+
+
+def _shifted(op, b, u):
+    """op(b[:, 1:], u[:, :n - 1]) into b[:, 1:]; if u's n-th column is zero
+    and the rows lie flat, as one loop along them, not numpy's one per row."""
+    n = b.shape[1]
+    if u.shape[1] == n and _lies_flat(b) and _lies_flat(u):
+        b, u = b.reshape(-1), u.reshape(-1)
+        op(b[1:], u[:-1], out=b[1:])
+    else:
+        op(b[:, 1:], u[:, :n - 1], out=b[:, 1:])
+
+
+def _eliminate(b, c, levels, scratch):
+    """Eliminate the K systems (b, c), in place in b, over the plan's
+    ``levels``: system k has diagonal ``b[k]``, and ``c[k, 0]`` couples all
+    its neighbours.
+
+    A level keeps w, the inverse odd pivots, and lw, rw, the odd unknowns'
+    couplings to their left and right even neighbours times w, in its first
+    K rows.  The first level forms its update of b, then the next
+    coupling with a zero past the last unknown, in ``scratch``
+    (K, ceil(m/2)), so even sizes take whole rows; later levels update that
+    coupling in place.  Returns the levels and the reduced (b, c).  Nothing
+    is checked: a non-finite value stays in the b it updates or, past the
+    last level, in the reduced c.
+    """
+    k = b.shape[0]
+    scratch = scratch[:k]
+    out = []
+    for w, lw, rw in levels:
+        w, lw, rw = w[:k], lw[:k], rw[:k]
+        p = w.shape[1]
+        np.divide(1.0, b[:, 1::2], out=w)
+        b = b[:, 0::2]
+        if not out:
+            # the constant coupling: rw is the head of lw
+            np.multiply(c, w, out=lw)
+            np.multiply(-c, lw, out=scratch[:, :p])
+            b[:, :p] += scratch[:, :p]
+            # the zero past the last unknown: on an even size it replaces
+            # the last odd unknown's update, which has no right neighbour
+            c = scratch[:, :b.shape[1]]
+            c[:, -1] = 0
+            _shifted(np.add, b, c)
+        else:
+            # in place in c: its right entries become the b update, its
+            # left entries the other update, then the next coupling
+            left, right = c[:, 0:2 * p:2], c[:, 1::2]
+            np.multiply(left, w, out=lw)
+            np.multiply(right, w, out=rw)
+            right *= rw
+            _shifted(np.subtract, b, right)
+            np.multiply(left, lw, out=right)
+            b[:, :p] -= right
+            left *= rw
+            # not np.negative(left, out=left): numpy 2.4.6 reads a float64
+            # view of 64-byte stride as if it were contiguous there
+            left *= -1.0
+            c = c[:, 0::2]
+        out.append((w, lw, rw))
+    return out, b, c[:, :b.shape[1] - 1]
+
+
+def _bind(levels, j, x, scratch):
+    """Bind each level's factors of system j to the views of the vector x
+    they update, and to ``scratch`` (half x's unknowns), once for every
+    solve into x.  Returns the bindings and the reduced system's view of x.
+    """
+    bound, evens = [], x
+    for w, lw, rw in levels:
+        odd, evens = evens[1::2], evens[0::2]
+        p, q = odd.shape[0], evens.shape[0]
+        bound.append((w[j], lw[j], rw[j][:q - 1], odd,
+                      evens if p == q else evens[:p],
+                      odd if p == q - 1 else odd[:q - 1], evens[1:],
+                      scratch[:p], scratch[:q - 1],
+                      np.may_share_memory(lw, rw)))
+    return bound, evens
+
+
+def _reduce(bound):
+    """Reduce the right-hand side of ``bound``, in place; the first level's
+    rw is the head of its lw, so one product serves both updates.
+    Outputs are positional: numpy parses them faster than ``out=``."""
+    for w, lw, rw, odd, left, odd_r, right, s, s_r, shared in bound:
+        np.multiply(lw, odd, s)
+        left -= s
+        if not shared:
+            np.multiply(rw, odd_r, s_r)
+        right -= s_r
+
+
+def _back(bound):
+    """Back-substitute every level's odd unknowns, innermost first."""
+    for w, lw, rw, odd, left, odd_r, right, s, s_r, _ in reversed(bound):
+        odd *= w
+        np.multiply(lw, left, s)
+        odd -= s
+        np.multiply(rw, right, s_r)
+        odd_r -= s_r
+
+
 class _Plan:
     """One propagation's arrays for blocks of up to ``rows`` steps: the
     buffer ``h``, eliminated in place, its ``levels`` and ``scratch``, the
@@ -110,7 +218,16 @@ class _Plan:
     def __init__(self, npoints, rows, slices=0):
         dtype = np.complex128
         self.h = np.empty((rows, npoints), dtype)
-        self.levels = tridiag.allocate(rows, npoints, REDUCED, dtype, True)
+        # (w, lw, rw) of each level down to REDUCED unknowns, p odd and q
+        # even ones; the first level's rw is a view of its lw
+        self.levels, n = [], npoints
+        while n > REDUCED:
+            p, q = n // 2, n - n // 2
+            w, lw = np.empty((rows, p), dtype), np.empty((rows, p), dtype)
+            rw = (lw[:, :q - 1] if not self.levels
+                  else np.empty((rows, p), dtype))
+            self.levels.append((w, lw, rw))
+            n = q
         self.states = np.empty((rows, npoints), dtype)
         self.work = np.empty((2, slices, npoints))
         # The elimination's scratch is the head of the states: a block is
@@ -120,7 +237,7 @@ class _Plan:
         q = npoints - npoints // 2
         self.scratch = self.states.reshape(-1)[:rows * q].reshape(rows, q)
         step_scratch = np.empty(npoints // 2, dtype)
-        slots = [tridiag.bind(self.levels, j, row, step_scratch)
+        slots = [_bind(self.levels, j, row, step_scratch)
                  for j, row in enumerate(self.states)]
         r = slots[0][1].shape[0]
         self.reduced = np.zeros((rows, r, r), dtype)
@@ -146,8 +263,8 @@ def _factor(s, ts, dt, plan):
     diag, off = build_hamiltonian(s, ts, out=h.imag)
     diag *= 0.5 * a
     h.real = 0.5
-    levels, b, c = tridiag.eliminate(h, 0.5j * a * off[:, None], REDUCED,
-                                     plan.levels, plan.scratch)
+    levels, b, c = _eliminate(h, 0.5j * a * off[:, None], plan.levels,
+                              plan.scratch)
     r = b.shape[1]
     flat = plan.reduced[:k].reshape(k, r * r)
     flat[:, ::r + 1] = b
@@ -173,9 +290,9 @@ def _cn_step(step, values):
     values, returned as the slot's state, which values must not overlap."""
     x, bound, reduced, inv = step
     np.copyto(x, values)
-    tridiag.reduce(bound)
+    _reduce(bound)
     reduced[...] = inv @ reduced
-    tridiag.back(bound)
+    _back(bound)
     x -= values
     return x
 
@@ -201,8 +318,11 @@ class PropagationRun:
     slice_ts: np.ndarray
     slice_norms: np.ndarray
     overlaps: np.ndarray
-    fidelity_defects: np.ndarray
     step_norms: np.ndarray      # post-step trapezoid norms, every step
+
+    @property
+    def fidelity_defects(self):
+        return 1.0 - self.overlaps
 
     @property
     def min_overlap(self):
@@ -293,5 +413,4 @@ def propagate_and_compare(s, n, t0, t1, dt, max_slices=201, beta_sol=None):
                         step_norms[first:last:stride])
     return PropagationRun(initial=psi0, dt=dt_eff, slice_ts=slice_ts,
                           slice_norms=norms, overlaps=overlaps,
-                          fidelity_defects=1.0 - overlaps,
                           step_norms=step_norms)

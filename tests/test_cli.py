@@ -222,10 +222,10 @@ def test_csv_writers_print_each_value_as_17_digits(tmp_path):
         "# max_drift_I=-0, max_drift_IQ=1e-300, omega_drift=nan\n")
     run = bckosc.PropagationRun(
         initial=None, dt=0.1, slice_ts=cols[0], slice_norms=cols[1],
-        overlaps=cols[2], fidelity_defects=cols[3], step_norms=cols[4])
+        overlaps=cols[2], step_norms=cols[4])
     run.to_csv(path)
     assert path.read_text() == expected("t,norm,overlap,fidelity_defect\n",
-                                        zip(*cols[:4]))
+                                        zip(*cols[:3], 1.0 - cols[2]))
     # |v|^2 overflows past 1e154, in the writer as in abs(v) ** 2
     with np.errstate(over="ignore"):
         bckosc.WaveFunction(qs=cols[0], values=values, t=0.0).to_csv(
@@ -675,15 +675,16 @@ CLI_MODULES = ["bckosc", "bckosc.cli", "bckosc.core", "bckosc.errors",
 @pytest.mark.parametrize("argv, loaded", [
     ([], ["bckosc"]),
     (["verify", "--scenario", DRIVEN], CLI_MODULES),
-    (["verify", "--scenario", "tabulated.cfg"],
-     CLI_MODULES + ["bckosc.tridiag"]),
+    (["verify", "--scenario", "tabulated.cfg"], CLI_MODULES),
     (["spectrum", "--scenario", SHO], CLI_MODULES + ["bckosc.quantum"]),
-], ids=["import", "verify", "verify-tabulated", "spectrum"])
+    (["propagate", "--scenario", SHO],
+     CLI_MODULES + ["bckosc.propagator", "bckosc.quantum"]),
+], ids=["import", "verify", "verify-tabulated", "spectrum", "propagate"])
 def test_each_entry_point_loads_only_the_code_it_runs(tmp_path, argv,
                                                       loaded):
     # each bckosc module a process imports is compiled from source where
     # no bytecode is cached: verify needs neither the quantum nor the
-    # Crank-Nicolson modules, and only a spline solves a tridiagonal system
+    # Crank-Nicolson modules, and a spline solves its own system
     code = ("import json, sys, bckosc\n"
             "if sys.argv[1:]:\n"
             "    from bckosc.cli import main\n"

@@ -14,7 +14,7 @@ from scipy.integrate import quad, solve_ivp
 from bckosc import ode
 from bckosc import (OutOfDomain, Scenario, StepSizeUnderflow, TimeFunction,
                     integrate_beta, integrate_classical, integrate_gamma,
-                    integrate_sigma, parse_scenario_file)
+                    integrate_sigma, parse_scenario, parse_scenario_file)
 from bckosc.invariants import envelope_ics, frame_from_beta
 
 from conftest import SCENARIO_DIR, coefficient_reduction
@@ -319,6 +319,31 @@ def test_step_count_guard_names_the_system(monkeypatch):
     with pytest.raises(StepSizeUnderflow,
                        match=r"^amplitude system needs more than 10 steps"):
         integrate_beta(s)
+
+
+@pytest.mark.parametrize("edit", [("value = 1\n", "value = 1e308\n"),
+                                  ("t1 = 62.831853071795865",
+                                   "t1 = 1e308")],
+                         ids=["omega", "t1"])
+def test_coefficients_not_finite_fail_on_the_first_grid(monkeypatch, edit):
+    # omega^2 overflows, or e^G overflows far out in the window: no step
+    # size makes A(t) finite, so no finer grid is tried
+    text = (SCENARIO_DIR / "underdamped_driven.cfg").read_text()
+    assert text.count(edit[0]) == 1
+    s = parse_scenario(text.replace(*edit))
+    sweeps = []
+
+    def counted(*args, **kwargs):
+        sweeps.append(1)
+        return sweep(*args, **kwargs)
+
+    sweep = ode._sweep
+    monkeypatch.setattr(ode, "_sweep", counted)
+    with pytest.raises(StepSizeUnderflow,
+                       match=r"^amplitude system: coefficients not finite "
+                             r"on \[0, "):
+        integrate_beta(s)
+    assert len(sweeps) == 1
 
 
 def test_grid_contains_spline_knots():

@@ -104,11 +104,10 @@ def test_cn_step_matches_a_dense_solve(driven):
     # the cyclic-reduction solve against a direct solve of the Cayley system
     # by LAPACK's banded gbsv (not the gesv that inverts the reduced
     # systems), for grids the elimination leaves whole, stops at REDUCED
-    # unknowns, or leaves just above or far above it
+    # unknowns, or leaves above it with odd and even sizes at every level
     rng = np.random.default_rng(20260823)
     dt = 0.05
-    for npoints in (3, REDUCED - 1, REDUCED, REDUCED + 1, 2 * REDUCED + 1,
-                    37, 513):
+    for npoints in (*range(3, 70), 513):
         s = replace(driven, npoints=37)
         # sizes below the scenario minimum of 16 points test the solve alone
         object.__setattr__(s, "npoints", npoints)
