@@ -17,26 +17,28 @@ exactly half of 1 + i a H, is solved by odd-even cyclic reduction (Buzbee,
 Golub & Nielson, SIAM J. Numer. Anal. 7, 627 (1970)): each level
 eliminates the odd-numbered unknowns from the equations of the
 even-numbered ones, which leaves a symmetric tridiagonal system of half
-the size, so every level works on whole arrays of a block's steps.  The
-levels stop at a reduced system of at most ``REDUCED`` unknowns, which is
-solved by its inverse.  Its off-diagonal is one number per step, so the
-first level keeps one coupling array instead of two.
+the size, so every level works on whole arrays of a block's steps.  Each
+level roughly squares the couplings (Heller, SIAM J. Numer. Anal. 13, 484
+(1976)), so the levels stop once every coupling is ``NEGLIGIBLE`` or one
+unknown is left, at a diagonal system.  The first level's coupling is one
+number per step, so it keeps one coupling array instead of two.
 
 H(t) does not depend on psi, so steps run in blocks of ``BLOCK`` on one
 ``_Plan`` per run: ``build_hamiltonian`` writes H's diagonal at a block's
 midpoints into the imaginary part of its buffer, ``_factor`` turns the
-buffer into (1 + i a H)/2, one elimination fills its factors, and one
-``np.linalg.inv`` inverts the reduced systems.  For a finite H every pivot
+buffer into (1 + i a H)/2, one elimination fills its factors, and the
+reduced diagonal turns into its reciprocals.  For a finite H every pivot
 has real part >= 1/2 (the Hermitian part is I/2, and Schur complements
-keep that), so only non-finite values can break the factorisation, and one
-check of the eliminated buffer, the reduced coupling and the inverses
-replaces pivot bookkeeping.  Each step's views are bound once per run, so
-``_cn_step``, which every caller steps with, indexes nothing.  Once a block
-is factored its buffer is free, so the analytic states at the slices the
-block reaches are written into it, one evaluation per block, and compared
-with the propagated ones, views of the block's states, by trapezoid inner
-products (one ``np.vecdot`` each).  So after the plan a run allocates
-nothing of a block's size.
+keep that), so only non-finite values can break the factorisation; a
+coupling that is not negligible, a non-finite one included, reaches the
+next level's diagonal, so one check of the eliminated buffer replaces
+pivot bookkeeping.  Each step's views are bound once per run and depth, so
+``_cn_step``, which every caller steps with, indexes nothing.  Once a
+block's steps are taken its buffer is free, so the analytic states at the
+slices the block reaches are written into it, one evaluation per block,
+and compared with the propagated ones, views of the block's states, by
+trapezoid inner products (one ``np.vecdot`` each).  So after the plan a
+run allocates nothing of a block's size.
 """
 
 from dataclasses import dataclass
@@ -60,13 +62,11 @@ from .quantum import (WaveFunction, eval_psin, l2_norm, psin_values,
 # 208 and 217 ms.
 BLOCK = 16
 
-# Unknowns at or below which the elimination stops and the stored inverse
-# of the reduced system takes over.  At 1024 points (a 2-vCPU Xeon VM), 8
-# and 16 ran level and 4 and 32 about 5% slower per propagation with
-# inverses from cyclic reduction; at 8 the inverse's product costs about
-# the arithmetic of the levels it replaces.  np.linalg.inv of 24 stacked
-# 8 x 8 matrices takes 52 µs there, of 24 16 x 16 ones 207 µs.
-REDUCED = 8
+# Largest modulus of a coupling that the elimination drops: u/4 for the
+# unit roundoff u = 2^-53.  A pivot has modulus at least 1/2, so the two
+# terms a row drops are together below u times its pivot and its largest
+# unknown.
+NEGLIGIBLE = np.finfo(float).eps / 8
 
 
 @lru_cache(maxsize=1)
@@ -120,27 +120,32 @@ def _shifted(op, b, u):
 
 def _eliminate(b, c, levels, scratch):
     """Eliminate the K systems (b, c), in place in b, over the plan's
-    ``levels``: system k has diagonal ``b[k]``, and ``c[k, 0]`` couples all
-    its neighbours.
+    ``levels`` until no coupling exceeds ``NEGLIGIBLE`` or one unknown is
+    left: system k has diagonal ``b[k]``, and ``c[k, 0]`` couples all its
+    neighbours.
 
     A level keeps w, the inverse odd pivots, and lw, rw, the odd unknowns'
     couplings to their left and right even neighbours times w, in its first
     K rows.  The first level forms its update of b, then the next
     coupling with a zero past the last unknown, in ``scratch``
     (K, ceil(m/2)), so even sizes take whole rows; later levels update that
-    coupling in place.  Returns the levels and the reduced (b, c).  Nothing
-    is checked: a non-finite value stays in the b it updates or, past the
-    last level, in the reduced c.
+    coupling in place.  Returns the number of levels and the reduced b.
+    Nothing is checked: a non-finite value stays in the b it updates, and
+    a coupling that is not finite is not negligible.
     """
     k = b.shape[0]
     scratch = scratch[:k]
-    out = []
+    depth = 0
     for w, lw, rw in levels:
+        # each row's sum of squared moduli, one BLAS dot product with no
+        # copy of c, bounds its couplings; a NaN sum reduces on
+        if np.vecdot(c, c).real.max() <= NEGLIGIBLE * NEGLIGIBLE:
+            break
         w, lw, rw = w[:k], lw[:k], rw[:k]
         p = w.shape[1]
         np.divide(1.0, b[:, 1::2], out=w)
         b = b[:, 0::2]
-        if not out:
+        if not depth:
             # the constant coupling: rw is the head of lw
             np.multiply(c, w, out=lw)
             np.multiply(-c, lw, out=scratch[:, :p])
@@ -165,15 +170,14 @@ def _eliminate(b, c, levels, scratch):
             # view of 64-byte stride as if it were contiguous there
             left *= -1.0
             c = c[:, 0::2]
-        out.append((w, lw, rw))
-    return out, b, c[:, :b.shape[1] - 1]
+        depth += 1
+    return depth, b
 
 
 def _bind(levels, j, x, scratch):
     """Bind each level's factors of system j to the views of the vector x
     they update, and to ``scratch`` (half x's unknowns), once for every
-    solve into x.  Returns the bindings and the reduced system's view of x.
-    """
+    solve into x."""
     bound, evens = [], x
     for w, lw, rw in levels:
         odd, evens = evens[1::2], evens[0::2]
@@ -183,7 +187,7 @@ def _bind(levels, j, x, scratch):
                       odd if p == q - 1 else odd[:q - 1], evens[1:],
                       scratch[:p], scratch[:q - 1],
                       np.may_share_memory(lw, rw)))
-    return bound, evens
+    return bound
 
 
 def _reduce(bound):
@@ -211,17 +215,17 @@ def _back(bound):
 class _Plan:
     """One propagation's arrays for blocks of up to ``rows`` steps: the
     buffer ``h``, eliminated in place, its ``levels`` and ``scratch``, the
-    reduced matrices and their inverses, the ``states``, and ``work``,
-    the float scratch of up to ``slices`` analytic states at a time.
-    ``steps[j]`` binds slot j's state, factor views and inverse once."""
+    ``states``, and ``work``, the float scratch of up to ``slices``
+    analytic states at a time.  ``steps(depth)`` binds each slot's state,
+    factor views and reduced reciprocals once per depth."""
 
     def __init__(self, npoints, rows, slices=0):
         dtype = np.complex128
         self.h = np.empty((rows, npoints), dtype)
-        # (w, lw, rw) of each level down to REDUCED unknowns, p odd and q
-        # even ones; the first level's rw is a view of its lw
+        # (w, lw, rw) of each level down to one unknown, p odd and q even
+        # ones; the first level's rw is a view of its lw
         self.levels, n = [], npoints
-        while n > REDUCED:
+        while n > 1:
             p, q = n // 2, n - n // 2
             w, lw = np.empty((rows, p), dtype), np.empty((rows, p), dtype)
             rw = (lw[:, :q - 1] if not self.levels
@@ -237,25 +241,28 @@ class _Plan:
         q = npoints - npoints // 2
         self.scratch = self.states.reshape(-1)[:rows * q].reshape(rows, q)
         step_scratch = np.empty(npoints // 2, dtype)
-        slots = [_bind(self.levels, j, row, step_scratch)
-                 for j, row in enumerate(self.states)]
-        r = slots[0][1].shape[0]
-        self.reduced = np.zeros((rows, r, r), dtype)
-        self.inv = np.empty_like(self.reduced)
-        self.steps = [(row, bound, x_r, inv)
-                      for row, (bound, x_r), inv
-                      in zip(self.states, slots, self.inv)]
+        self.bound = [_bind(self.levels, j, row, step_scratch)
+                      for j, row in enumerate(self.states)]
+        self._steps = {}
+
+    def steps(self, depth):
+        """Each slot's state, bindings of ``depth`` levels, and reduced
+        state and reciprocals: views of its state and buffer rows."""
+        if depth not in self._steps:
+            self._steps[depth] = [
+                (row, bound[:depth], row[::1 << depth], h[::1 << depth])
+                for row, bound, h in zip(self.states, self.bound, self.h)]
+        return self._steps[depth]
 
 
 def _factor(s, ts, dt, plan):
     """Factor (1 + i a H(t))/2, a = dt/(2 hbar), at every time of the 1-d
-    array ts into the first rows of ``plan``, down to ``REDUCED`` unknowns
-    whose inverses come from one ``np.linalg.inv``.  The buffer's imaginary
+    array ts into the first rows of ``plan``, down to a diagonal system
+    whose reciprocals replace it in the buffer.  The buffer's imaginary
     part takes H's diagonal from ``build_hamiltonian``, scaled by a/2, its
-    real part 1/2, and the coupling is i a off/2.
-    Returns (levels, reduced inverses), indexed by time first.  Raises
-    SolverBreakdown unless the eliminated buffer, the reduced coupling and
-    the inverses are all finite.
+    real part 1/2, and the coupling is i a off/2.  Returns the number of
+    levels.  Raises SolverBreakdown unless the eliminated buffer is finite,
+    checked first: the reciprocal of an infinite pivot is a quiet 0.
     """
     k = ts.shape[0]
     a = 0.5 * dt / s.hbar
@@ -263,35 +270,25 @@ def _factor(s, ts, dt, plan):
     diag, off = build_hamiltonian(s, ts, out=h.imag)
     diag *= 0.5 * a
     h.real = 0.5
-    levels, b, c = _eliminate(h, 0.5j * a * off[:, None], plan.levels,
-                              plan.scratch)
-    r = b.shape[1]
-    flat = plan.reduced[:k].reshape(k, r * r)
-    flat[:, ::r + 1] = b
-    flat[:, 1::r + 1] = c
-    flat[:, r::r + 1] = c
-    try:
-        inv = np.linalg.inv(plan.reduced[:k])
-    except np.linalg.LinAlgError:   # only non-finite entries make one
-        inv = None
+    depth, b = _eliminate(h, 0.5j * a * off[:, None], plan.levels,
+                          plan.scratch)
     # the buffer's extremes are finite only if all of it is, and finding
     # them allocates nothing of its size
     parts = h.view(np.float64)
-    if not (inv is not None and np.isfinite((parts.min(), parts.max())).all()
-            and np.isfinite(c).all() and np.isfinite(inv).all()):
+    if not np.isfinite((parts.min(), parts.max())).all():
         raise SolverBreakdown("tridiagonal elimination of (1 + i a H)/2 "
                               "is not finite")
-    plan.inv[:k] = inv
-    return levels, plan.inv[:k]
+    np.divide(1.0, b, out=b)
+    return depth
 
 
 def _cn_step(step, values):
     """Step of a plan slot (``_Plan.steps``): 2 (1 + i a H_j)^{-1} values -
     values, returned as the slot's state, which values must not overlap."""
-    x, bound, reduced, inv = step
+    x, bound, reduced, dinv = step
     np.copyto(x, values)
     _reduce(bound)
-    reduced[...] = inv @ reduced
+    reduced *= dinv
     _back(bound)
     x -= values
     return x
@@ -304,8 +301,8 @@ def crank_nicolson_step(psi, s, t, dt):
     values = np.asarray(psi.values, dtype=np.complex128)
     plan = _Plan(s.npoints, 1)
     with np.errstate(all="ignore"):
-        _factor(s, np.array([t + 0.5 * dt]), dt, plan)
-        out = _cn_step(plan.steps[0], values)
+        depth = _factor(s, np.array([t + 0.5 * dt]), dt, plan)
+        out = _cn_step(plan.steps(depth)[0], values)
     return WaveFunction(qs=psi.qs, values=out, t=t + dt, n=psi.n)
 
 
@@ -319,6 +316,7 @@ class PropagationRun:
     slice_norms: np.ndarray
     overlaps: np.ndarray
     step_norms: np.ndarray      # post-step trapezoid norms, every step
+    block_levels: np.ndarray    # cyclic-reduction levels of each block
 
     @property
     def fidelity_defects(self):
@@ -391,6 +389,7 @@ def propagate_and_compare(s, n, t0, t1, dt, max_slices=201, beta_sol=None):
 
     compare(0, 1, psi0.values[None], psi0.norm)
     step_norms = np.empty(nsteps)
+    block_levels = np.empty(-(-nsteps // BLOCK), dtype=int)
     psi = psi0.values
     # a block's last state, in its last row, is read by the next block's
     # first step, which writes row 0
@@ -398,10 +397,11 @@ def propagate_and_compare(s, n, t0, t1, dt, max_slices=201, beta_sol=None):
         ks = np.arange(start, min(start + BLOCK, nsteps))
         block = plan.states[:ks.shape[0]]
         with np.errstate(all="ignore"):
-            _factor(s, t0 + ks * dt_eff + 0.5 * dt_eff, dt_eff, plan)
-            for step in plan.steps[:ks.shape[0]]:
+            depth = _factor(s, t0 + ks * dt_eff + 0.5 * dt_eff, dt_eff, plan)
+            for step in plan.steps(depth)[:ks.shape[0]]:
                 psi = _cn_step(step, psi)
             step_norms[ks] = l2_norm(block, dq)
+        block_levels[start // BLOCK] = depth
         # the slices at steps ks[0] + 1 .. ks[-1] + 1, as views of the
         # block a stride apart, compared outside errstate: the analytic
         # states' warnings are not muted
@@ -413,4 +413,4 @@ def propagate_and_compare(s, n, t0, t1, dt, max_slices=201, beta_sol=None):
                         step_norms[first:last:stride])
     return PropagationRun(initial=psi0, dt=dt_eff, slice_ts=slice_ts,
                           slice_norms=norms, overlaps=overlaps,
-                          step_norms=step_norms)
+                          step_norms=step_norms, block_levels=block_levels)

@@ -222,7 +222,7 @@ def test_csv_writers_print_each_value_as_17_digits(tmp_path):
         "# max_drift_I=-0, max_drift_IQ=1e-300, omega_drift=nan\n")
     run = bckosc.PropagationRun(
         initial=None, dt=0.1, slice_ts=cols[0], slice_norms=cols[1],
-        overlaps=cols[2], step_norms=cols[4])
+        overlaps=cols[2], step_norms=cols[4], block_levels=np.array([6]))
     run.to_csv(path)
     assert path.read_text() == expected("t,norm,overlap,fidelity_defect\n",
                                         zip(*cols[:3], 1.0 - cols[2]))
@@ -312,15 +312,27 @@ def test_propagate_sho(tmp_path, capsys):
     assert "min overlap" in capsys.readouterr().out
 
 
-def test_propagate_driven_matches_the_golden_csv(tmp_path, capsys):
+def test_propagate_driven_matches_the_golden_csv(tmp_path, capsys,
+                                                monkeypatch):
     # tests/data/propagate_driven.csv was written by the earlier
     # Crank-Nicolson solver (level-by-level pivot checks, cyclic reduction
-    # of the reduced systems) with these arguments: a rework of the solver
-    # must keep every column within 1e-14 of it
+    # of the reduced systems) with the bench's arguments: a rework of the
+    # solver, such as the reduction that stops where the couplings are
+    # negligible, must keep every column within 1e-14 of it.  Each block
+    # of these arguments stops after 6 levels
+    runs = []
+
+    def record(*args, **kwargs):
+        runs.append(bckosc.propagate_and_compare(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(bckosc.cli, "propagate_and_compare", record,
+                        raising=False)
     rc = main(["propagate", "--scenario", DRIVEN, "--out", str(tmp_path),
                "--n", "0", "--periods", "0.5", "--dt", "0.004",
                "--min-overlap", "0.9999"])
     assert rc == 0, capsys.readouterr().out
+    assert runs[0].block_levels.tolist() == [6] * 50
     golden = DATA_DIR / "propagate_driven.csv"
     lines = [(tmp_path / "propagation.csv").read_text().splitlines(),
              golden.read_text().splitlines()]

@@ -4,6 +4,7 @@ README quotes."""
 
 import ast
 import json
+import math
 import os
 import pathlib
 import re
@@ -158,11 +159,27 @@ def test_only_the_hamiltonian_route_reads_its_coefficients():
     assert found == HAMILTONIAN_ROUTE
 
 
+def test_no_module_reaches_numpy_linalg():
+    # the Crank-Nicolson solve's dense inverse was the package's one LAPACK
+    # call, and its first call alone made about 1 MB of pages resident
+    paths = sorted((ROOT / "src" / "bckosc").glob("*.py"))
+    found = set().union(*(referrers(p, "linalg") for p in paths))
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or "",
+                         *(a.name for a in node.names)]
+                found |= {f"{path.stem}: import {name}" for name in names
+                          if "linalg" in name.split(".")}
+    assert found == set()
+
+
 # ---------- figures the README quotes ----------
 
 @pytest.mark.parametrize("pattern, value", [
     (r"`propagator\.BLOCK` \((\d+)\)", propagator.BLOCK),
-    (r"`propagator\.REDUCED` \((\d+)\)", propagator.REDUCED),
+    (r"`propagator\.NEGLIGIBLE` \(2\^(-\d+)\)",
+     round(math.log2(propagator.NEGLIGIBLE))),
     (r"(\d+) steps at a time", ode._CHUNK),
 ])
 def test_readme_quotes_the_module_constants(pattern, value):

@@ -17,7 +17,7 @@ from bckosc import (GridTooNarrow, OutOfDomain, Scenario, SolverBreakdown,
                     crank_nicolson_step, eval_psin, frame_from_beta, inner,
                     integrate_beta, propagate_and_compare)
 from bckosc import propagator
-from bckosc.propagator import BLOCK, REDUCED, _factor, _Plan
+from bckosc.propagator import BLOCK, _cn_step, _factor, _Plan
 from bckosc.quantum import WaveFunction
 
 
@@ -26,6 +26,21 @@ def apply_h(diag, off, values):
     out[1:] += off * values[:-1]
     out[:-1] += off * values[1:]
     return out
+
+
+@pytest.fixture
+def depths(monkeypatch):
+    """The number of levels each elimination takes, in order."""
+    taken = []
+    eliminate = propagator._eliminate
+
+    def record(*args):
+        depth, b = eliminate(*args)
+        taken.append(depth)
+        return depth, b
+
+    monkeypatch.setattr(propagator, "_eliminate", record)
+    return taken
 
 
 # ---------- Hamiltonian assembly ----------
@@ -100,29 +115,41 @@ def test_cn_step_is_unitary(driven, driven_beta):
         assert abs(psi.norm - n0) / n0 < 1e-12
 
 
-def test_cn_step_matches_a_dense_solve(driven):
+def test_cn_step_matches_a_dense_solve(driven, depths):
     # the cyclic-reduction solve against a direct solve of the Cayley system
-    # by LAPACK's banded gbsv (not the gesv that inverts the reduced
-    # systems), for grids the elimination leaves whole, stops at REDUCED
-    # unknowns, or leaves above it with odd and even sizes at every level
+    # by LAPACK's banded gbsv, first for grids the elimination leaves whole
+    # or reduces with odd and even sizes at every level
     rng = np.random.default_rng(20260823)
-    dt = 0.05
-    for npoints in (*range(3, 70), 513):
-        s = replace(driven, npoints=37)
-        # sizes below the scenario minimum of 16 points test the solve alone
-        object.__setattr__(s, "npoints", npoints)
-        values = rng.normal(size=npoints) + 1j * rng.normal(size=npoints)
-        psi = WaveFunction(qs=s.grid(), values=values, t=0.5)
-        diag, off = build_hamiltonian(s, 0.5 + 0.5 * dt)
+
+    def check(s, t, dt):
+        values = rng.normal(size=s.npoints) + 1j * rng.normal(size=s.npoints)
+        psi = WaveFunction(qs=s.grid(), values=values, t=t)
+        diag, off = build_hamiltonian(s, t + 0.5 * dt)
         a = 0.5j * dt / s.hbar
-        bands = np.zeros((3, npoints), dtype=complex)
+        bands = np.zeros((3, s.npoints), dtype=complex)
         bands[0, 1:] = bands[2, :-1] = a * off
         bands[1] = 1.0 + a * diag
         ref = solve_banded((1, 1), bands,
                            values - a * apply_h(diag, off, values))
-        out = crank_nicolson_step(psi, s, 0.5, dt)
+        out = crank_nicolson_step(psi, s, t, dt)
         assert_allclose(out.values, ref, rtol=0, atol=1e-13,
-                        err_msg=f"npoints={npoints}")
+                        err_msg=f"npoints={s.npoints}, t={t}, dt={dt}")
+
+    for npoints in (*range(3, 70), 513):
+        s = replace(driven, npoints=37)
+        # sizes below the scenario minimum of 16 points test the solve alone
+        object.__setattr__(s, "npoints", npoints)
+        check(s, 0.5, 0.05)
+    # then sweeps over dt and t that stop the reduction at every depth, from
+    # no level (a |off| tiny) to one unknown: the narrow grids keep V q^2
+    # small next to the kinetic term, so the couplings fall slowly
+    for npoints, qmax in ((65, 2.0), (513, 4.0)):
+        s = replace(driven, qmin=-qmax, qmax=qmax, npoints=npoints)
+        depths.clear()
+        for dt in 10.0 ** np.arange(-20.0, 0.1, 0.25):
+            for t in (0.0, 60.0):
+                check(s, t, dt)
+        assert set(depths) == set(range(math.ceil(math.log2(npoints)) + 1))
 
 
 def test_non_finite_hamiltonian_is_a_breakdown():
@@ -137,66 +164,82 @@ def test_non_finite_hamiltonian_is_a_breakdown():
             crank_nicolson_step(psi, s, 2.0, 1e-3)
 
 
-def test_breakdown_in_the_reduced_system_is_quiet():
-    # e^G = 3.7e306: 0.5 omega^2 e^G q^2 overflows at q = +-10 and nowhere
-    # else.  Unknowns 0 and 64 of 65 are even at every level, so both ends
-    # reach the reduced system and every pivot above it is finite
-    s = Scenario(omega=TimeFunction.constant(1.0), t0=0.0, t1=710.0,
-                 damping=TimeFunction.constant(0.5), beta0=(1.0, 1.0j),
-                 qmin=-10.0, qmax=10.0, npoints=65)
+def test_breakdown_in_the_reduced_system_is_quiet(depths):
+    # 0.5 V q^2 overflows at q = +-10 and nowhere else.  Unknowns 0 and 64
+    # of 65 are even at every level, so both ends reach the reduced system,
+    # which is diagonal and holds an infinite pivot.  With V = e^G =
+    # 3.7e306 the couplings, K = e^{-G}, are negligible from the start, so
+    # no level is taken; with m = 0.025 and omega^2 = 1.48e308 (K = 40, the
+    # same V) one level, whose pivots are finite, is taken first
     dt = 1e-3
     t = math.log(3.7e306) - 0.5 * dt
-    with np.errstate(over="ignore"):
-        diag, _ = build_hamiltonian(s, t + 0.5 * dt)
-    assert list(np.flatnonzero(~np.isfinite(diag))) == [0, 64]
-    assert s.npoints > REDUCED
-    psi = WaveFunction(qs=s.grid(), values=np.ones(65, dtype=complex), t=t)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(SolverBreakdown):
-            crank_nicolson_step(psi, s, t, dt)
+    cases = [(dict(omega=TimeFunction.constant(1.0),
+                   damping=TimeFunction.constant(0.5)), t, 0),
+             (dict(omega=TimeFunction.constant(math.sqrt(1.48e308)),
+                   m=0.025), 0.0, 1)]
+    for params, t, depth in cases:
+        s = Scenario(t0=0.0, t1=710.0, beta0=(1.0, 1.0j), qmin=-10.0,
+                     qmax=10.0, npoints=65, **params)
+        with np.errstate(over="ignore"):
+            diag, _ = build_hamiltonian(s, t + 0.5 * dt)
+        assert list(np.flatnonzero(~np.isfinite(diag))) == [0, 64]
+        psi = WaveFunction(qs=s.grid(), values=np.ones(65, dtype=complex),
+                           t=t)
+        depths.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverBreakdown):
+                crank_nicolson_step(psi, s, t, dt)
+        assert depths == [depth]
 
 
-def test_breakdown_first_pivoting_at_an_inner_level_is_quiet():
-    # e^G = 3.36e306 on a grid that ends at q = 10.5: 0.5 omega^2 e^G q^2
-    # overflows at the last of 67 points and nowhere else.  Unknown 66 is
-    # even at the first level and odd, a pivot, at the second
-    s = Scenario(omega=TimeFunction.constant(1.0), t0=0.0, t1=710.0,
-                 damping=TimeFunction.constant(0.5), beta0=(1.0, 1.0j),
-                 qmin=-10.0, qmax=10.5, npoints=67)
+def test_breakdown_first_pivoting_at_an_inner_level_is_quiet(depths):
+    # on 67 points from q = -31 to 35, 0.5 V q^2 with V = m omega^2 = 3e305
+    # overflows at the last point and nowhere else.  Unknown 66 is even at
+    # the first level and odd, a pivot, at the second.  K = 1/m = 100 keeps
+    # the couplings above NEGLIGIBLE through the first level's pivot at
+    # q = 0, unknown 31, so the second level is taken
+    s = Scenario(omega=TimeFunction.constant(math.sqrt(3e307)), m=0.01,
+                 t0=0.0, t1=1.0, beta0=(1.0, 1.0j), qmin=-31.0, qmax=35.0,
+                 npoints=67)
     dt = 1e-3
-    t = math.log(3.36e306) - 0.5 * dt
     with np.errstate(over="ignore"):
-        diag, _ = build_hamiltonian(s, t + 0.5 * dt)
+        diag, _ = build_hamiltonian(s, 0.5 * dt)
     assert list(np.flatnonzero(~np.isfinite(diag))) == [66]
-    assert 66 % 2 == 0 and (66 // 2) % 2 == 1 and 67 // 2 > REDUCED
-    psi = WaveFunction(qs=s.grid(), values=np.ones(67, dtype=complex), t=t)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(SolverBreakdown):
-            crank_nicolson_step(psi, s, t, dt)
-
-
-def test_non_finite_reduced_coupling_alone_is_a_breakdown(sho, monkeypatch):
-    # a grid of REDUCED points is its own reduced system, so the reduced
-    # coupling is the Hamiltonian's.  No scenario makes the off-diagonal
-    # overflow while the diagonal, twice its kinetic part, stays finite, so
-    # the builder is wrapped to return an infinite one
-    s = replace(sho, npoints=37)
-    object.__setattr__(s, "npoints", REDUCED)
-
-    def infinite_coupling(s, t, out=None):
-        h, c = build_hamiltonian(s, t, out)
-        assert np.isfinite(h).all()
-        return h, np.full_like(c, np.inf)
-
-    monkeypatch.setattr(propagator, "build_hamiltonian", infinite_coupling)
-    psi = WaveFunction(qs=s.grid(), values=np.ones(REDUCED, dtype=complex),
+    assert 66 % 2 == 0 and (66 // 2) % 2 == 1 and s.grid()[31] == 0.0
+    psi = WaveFunction(qs=s.grid(), values=np.ones(67, dtype=complex),
                        t=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SolverBreakdown):
-            crank_nicolson_step(psi, s, 0.0, 1e-3)
+            crank_nicolson_step(psi, s, 0.0, dt)
+    assert depths == [2]
+
+
+def test_non_finite_reduced_coupling_alone_is_a_breakdown(sho, monkeypatch,
+                                                           depths):
+    # no scenario makes the off-diagonal overflow while the diagonal, twice
+    # its kinetic part, stays finite, so the builder is wrapped to return
+    # an infinite or a NaN one.  Neither is negligible, so the elimination
+    # goes on to one unknown, 3 levels for 8 points, and the coupling
+    # reaches the diagonal of the next level
+    s = replace(sho, npoints=37)
+    object.__setattr__(s, "npoints", 8)
+    psi = WaveFunction(qs=s.grid(), values=np.ones(8, dtype=complex), t=0.0)
+    for bad in (np.inf, np.nan):
+        def non_finite_coupling(s, t, out=None):
+            h, c = build_hamiltonian(s, t, out)
+            assert np.isfinite(h).all()
+            return h, np.full_like(c, bad)
+
+        monkeypatch.setattr(propagator, "build_hamiltonian",
+                            non_finite_coupling)
+        depths.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverBreakdown):
+                crank_nicolson_step(psi, s, 0.0, 1e-3)
+        assert depths == [3]
 
 
 def test_overflowing_elimination_of_a_finite_hamiltonian_is_a_breakdown():
@@ -261,22 +304,64 @@ def test_breakdown_in_a_later_block_is_quiet():
 
 
 def test_block_factors_hold_three_values_per_point(driven):
-    # one block's factors, each array counted once through the array that
-    # owns its memory, hold at most 3 complex values per point and step
+    # one block's factors, the levels' arrays each counted once through the
+    # array that owns its memory and the reduced diagonal's reciprocals,
+    # which replace it in the buffer, hold at most 3 complex values per
+    # point and step
     ts = 0.5 + 0.01 * np.arange(BLOCK)
+    plan = _Plan(driven.npoints, BLOCK)
+    depth = _factor(driven, ts, 0.01, plan)
     owners = {}
-
-    def walk(item):
-        if isinstance(item, np.ndarray):
-            owner = item if item.base is None else item.base
+    for level in plan.levels:
+        for a in level:
+            owner = a if a.base is None else a.base
             owners[id(owner)] = owner.nbytes
-        else:
-            for part in item:
-                walk(part)
-
-    walk(_factor(driven, ts, 0.01, _Plan(driven.npoints, BLOCK)))
-    per_point = sum(owners.values()) / (16 * BLOCK * driven.npoints)
+    reduced = plan.h[:, ::1 << depth].nbytes
+    per_point = ((sum(owners.values()) + reduced)
+                 / (16 * BLOCK * driven.npoints))
     assert per_point <= 3.0, per_point
+
+
+def test_truncated_and_full_reduction_agree(driven, monkeypatch):
+    # the bench's propagate, 1024 points at dt = 0.004 on the driven
+    # scenario, stops its reduction after 6 levels; reduced on to one
+    # unknown, 10 levels, the first block's steps agree to 1e-15 of their
+    # largest value
+    dt = 0.004
+    ts = (np.arange(BLOCK) + 0.5) * dt
+    rng = np.random.default_rng(20261020)
+    values = (rng.normal(size=driven.npoints)
+              + 1j * rng.normal(size=driven.npoints))
+    taken, steps = [], []
+    for full in (False, True):
+        if full:    # no coupling is within a NaN bound
+            monkeypatch.setattr(propagator, "NEGLIGIBLE", math.nan)
+        plan = _Plan(driven.npoints, BLOCK)
+        depth = _factor(driven, ts, dt, plan)
+        taken.append(depth)
+        steps.append([_cn_step(step, values) for step in plan.steps(depth)])
+    assert taken == [6, 10]
+    for short, full in zip(*steps):
+        assert_allclose(short, full, rtol=0,
+                        atol=1e-15 * np.max(np.abs(full)))
+
+
+def test_runs_record_the_levels_of_each_block(driven, driven_beta):
+    # the couplings fall as e^G grows, so over the driven window at
+    # dt = 1e-3 the blocks take 5 levels at first and 2 at the end; every
+    # 16th block is factored, and a run over the first two records them
+    dt = 1e-3
+    nsteps = round(driven.t1 / dt)
+    dt_eff = driven.t1 / nsteps
+    plan = _Plan(driven.npoints, BLOCK)
+    taken = []
+    for start in range(0, nsteps, 16 * BLOCK):
+        ks = np.arange(start, min(start + BLOCK, nsteps))
+        taken.append(_factor(driven, (ks + 0.5) * dt_eff, dt_eff, plan))
+    assert set(taken) == {2, 3, 4, 5} and taken[0] == 5 and taken[-1] == 2
+    run = propagate_and_compare(driven, 0, 0.0, 2 * BLOCK * dt, dt,
+                                beta_sol=driven_beta)
+    assert run.block_levels.tolist() == [5, 5]
 
 
 def test_step_rejects_a_non_finite_dt(sho):
