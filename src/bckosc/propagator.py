@@ -21,7 +21,8 @@ the size, so every level works on whole arrays of a block's steps.  Each
 level roughly squares the couplings (Heller, SIAM J. Numer. Anal. 13, 484
 (1976)), so the levels stop once every coupling is ``NEGLIGIBLE`` or one
 unknown is left, at a diagonal system.  The first level's coupling is one
-number per step, so it keeps one coupling array instead of two.
+number per step, so it keeps one coupling array instead of two, and its
+reciprocals overwrite its pivots in the buffer.
 
 H(t) does not depend on psi, so steps run in blocks of ``BLOCK`` on one
 ``_Plan`` per run: ``build_hamiltonian`` writes H's diagonal at a block's
@@ -31,14 +32,14 @@ reduced diagonal turns into its reciprocals.  For a finite H every pivot
 has real part >= 1/2 (the Hermitian part is I/2, and Schur complements
 keep that), so only non-finite values can break the factorisation; a
 coupling that is not negligible, a non-finite one included, reaches the
-next level's diagonal, so one check of the eliminated buffer replaces
-pivot bookkeeping.  Each step's views are bound once per run and depth, so
-``_cn_step``, which every caller steps with, indexes nothing.  Once a
-block's steps are taken its buffer is free, so the analytic states at the
-slices the block reaches are written into it, one evaluation per block,
-and compared with the propagated ones, views of the block's states, by
-trapezoid inner products (one ``np.vecdot`` each).  So after the plan a
-run allocates nothing of a block's size.
+next level's diagonal, so checks of the first level's pivots and of the
+eliminated buffer replace pivot bookkeeping.  Each step's views are bound
+once per run and depth, so ``_cn_step``, which every caller steps with,
+indexes nothing.  Once a block's steps are taken its buffer is free, so
+the analytic states at the slices the block reaches are written into it,
+one evaluation per block, and compared with the propagated ones, views of
+the block's states, by trapezoid inner products (one ``np.vecdot``
+each).  So after the plan a run allocates nothing of a block's size.
 """
 
 from dataclasses import dataclass
@@ -54,12 +55,12 @@ from .quantum import (WaveFunction, eval_psin, l2_norm, psin_values,
                       trapezoid_inner)
 
 # Steps factored together.  A run's plan, its memory peak, holds one
-# block's buffer, factors (about 2.5 * BLOCK * npoints complex values,
-# 0.65 MB at 1024 points), states and the analytic states' scratch.  Fresh
-# 1024-point `bckosc propagate` processes of 789 steps (2-vCPU Xeon VM,
-# numpy 2.4, 30 interleaved runs each) peaked at 32.87 MB RSS with blocks
-# of 16, 33.71 MB with 24 and 32.71 MB with 12, in median walls of 211,
-# 208 and 217 ms.
+# block's buffer, the factors past it (about 2 * BLOCK * npoints complex
+# values, 0.53 MB at 1024 points), states and the analytic states'
+# scratch.  Fresh 1024-point `bckosc propagate` processes of 789 steps
+# (2-vCPU Xeon VM, numpy 2.4, 30 interleaved runs each) peaked at 32.30 MB
+# RSS with blocks of 16, 32.80 MB with 24 and 32.13 MB with 12, in median
+# walls of 198, 193 and 202 ms.
 BLOCK = 16
 
 # Largest modulus of a coupling that the elimination drops: u/4 for the
@@ -214,22 +215,25 @@ def _back(bound):
 
 class _Plan:
     """One propagation's arrays for blocks of up to ``rows`` steps: the
-    buffer ``h``, eliminated in place, its ``levels`` and ``scratch``, the
-    ``states``, and ``work``, the float scratch of up to ``slices``
-    analytic states at a time.  ``steps(depth)`` binds each slot's state,
-    factor views and reduced reciprocals once per depth."""
+    buffer ``h``, eliminated in place, whose odd columns take the first
+    level's reciprocals, its ``levels`` and ``scratch``, the ``states``,
+    and ``work``, the float scratch of up to ``slices`` analytic states.
+    ``steps(depth)`` binds each slot's state, factor views and reduced
+    reciprocals once per depth."""
 
     def __init__(self, npoints, rows, slices=0):
         dtype = np.complex128
         self.h = np.empty((rows, npoints), dtype)
         # (w, lw, rw) of each level down to one unknown, p odd and q even
-        # ones; the first level's rw is a view of its lw
+        # ones; the first level's w is h's odd columns, its rw the head of lw
         self.levels, n = [], npoints
         while n > 1:
             p, q = n // 2, n - n // 2
-            w, lw = np.empty((rows, p), dtype), np.empty((rows, p), dtype)
-            rw = (lw[:, :q - 1] if not self.levels
-                  else np.empty((rows, p), dtype))
+            lw = np.empty((rows, p), dtype)
+            if self.levels:
+                w, rw = np.empty((rows, p), dtype), np.empty((rows, p), dtype)
+            else:
+                w, rw = self.h[:, 1::2], lw[:, :q - 1]
             self.levels.append((w, lw, rw))
             n = q
         self.states = np.empty((rows, npoints), dtype)
@@ -258,24 +262,28 @@ class _Plan:
 def _factor(s, ts, dt, plan):
     """Factor (1 + i a H(t))/2, a = dt/(2 hbar), at every time of the 1-d
     array ts into the first rows of ``plan``, down to a diagonal system
-    whose reciprocals replace it in the buffer.  The buffer's imaginary
-    part takes H's diagonal from ``build_hamiltonian``, scaled by a/2, its
-    real part 1/2, and the coupling is i a off/2.  Returns the number of
-    levels.  Raises SolverBreakdown unless the eliminated buffer is finite,
-    checked first: the reciprocal of an infinite pivot is a quiet 0.
+    whose reciprocals replace it in the buffer, as the first level's
+    replace its pivots.  The buffer's imaginary part takes H's diagonal
+    from ``build_hamiltonian``, scaled by a/2, its real part 1/2, and the
+    coupling is i a off/2.  Returns the number of levels.  Raises
+    SolverBreakdown unless the first level's pivots, before they are
+    overwritten, and then the eliminated buffer are finite: the reciprocal
+    of an infinite pivot is a quiet 0, which flags nothing.
     """
     k = ts.shape[0]
     a = 0.5 * dt / s.hbar
     h = plan.h[:k]
     diag, off = build_hamiltonian(s, ts, out=h.imag)
     diag *= 0.5 * a
+    # the first level's pivots, which its reciprocals overwrite
+    pivots_finite = np.isfinite(diag[:, 1::2]).all()
     h.real = 0.5
     depth, b = _eliminate(h, 0.5j * a * off[:, None], plan.levels,
                           plan.scratch)
     # the buffer's extremes are finite only if all of it is, and finding
     # them allocates nothing of its size
     parts = h.view(np.float64)
-    if not np.isfinite((parts.min(), parts.max())).all():
+    if not (pivots_finite and np.isfinite((parts.min(), parts.max())).all()):
         raise SolverBreakdown("tridiagonal elimination of (1 + i a H)/2 "
                               "is not finite")
     np.divide(1.0, b, out=b)
