@@ -26,7 +26,7 @@ else:
 # quantum.
 _EXPORTS = {
     "core": ("Scenario", "TimeFunction", "parse_scenario",
-             "parse_scenario_file", "serialize_scenario", "twice_integral"),
+             "parse_scenario_file", "twice_integral"),
     "errors": ("BckoscError", "DegenerateSolutions", "DegreeTooLarge",
                "GammaVanishes", "GridTooNarrow", "InvalidIC",
                "OmegaNotPositive", "OutOfDomain", "ParseError",
@@ -39,11 +39,10 @@ _EXPORTS = {
     "ode": ("ODESolution", "integrate_beta", "integrate_classical",
             "integrate_gamma", "integrate_sigma"),
     "propagator": ("PropagationRun", "build_hamiltonian",
-                   "crank_nicolson_step", "propagate_and_compare"),
+                   "propagate_and_compare"),
     "quantum": ("SpectrumEntry", "UncertaintyReport", "WaveFunction",
-                "apply_IQ", "apply_ladder", "build_spectrum", "eval_psin",
-                "expectation_qp", "inner", "uncertainty_product",
-                "write_spectrum_csv"),
+                "build_spectrum", "eval_psin", "expectation_qp",
+                "uncertainty_product", "write_spectrum_csv"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

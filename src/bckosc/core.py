@@ -9,7 +9,6 @@ G(t) = 2 * int_{t0}^t g is exact for the analytic variants.
 """
 
 import configparser
-import io
 import math
 import os
 from dataclasses import dataclass
@@ -200,18 +199,6 @@ class TimeFunction:
             anti[1:, 0] = np.cumsum(ends)[:-1]
         return TimeFunction(KIND_POLY, anti, breaks=self.breaks)
 
-    def __eq__(self, other):
-        """Equal when the encoded functions are; ``samples`` only records
-        what a spline was built from."""
-        if not isinstance(other, TimeFunction):
-            return NotImplemented
-        return (self.kind == other.kind
-                and np.array_equal(self.params, other.params)
-                and np.array_equal(self.breaks, other.breaks))
-
-    def __hash__(self):
-        return hash((self.kind, *self.params.ravel().tolist()))
-
 
 def twice_integral(damping, t0):
     """G(t) = 2 (A(t) - A(t0)) for A an antiderivative of the damping, as a
@@ -224,7 +211,7 @@ def twice_integral(damping, t0):
 _CONST_ZERO = TimeFunction.constant(0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """Validated problem description; immutable once constructed."""
 
@@ -321,7 +308,7 @@ class Scenario:
 # ---------- the scenario document ----------
 
 # Each section: how many of its leading keys a present section must have,
-# and its keys, in the order serialize_scenario writes them.
+# and its keys.
 _SECTIONS = {
     "scenario": (2, ("t0", "t1", "m", "hbar")),
     "beta0": (4, ("re", "im", "dre", "dim")),
@@ -329,9 +316,11 @@ _SECTIONS = {
     "integrator": (0, ("rtol", "atol", "max_step")),
 }
 # The sections that hold a time function, and the types they take: kind,
-# how many leading keys are required, and the keys in ``params`` order (an
-# optional key left out reads as 0).  ``tabulated`` takes exactly one of
-# its two keys, a file or inline samples, and builds a spline from them.
+# how many leading keys are required, and the keys in ``params`` order.
+# Each type but ``tabulated`` is built by the TimeFunction constructor of
+# its name, whose arguments are its keys (an optional key left out takes
+# the default, 0).  ``tabulated`` takes exactly one of its two keys, a
+# file or inline samples, and builds a spline from them.
 _TF_SECTIONS = ("omega", "damping", "force")
 _TYPES = {
     "constant": (KIND_POLY, 1, ("value",)),
@@ -373,11 +362,10 @@ def _parse_tf(cp, sect, base_dir):
     name = _require(cp, sect, "type").strip().lower()
     if name not in _TYPES:
         raise ParseError(f"[{sect}] unknown type '{name}'")
-    kind, nreq, keys = _TYPES[name]
+    _, nreq, keys = _TYPES[name]
     _check_keys(cp, sect, ("type", *keys))
     if name != "tabulated":
-        values = _read(cp, sect, nreq, keys)
-        return TimeFunction(kind, [values.get(key, 0.0) for key in keys])
+        return getattr(TimeFunction, name)(**_read(cp, sect, nreq, keys))
     has_file = cp.has_option(sect, "file")
     if has_file == cp.has_option(sect, "samples"):
         raise ParseError(
@@ -489,28 +477,3 @@ def tf_document(f):
         if kind == f.kind and not (f.breaks.size or np.any(f.params[len(keys):])):
             return name, dict(zip(keys, f.params.tolist()))
     raise ValidationError(f"cannot serialize derived time function {f!r}")
-
-
-def _write_section(out, sect, values):
-    out.write(f"[{sect}]\n")
-    for key, v in values.items():
-        if v is not None:
-            out.write(f"{key} = {v}\n" if isinstance(v, str)
-                      else f"{key} = {v:.17g}\n")
-    out.write("\n")
-
-
-def serialize_scenario(s):
-    """Render a Scenario back into the document format; round-trips exactly."""
-    out = io.StringIO()
-    for sect in _TF_SECTIONS:
-        name, values = tf_document(getattr(s, sect))
-        _write_section(out, sect, {"type": name, **values})
-    for sect, (_, keys) in _SECTIONS.items():
-        if sect != "beta0":
-            _write_section(out, sect, {key: getattr(s, key) for key in keys})
-        elif s.beta0 is not None:
-            b0, db0 = s.beta0
-            _write_section(out, sect, dict(zip(
-                keys, (b0.real, b0.imag, db0.real, db0.imag))))
-    return out.getvalue()

@@ -6,8 +6,8 @@ the envelope group (``envelope_group``, ``envelope_ics``), the five
 coefficients of I_Q (``iq_coefficients``) and Omega (``omega_of_frame``).
 The other modules call these definitions rather than restate them.  The
 references the tests compare them with, the constant-parameter closed
-forms and the five coefficient ODEs, restate them on purpose, outside the
-package, in ``tests/oracles.py``.
+forms, the five coefficient ODEs and the ladder and I_Q operators,
+restate them on purpose, outside the package, in ``tests/oracles.py``.
 
 An InvariantFrame collects everything needed to evaluate the invariants at
 one instant.  Fields may be scalars or equally-shaped arrays; every

@@ -34,12 +34,12 @@ keep that), so only non-finite values can break the factorisation; a
 coupling that is not negligible, a non-finite one included, reaches the
 next level's diagonal, so checks of the first level's pivots and of the
 eliminated buffer replace pivot bookkeeping.  Each step's views are bound
-once per run and depth, so ``_cn_step``, which every caller steps with,
-indexes nothing.  Once a block's steps are taken its buffer is free, so
-the analytic states at the slices the block reaches are written into it,
-one evaluation per block, and compared with the propagated ones, views of
-the block's states, by trapezoid inner products (one ``np.vecdot``
-each).  So after the plan a run allocates nothing of a block's size.
+once per run and depth, so ``_cn_step`` indexes nothing.  Once a block's
+steps are taken its buffer is free, so the analytic states at the slices
+the block reaches are written into it, one evaluation per block, and
+compared with the propagated ones, views of the block's states, by
+trapezoid inner products (one ``np.vecdot`` each).  So after the plan a
+run allocates nothing of a block's size.
 """
 
 from dataclasses import dataclass
@@ -300,18 +300,6 @@ def _cn_step(step, values):
     _back(bound)
     x -= values
     return x
-
-
-def crank_nicolson_step(psi, s, t, dt):
-    """One unitary step from t to t + dt with H evaluated at t + dt/2."""
-    if not 0 < dt < np.inf:
-        raise ValidationError("dt must be positive and finite")
-    values = np.asarray(psi.values, dtype=np.complex128)
-    plan = _Plan(s.npoints, 1)
-    with np.errstate(all="ignore"):
-        depth = _factor(s, np.array([t + 0.5 * dt]), dt, plan)
-        out = _cn_step(plan.steps(depth)[0], values)
-    return WaveFunction(qs=psi.qs, values=out, t=t + dt, n=psi.n)
 
 
 @dataclass(frozen=True, eq=False)

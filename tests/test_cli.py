@@ -22,8 +22,8 @@ from numpy.testing import assert_allclose
 
 import bckosc
 import bckosc.cli
-from bckosc import _accel, invariants
-from bckosc.core import Scenario
+from bckosc import _accel, invariants, ode
+from bckosc.core import Scenario, tf_document
 from bckosc.cli import _sweep_scenario, main
 
 from conftest import SCENARIO_DIR
@@ -83,6 +83,47 @@ def test_verify_catches_a_planted_error(tmp_path, capsys, monkeypatch,
     # relative, so only the C identity sees Omega's value.  An envelope
     # entry scales both the frame and the envelope ODEs' initial values
     monkeypatch.setattr(owner, name, _scaled(getattr(owner, name), k))
+    rc = main(["verify", "--scenario", DRIVEN, "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    failed = [line.rsplit(None, 4)[0] for line in out.splitlines()
+              if line.endswith("FAIL")]
+    assert rc == 1 and failed == failing, out
+
+
+# the entries of A(t) each system verify integrates sets, which name it:
+# the envelope alone has (2, 2), the companion (1, 2) next to (1, 1)
+_SYSTEM_ENTRIES = {"amplitude": {(0, 1), (1, 0), (1, 1), (2, 0)},
+                   "envelope": {(0, 1), (1, 2), (2, 0), (2, 1), (2, 2)},
+                   "companion": {(0, 1), (1, 0), (1, 1), (1, 2)}}
+_ENVELOPE_ODES = ["gamma ODE vs 2|beta|^2", "sigma ODE vs -2Re(b*F)"]
+
+
+@pytest.mark.parametrize("system, entry, factor, failing", [
+    *(("envelope", entry, 1.01, _ENVELOPE_ODES)
+      for entry in ((2, 2), (2, 1), (2, 0))),
+    ("companion", (1, 2), 1.01, ["sigma ODE vs -2Re(b*F)"]),
+    ("companion", (1, 2), -1.0, ["sigma ODE vs -2Re(b*F)"]),
+    ("amplitude", (1, 1), 1.01,
+     ["I drift", "IQ drift", "omega drift", "C drift", "ermakov residual",
+      *_ENVELOPE_ODES]),
+    ("amplitude", (2, 0), 1.01,
+     ["I drift", "IQ drift", "sigma ODE vs -2Re(b*F)"]),
+    ("amplitude", (1, 0), 1.01, ["I drift", "IQ drift", *_ENVELOPE_ODES]),
+], ids=["gamma:-6g", "gamma:(2,1)", "gamma:(2,0)", "sigma:drive",
+        "sigma:-drive", "beta:-2g", "beta:e^G_F", "beta:-omega^2"])
+def test_verify_catches_a_planted_error_in_an_ode_system(
+        tmp_path, capsys, monkeypatch, system, entry, factor, failing):
+    # one entry of one system's A(t) scaled, and exactly the listed checks
+    # fail.  The amplitude's damping reaches every check but the C
+    # identity, which holds on any amplitude frame
+    assemble = ode._assemble
+
+    def planted(t, entries):
+        if entries.keys() == _SYSTEM_ENTRIES[system]:
+            entries = {**entries, entry: factor * entries[entry]}
+        return assemble(t, entries)
+
+    monkeypatch.setattr(ode, "_assemble", planted)
     rc = main(["verify", "--scenario", DRIVEN, "--out", str(tmp_path)])
     out = capsys.readouterr().out
     failed = [line.rsplit(None, 4)[0] for line in out.splitlines()
@@ -478,10 +519,10 @@ def test_sweep_omega_lands_its_value(tmp_path):
 
 def test_sweep_force_params_land_their_value():
     s = bckosc.parse_scenario_file(DRIVEN)
-    assert _sweep_scenario(s, "alpha", 0.7).force \
-        == bckosc.TimeFunction.sinusoid(0.5, 0.7)
-    assert _sweep_scenario(s, "F0", 0.2).force \
-        == bckosc.TimeFunction.sinusoid(0.2, 0.9)
+    assert tf_document(_sweep_scenario(s, "alpha", 0.7).force) == (
+        "sinusoid", {"amplitude": 0.5, "frequency": 0.7, "phase": 0.0})
+    assert tf_document(_sweep_scenario(s, "F0", 0.2).force) == (
+        "sinusoid", {"amplitude": 0.2, "frequency": 0.9, "phase": 0.0})
 
 
 def test_sweep_non_finite_value_fails_its_row(tmp_path):

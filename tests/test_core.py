@@ -1,9 +1,10 @@
 """Time functions, scenario validation, document parsing and round-trips."""
 
+import io
 import math
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from scipy.integrate import quad
 
 from bckosc import (InvalidIC, OutOfDomain, ParseError, Scenario,
                     TimeFunction, ValidationError, parse_scenario,
-                    serialize_scenario, twice_integral)
-from bckosc.core import KIND_POLY
+                    twice_integral)
+from bckosc.core import _SECTIONS, _TF_SECTIONS, KIND_POLY, tf_document
 
 from conftest import SCENARIO_DIR
 
@@ -235,20 +236,6 @@ def test_degree_limits_on_integration():
         full.antiderivative()
 
 
-def test_equality_compares_the_encoded_function():
-    one = TimeFunction(KIND_POLY, [1.0])
-    two = TimeFunction(KIND_POLY, [2.0])
-    assert one != two
-    assert _minimal(omega=one) != _minimal(omega=two)
-    # the same function built two ways compares and hashes equal
-    built, direct = TimeFunction.linear(2.0, 0.0), TimeFunction.constant(2.0)
-    assert built == direct and hash(built) == hash(direct)
-    ts = [0.0, 1.0, 2.0, 3.0]
-    spline = TimeFunction.tabulated(ts, [1.0, 2.0, 0.0, 1.0])
-    assert spline == TimeFunction.tabulated(ts, [1.0, 2.0, 0.0, 1.0])
-    assert spline != TimeFunction.tabulated(ts, [2.0, 3.0, 1.0, 2.0])
-
-
 def test_twice_integral_constant_damping():
     G = twice_integral(TimeFunction.constant(0.1), 0.0)
     assert_allclose(G(7.0), 1.4, rtol=1e-15)
@@ -311,6 +298,7 @@ def test_scenario_defaults():
     assert s.npoints == 1024
     g = s.grid()
     assert g[0] == s.qmin and g[-1] == s.qmax and g.shape == (1024,)
+    assert s.G is s.G   # built once per scenario
 
 
 @pytest.mark.parametrize("kw", [
@@ -505,9 +493,48 @@ def test_parse_tabulated_file_missing(tmp_path):
 
 # ---------- serialization round-trip ----------
 
+def serialize_scenario(s):
+    """A scenario document that parses back to ``s``: each time function
+    as ``tf_document`` writes it, each other number at 17 digits."""
+    out = io.StringIO()
+
+    def section(sect, values):
+        out.write(f"[{sect}]\n")
+        for key, v in values.items():
+            if v is not None:
+                out.write(f"{key} = {v}\n" if isinstance(v, str)
+                          else f"{key} = {v:.17g}\n")
+        out.write("\n")
+
+    for sect in _TF_SECTIONS:
+        name, values = tf_document(getattr(s, sect))
+        section(sect, {"type": name, **values})
+    for sect, (_, keys) in _SECTIONS.items():
+        if sect != "beta0":
+            section(sect, {key: getattr(s, key) for key in keys})
+        elif s.beta0 is not None:
+            b0, db0 = s.beta0
+            section(sect, dict(zip(keys, (b0.real, b0.imag, db0.real,
+                                          db0.imag))))
+    return out.getvalue()
+
+
+def encoded(s):
+    """The scenario's fields, each time function as its kind, params and
+    breaks: what a round trip keeps.  Scenarios and time functions compare
+    by identity."""
+    out = {}
+    for f in fields(s):
+        v = getattr(s, f.name)
+        if isinstance(v, TimeFunction):
+            v = (v.kind, v.params.tolist(), v.breaks.tolist())
+        out[f.name] = v
+    return out
+
+
 def test_serialize_round_trip_driven():
     s = parse_scenario(GOOD_DOC)
-    assert parse_scenario(serialize_scenario(s)) == s
+    assert encoded(parse_scenario(serialize_scenario(s))) == encoded(s)
 
 
 def test_serialize_round_trip_all_variants():
@@ -519,7 +546,7 @@ def test_serialize_round_trip_all_variants():
                                          [1.0, 1.2, 1.1, 0.9])):
         s = Scenario(omega=omega, t0=0.0, t1=10.0, qmin=-8.0, qmax=8.0,
                      npoints=128, rtol=1e-9, atol=1e-11, max_step=0.25)
-        assert parse_scenario(serialize_scenario(s)) == s
+        assert encoded(parse_scenario(serialize_scenario(s))) == encoded(s)
 
 
 def test_serialize_omits_an_unset_max_step():
@@ -528,7 +555,7 @@ def test_serialize_omits_an_unset_max_step():
     text = serialize_scenario(s)
     assert "max_step" not in text
     back = parse_scenario(text)
-    assert back == s and back.max_step is None
+    assert encoded(back) == encoded(s) and back.max_step is None
 
 
 def test_default_step_max_follows_the_window():
@@ -536,16 +563,6 @@ def test_default_step_max_follows_the_window():
     assert wider.max_step is None
     assert wider.step_max == (20.0 - 0.0) / 100.0
     assert replace(_minimal(max_step=0.25), t1=20.0).step_max == 0.25
-
-
-def test_equal_scenarios_hash_equal():
-    a, b = parse_scenario(GOOD_DOC), parse_scenario(GOOD_DOC)
-    assert a is not b and a == b and hash(a) == hash(b)
-    c = parse_scenario(serialize_scenario(a))
-    assert c == a and hash(c) == hash(a)
-    assert len({a, b, c}) == 1
-    assert replace(a, rtol=1e-9) != a
-    assert a.G is a.G
 
 
 def test_serialize_rejects_derived_functions():
@@ -564,7 +581,7 @@ def test_serialize_writes_a_derived_function_as_its_type():
     assert (serialize_scenario(_minimal(omega=built))
             == serialize_scenario(_minimal(omega=direct)))
     s = _minimal(force=TimeFunction.sinusoid(1.0, 0.3).derivative())
-    assert parse_scenario(serialize_scenario(s)) == s
+    assert encoded(parse_scenario(serialize_scenario(s))) == encoded(s)
     text = serialize_scenario(_minimal(omega=TimeFunction.linear(2.0, 0.0)))
     assert "type = constant\nvalue = 2\n" in text
 
@@ -623,5 +640,5 @@ def _scenarios(draw):
 def test_serialize_round_trip_property(s):
     text = serialize_scenario(s)
     back = parse_scenario(text)
-    assert back == s
+    assert encoded(back) == encoded(s)
     assert serialize_scenario(back) == text

@@ -174,7 +174,106 @@ def test_no_module_reaches_numpy_linalg():
     assert found == set()
 
 
-# ---------- figures the README quotes ----------
+# ---------- every function runs in a command ----------
+
+# the functions of the package that no command calls, each with the
+# reason it stays
+UNCALLED = {
+    "__init__.__dir__": "lists the lazily loaded names for dir(bckosc) and "
+                        "interactive completion, which no command asks for",
+}
+
+# records every Python function a fresh interpreter calls, from before
+# `import bckosc.cli` on, while main runs each argv of sys.argv[1] in turn;
+# prints the exit codes and the (module, qualified name) of each function
+# of the package that ran
+AUDIT = """
+import json, os, sys
+seen = set()
+
+def record(frame, event, arg):
+    if event == "call":
+        seen.add(frame.f_code)
+
+sys.setprofile(record)
+import bckosc.cli
+codes = [bckosc.cli.main(argv) for argv in json.loads(sys.argv[1])]
+sys.setprofile(None)
+pkg = os.path.dirname(bckosc.__file__)
+print(json.dumps([codes, sorted(
+    f"{os.path.basename(c.co_filename)[:-3]}.{c.co_qualname}" for c in seen
+    if os.path.dirname(c.co_filename) == pkg)]))
+"""
+
+AUDIT_DOCS = {
+    "exponential.cfg": "[damping]\ntype = exponential\namplitude = 0.1\n"
+                       "rate = -0.2\n",
+    "inline.cfg": "[force]\ntype = tabulated\n"
+                  "samples = 0:0.0, 1:0.1, 2:0.2, 3:0.1\n",
+    "file.cfg": "[force]\ntype = tabulated\nfile = force.csv\n",
+}
+
+
+def package_functions():
+    """Every def under src/bckosc as module.qualname: Class.method, and
+    outer.<locals>.inner for a nested one."""
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.add(prefix + child.name)
+                visit(child, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    for path in (ROOT / "src" / "bckosc").glob("*.py"):
+        visit(ast.parse(path.read_text(), str(path)), f"{path.stem}.")
+    return found
+
+
+def test_every_function_runs_in_a_command(tmp_path):
+    # the five commands on the bundled scenarios, which hold a constant, a
+    # linear and a sinusoidal function, then verify on a document of each
+    # other kind; psi_2 at t = 3 needs qmax 13.9 on sho's grid of 12, the
+    # one run that exits 4
+    for name, section in AUDIT_DOCS.items():
+        (tmp_path / name).write_text("[scenario]\nt0 = 0\nt1 = 3\n[omega]\n"
+                                     "type = constant\nvalue = 1\n" + section)
+    (tmp_path / "force.csv").write_text("t,F\n0,0\n1,0.1\n2,0.2\n3,0.1\n")
+    sweeps = {"sho.cfg": ("omega", "1:1.2"),
+              "underdamped_driven.cfg": ("F0", "0.4:0.5"),
+              "ramp_omega.cfg": ("g", "0.04:0.05")}
+    runs, codes = [], []
+    for name, (param, span) in sweeps.items():
+        for argv, code in (
+                (["verify"], 0), (["spectrum"], 0), (["wavefunction"], 0),
+                (["wavefunction", "--n", "2", "--t", "3"],
+                 4 if name == "sho.cfg" else 0),
+                (["propagate", "--periods", "0.2", "--dt", "0.01"], 0),
+                (["sweep", "--param", param, "--range", span, "--steps",
+                  "2"], 0)):
+            runs.append([*argv, "--scenario", str(ROOT / "scenarios" / name)])
+            codes.append(code)
+    for name in AUDIT_DOCS:
+        runs.append(["verify", "--scenario", str(tmp_path / name)])
+        codes.append(0)
+    runs = [[*argv, "--out", str(tmp_path), "--quiet"] for argv in runs]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path
+                                                      if p))
+    out = subprocess.run([sys.executable, "-c", AUDIT, json.dumps(runs)],
+                         env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    got, called = json.loads(out.stdout.splitlines()[-1])
+    assert got == codes
+    defined = package_functions()
+    for name, reason in UNCALLED.items():
+        print(f"not called on purpose: {name}: {reason}")
+        assert name in defined and name not in called, name
+    assert sorted(defined - set(called) - UNCALLED.keys()) == []
 
 @pytest.mark.parametrize("pattern, value", [
     (r"`propagator\.BLOCK` \((\d+)\)", propagator.BLOCK),
