@@ -40,9 +40,8 @@ _EXPORTS = {
             "integrate_gamma", "integrate_sigma"),
     "propagator": ("PropagationRun", "build_hamiltonian",
                    "propagate_and_compare"),
-    "quantum": ("SpectrumEntry", "UncertaintyReport", "WaveFunction",
-                "build_spectrum", "eval_psin", "expectation_qp",
-                "uncertainty_product", "write_spectrum_csv"),
+    "quantum": ("WaveFunction", "build_spectrum", "eval_psin", "moments",
+                "write_spectrum_csv"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import TimeFunction, parse_scenario_file, tf_document
+from .core import TimeFunction, parse_scenario_file, tf_document, write_csv
 from .errors import BckoscError, OmegaNotPositive, ValidationError
 from .invariants import (compute_omega, envelope_ics, frame_from_beta,
                          verification_series, write_verification_report)
@@ -31,9 +31,9 @@ from .ode import (integrate_beta, integrate_classical, integrate_gamma,
 # bound alone.  Once spans.py is gone these can become local imports.
 _DEFERRED = {
     "spectrum": ("build_spectrum", "write_spectrum_csv"),
-    "wavefunction": ("eval_psin", "expectation_qp", "uncertainty_product"),
+    "wavefunction": ("eval_psin", "moments"),
     "propagate": ("propagate_and_compare",),
-    "sweep": ("uncertainty_product",),
+    "sweep": ("moments",),
 }
 
 
@@ -120,11 +120,11 @@ def cmd_verify(s, args, outdir):
 def cmd_spectrum(s, args, outdir):
     beta_sol = integrate_beta(s)
     om = compute_omega(s, beta_sol, samples=args.samples)
-    entries = build_spectrum(om.mean, args.nmax)
+    eigenvalues = build_spectrum(om.mean, args.nmax)
     path = outdir / "spectrum.csv"
-    write_spectrum_csv(path, entries)
-    for e in entries:
-        _say(args, f"n={e.n}  eigenvalue={_fmt(e.eigenvalue)}")
+    write_spectrum_csv(path, eigenvalues)
+    for n, ev in enumerate(eigenvalues):
+        _say(args, f"n={n}  eigenvalue={_fmt(ev)}")
     return path, [("omega drift", om.max_rel_drift, args.tol)], []
 
 
@@ -133,15 +133,15 @@ def cmd_wavefunction(s, args, outdir):
     t = s.t0 if args.t is None else args.t
     fr = frame_from_beta(s, beta_sol, t)
     wf = eval_psin(args.n, s, fr, t)
-    q_exp, p_exp = expectation_qp(args.n, fr, s)
-    unc = uncertainty_product(args.n, fr, s)
-    footer = ("# exp_q={}, exp_p={}, var_q={}, var_p={}, product={}, norm={}"
-              .format(_fmt(q_exp), _fmt(p_exp), _fmt(unc.var_q),
-                      _fmt(unc.var_p), _fmt(unc.product), _fmt(wf.norm)))
+    q_exp, p_exp, var_q, var_p = moments(args.n, fr, s)
+    product = var_q * var_p
     path = outdir / "wavefunction.csv"
-    wf.to_csv(path, footer=footer)
+    # + 0.0 as in _fmt, so an exact zero never prints as "-0"
+    wf.to_csv(path, footer={k: v + 0.0 for k, v in dict(
+        exp_q=q_exp, exp_p=p_exp, var_q=var_q, var_p=var_p, product=product,
+        norm=wf.norm).items()})
     return path, [("norm defect", abs(wf.norm - 1.0), args.tol)], [
-        f"<q>={_fmt(q_exp)}  <p>={_fmt(p_exp)}  product={_fmt(unc.product)}"]
+        f"<q>={_fmt(q_exp)}  <p>={_fmt(p_exp)}  product={_fmt(product)}"]
 
 
 def cmd_propagate(s, args, outdir):
@@ -190,31 +190,29 @@ def cmd_sweep(s, args, outdir):
         values = np.linspace(lo, hi, args.steps)
     values[0], values[-1] = lo, hi
     values = [lo] if (args.steps == 1 or lo == hi) else list(values)
-    rows = []
+    results, status = [], []
     for v in values:
         try:
             sv = _sweep_scenario(s, args.param, v)
             beta_sol, series, checks = _verify_checks(sv, args.samples,
                                                       args.tol)
-            fr1 = frame_from_beta(sv, beta_sol, sv.t1)
-            unc = uncertainty_product(0, fr1, sv).product
-            rows.append((v, _fmt(series["omega_report"].mean),
-                         _fmt(series["drift_I"]), _fmt(series["drift_IQ"]),
-                         _fmt(unc), "ok" if _passed(checks) else "tolerance"))
+            _, _, var_q, var_p = moments(0, frame_from_beta(sv, beta_sol,
+                                                            sv.t1), sv)
+            results.append((series["omega_report"].mean, series["drift_I"],
+                            series["drift_IQ"], var_q * var_p))
+            status.append("ok" if _passed(checks) else "tolerance")
         except (BckoscError, FloatingPointError) as exc:
-            rows.append((v, "nan", "nan", "nan", "nan",
-                         f"failed:{type(exc).__name__}"))
+            results.append((math.nan,) * 4)
+            status.append(f"failed:{type(exc).__name__}")
+    results = np.array(results)
     path = outdir / "sweep.csv"
-    with open(path, "w", newline="\n") as fh:
-        fh.write("param,value,Omega,drift_I,drift_IQ,"
-                 "uncertainty_n0_t1,status\n")
-        for row in rows:
-            fh.write(f"{args.param},{row[0]:.17g},{row[1]},{row[2]},"
-                     f"{row[3]},{row[4]},{row[5]}\n")
-    failed = sum(row[5] != "ok" for row in rows)
+    write_csv(path, "param,value,Omega,drift_I,drift_IQ,uncertainty_n0_t1,"
+              "status", [[args.param] * len(values), values, *results.T,
+                         status])
+    failed = sum(st != "ok" for st in status)
     return path, [("failed rows", failed, 0)], [
-        f"{args.param}={row[0]:.17g}  Omega={row[1]}  status={row[5]}"
-        for row in rows]
+        f"{args.param}={v:.17g}  Omega={_fmt(om)}  status={st}"
+        for v, om, st in zip(values, results[:, 0], status)]
 
 
 def _build_parser():
@@ -265,7 +263,8 @@ def _build_parser():
     p = command("sweep", cmd_sweep, "parameter sweep summary rows")
     p.add_argument("--param", required=True,
                    choices=("g", "omega", "F0", "alpha"))
-    p.add_argument("--range", required=True, help="lo:hi")
+    p.add_argument("--range", required=True,
+                   help="lo:hi; a negative lo needs the form --range=lo:hi")
     p.add_argument("--steps", type=int, default=5)
     return parser
 

@@ -455,13 +455,26 @@ def parse_scenario_file(path):
         return parse_scenario(fh.read(), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def write_rows(fh, *columns):
-    """Write equal-length 1-d columns to fh as CSV rows, each value as
-    f"{float(v):.17g}": one %-format per row over the columns' .tolist()
+def write_csv(path, header, columns, footer=None):
+    """Write a CSV artifact with LF line ends: the header line, one row per
+    sample of the equal-length columns and, when given, the footer
+    {name: value} as one line "# name=value, ...".  A column that is a
+    list of str is written as is; every other value, the footer's too, as
+    f"{float(v):.17g}", by one %-format per row over the columns' .tolist()
     floats, which is faster than formatting numpy scalars one by one."""
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-    fh.writelines(line % row for row in rows)
+    fmts, cols = [], []
+    for c in columns:
+        text = isinstance(c, list) and bool(c) and isinstance(c[0], str)
+        fmts.append("%s" if text else "%.17g")
+        cols.append(c if text else np.asarray(c, dtype=float).tolist())
+    line = ",".join(fmts) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(line % row for row in zip(*cols))
+        if footer:
+            fh.write("# " + ", ".join(f"{name}={value:.17g}"
+                                      for name, value in footer.items())
+                     + "\n")
 
 
 def tf_document(f):

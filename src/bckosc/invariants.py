@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .core import write_rows
+from .core import write_csv
 from .errors import DegenerateSolutions, GammaVanishes, OmegaNotPositive
 
 
@@ -264,10 +264,9 @@ def write_verification_report(path, series):
     """CSV report: t, re_I, im_I, IQ, Omega, C, ermakov_residual plus a
     summary footer."""
     om = series["omega_report"]
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,re_I,im_I,IQ,Omega,C,ermakov_residual\n")
-        write_rows(fh, series["ts"], series["I"].real, series["I"].imag,
-                   series["IQ"], om.omega, series["C"], series["ermakov"])
-        fh.write(f"# max_drift_I={series['drift_I']:.17g}, "
-                 f"max_drift_IQ={series['drift_IQ']:.17g}, "
-                 f"omega_drift={om.max_rel_drift:.17g}\n")
+    write_csv(path, "t,re_I,im_I,IQ,Omega,C,ermakov_residual",
+              [series["ts"], series["I"].real, series["I"].imag,
+               series["IQ"], om.omega, series["C"], series["ermakov"]],
+              footer={"max_drift_I": series["drift_I"],
+                      "max_drift_IQ": series["drift_IQ"],
+                      "omega_drift": om.max_rel_drift})

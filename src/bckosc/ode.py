@@ -346,14 +346,11 @@ def _sweep(ts, coef, y0, nout, rtol, atol, rider=None):
     return ys, qs, errn, None
 
 
-def _grid(bounds, h):
-    """Uniform steps of at most h on each piece between the bounds."""
-    parts = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        count = max(1, int(np.ceil((b - a) / h - 1e-9)))
-        parts.append(np.linspace(a, b, count + 1)[:-1])
-    parts.append(bounds[-1:])
-    return np.concatenate(parts)
+def _grid(bounds, counts):
+    """Uniform steps between the bounds, counts[i] of them on piece i."""
+    parts = [np.linspace(a, b, count + 1)[:-1]
+             for a, b, count in zip(bounds[:-1], bounds[1:], counts)]
+    return np.concatenate([*parts, bounds[-1:]])
 
 
 def _bounds(s):
@@ -436,12 +433,15 @@ def _integrate(s, name, coef, y0, nout, rider=None):
     nreject = nfev = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while True:
-            ts = _grid(bounds, h)
-            n = ts.shape[0] - 1
+            # steps of at most h on each piece, counted before any is built
+            counts = [max(1, int(np.ceil((b - a) / h - 1e-9)))
+                      for a, b in zip(bounds[:-1], bounds[1:])]
+            n = sum(counts)
             if n > MAX_STEPS:
                 raise StepSizeUnderflow(
                     f"{name} system needs more than {MAX_STEPS} steps "
                     f"over [{s.t0}, {s.t1}]")
+            ts = _grid(bounds, counts)
             ys, qs, errn, bad = _sweep(ts, coef, y0, nout, s.rtol, s.atol,
                                        rider)
             nfev += _NODES.shape[0] * n

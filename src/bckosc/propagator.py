@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import write_rows
+from .core import write_csv
 from .errors import OutOfDomain, SolverBreakdown, ValidationError
 from .invariants import frame_from_beta
 from .ode import integrate_beta
@@ -329,10 +329,9 @@ class PropagationRun:
         return float(np.max(np.abs(self.step_norms - prev)))
 
     def to_csv(self, path):
-        with open(path, "w", newline="\n") as fh:
-            fh.write("t,norm,overlap,fidelity_defect\n")
-            write_rows(fh, self.slice_ts, self.slice_norms, self.overlaps,
-                       self.fidelity_defects)
+        write_csv(path, "t,norm,overlap,fidelity_defect",
+                  [self.slice_ts, self.slice_norms, self.overlaps,
+                   self.fidelity_defects])
 
 
 def propagate_and_compare(s, n, t0, t1, dt, max_slices=201, beta_sol=None):

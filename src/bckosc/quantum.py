@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import write_rows
+from .core import write_csv
 from .errors import (DegreeTooLarge, GridTooNarrow, OmegaNotPositive,
                      ValidationError)
 from .invariants import omega_of_frame
@@ -55,24 +55,13 @@ class WaveFunction:
         return float(l2_norm(self.values, self.dq))
 
     def to_csv(self, path, footer=None):
-        """CSV columns q, re_psi, im_psi, abs2; optional comment footer."""
-        with open(path, "w", newline="\n") as fh:
-            fh.write("q,re_psi,im_psi,abs2\n")
-            v = np.asarray(self.values, dtype=np.complex128)
-            # |v|^2 as libm's hypot, then pow: bit for bit what abs(v) ** 2
-            # gives a numpy scalar (np.abs and squaring round differently)
-            write_rows(fh, self.qs, v.real, v.imag,
-                       np.float_power(np.hypot(v.real, v.imag), 2))
-            if footer:
-                fh.write(footer.rstrip("\n") + "\n")
-
-
-@dataclass(frozen=True)
-class SpectrumEntry:
-    """One eigenvalue Omega (n + 1/2) of the quadratic invariant."""
-
-    n: int
-    eigenvalue: float
+        """CSV columns q, re_psi, im_psi, abs2 and an optional footer."""
+        v = np.asarray(self.values, dtype=np.complex128)
+        # |v|^2 as libm's hypot, then pow: bit for bit what abs(v) ** 2
+        # gives a numpy scalar (np.abs and squaring round differently)
+        write_csv(path, "q,re_psi,im_psi,abs2",
+                  [self.qs, v.real, v.imag,
+                   np.float_power(np.hypot(v.real, v.imag), 2)], footer)
 
 
 def trapezoid_inner(left, right, dq):
@@ -219,45 +208,30 @@ def eval_psin(n, s, frame, t):
 
 
 def build_spectrum(omega_value, nmax):
-    """Eigenvalues Omega (n + 1/2) for n = 0..nmax."""
+    """Eigenvalues Omega (n + 1/2) for n = 0..nmax, as an array."""
     if omega_value <= 0.0:
         raise OmegaNotPositive(f"Omega = {omega_value:g} is not positive")
-    return [SpectrumEntry(n=n, eigenvalue=omega_value * (n + 0.5))
-            for n in range(int(nmax) + 1)]
+    return omega_value * (np.arange(int(nmax) + 1) + 0.5)
 
 
-def write_spectrum_csv(path, entries):
-    with open(path, "w", newline="\n") as fh:
-        fh.write("n,eigenvalue\n")
-        for e in entries:
-            fh.write(f"{e.n},{e.eigenvalue:.17g}\n")
+def write_spectrum_csv(path, eigenvalues):
+    """CSV columns n, eigenvalue."""
+    write_csv(path, "n,eigenvalue", [np.arange(len(eigenvalues)), eigenvalues])
 
 
-def expectation_qp(n, frame, s):
-    """Packet-center expectations (<q>, <p>); independent of n."""
-    om, _, q_exp = _packet(s, frame)
-    bdF = np.conjugate(frame.dbeta) * frame.F
-    p_exp = -(2.0 * s.m * s.hbar * frame.expG / om) * np.asarray(bdF).imag
-    return float(q_exp), float(p_exp)
+def moments(n, frame, s):
+    """(<q>, <p>, var_q, var_p) of psi_n on a scalar frame.  The
+    expectations sit at the packet center and do not depend on n:
 
-
-@dataclass(frozen=True)
-class UncertaintyReport:
-    var_q: float
-    var_p: float
-    product: float
-
-
-def uncertainty_product(n, frame, s):
-    """The variances (dq)^2, (dp)^2 of psi_n from the frame and their
-    product.
-
+    <q> = q0, <p> = -(2 m hbar e^G/Omega) Im(beta'* F)
     var_q = (hbar^2/Omega) beta* beta (2n+1)
     var_p = (hbar^2 m^2 e^{2G}/Omega) beta'* beta' (2n+1)
     """
-    om = _packet(s, frame)[0]
+    om, _, q_exp = _packet(s, frame)
+    bdF = np.conjugate(frame.dbeta) * frame.F
+    p_exp = -(2.0 * s.m * s.hbar * frame.expG / om) * np.asarray(bdF).imag
     bb = float((np.conjugate(frame.beta) * frame.beta).real)
     dd = float((np.conjugate(frame.dbeta) * frame.dbeta).real)
     var_q = s.hbar ** 2 / om * bb * (2 * n + 1)
     var_p = (s.hbar ** 2 * s.m ** 2 * frame.expG ** 2 / om) * dd * (2 * n + 1)
-    return UncertaintyReport(var_q=var_q, var_p=var_p, product=var_q * var_p)
+    return float(q_exp), float(p_exp), float(var_q), float(var_p)

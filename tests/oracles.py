@@ -346,7 +346,7 @@ def underdamped_uncertainty_factors(s):
     (omega_bar^2 + g^2)/omega_bar^2 = omega^2/omega_bar^2; an alternative
     published closed form has (omega_bar^2 - g^2)/omega_bar^2 instead.
     These disagree for g != 0 and the alternative dips below the
-    Heisenberg floor; uncertainty_product adopts the generic value and the
+    Heisenberg floor; quantum.moments adopts the generic value and the
     quadrature oracle must confirm it.
     """
     p = underdamped_params(s)

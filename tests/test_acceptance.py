@@ -16,8 +16,7 @@ from bckosc import (TimeFunction, build_spectrum, compute_omega,
                     ermakov_residual, eval_psin,
                     first_integral_C, frame_from_beta, integrate_beta,
                     integrate_classical, integrate_gamma, omega_of_frame,
-                    propagate_and_compare, uncertainty_product,
-                    verification_series)
+                    moments, propagate_and_compare, verification_series)
 from bckosc.invariants import drift, envelope_ics
 from bckosc.quantum import l2_norm
 
@@ -146,9 +145,8 @@ def test_criterion_06_spectrum(driven, driven_beta, capsys):
             (np.conjugate(psi.values) * out).real, dx=psi.dq))
         worst_ev = max(worst_ev, abs(rayleigh - ev) / ev)
     mean = compute_omega(driven, driven_beta).mean
-    entries = build_spectrum(mean, 4)
-    value_err = max(abs(e.eigenvalue - 2.0 * OMEGA_BAR * (e.n + 0.5))
-                    for e in entries)
+    value_err = max(abs(ev - 2.0 * OMEGA_BAR * (n + 0.5))
+                    for n, ev in enumerate(build_spectrum(mean, 4)))
     ok = worst_res < 1e-5 and worst_ev < 1e-6 and value_err < 1e-8
     announce(capsys, 6, ok, "spectrum",
              f"eigen-residual {worst_res:.2e} (< 1e-5) and eigenvalue "
@@ -228,17 +226,22 @@ def test_criterion_08_dynamics(driven, driven_beta, capsys):
              f"(in 3.5..4.5); {elapsed:.1f} s (< 30 s)")
 
 
+def uncertainty(n, frame, s):
+    """The uncertainty product var_q var_p of psi_n."""
+    _, _, var_q, var_p = moments(n, frame, s)
+    return var_q * var_p
+
+
 def test_criterion_09_uncertainty(driven, sho, driven_beta, sho_beta,
                                   capsys):
     vals = []
     for t in (0.0, 1.0, 2.5, 4.0, 6.0):
         fr = frame_from_beta(driven, driven_beta, t)
-        vals.append(uncertainty_product(0, fr, driven).product)
+        vals.append(uncertainty(0, fr, driven))
     vals = np.asarray(vals)
     time_dev = float(np.max(np.abs(vals - vals[0])) / vals[0])
     fr = frame_from_beta(sho, sho_beta, 1.3)
-    sho_err = max(abs(uncertainty_product(n, fr, sho).product
-                      - (n + 0.5) ** 2)
+    sho_err = max(abs(uncertainty(n, fr, sho) - (n + 0.5) ** 2)
                   for n in (0, 1, 2))
     # grid-quadrature oracle against the two closed-form candidates
     s = replace(driven, qmin=-16.0, qmax=16.0, npoints=8192)
@@ -264,7 +267,7 @@ def test_criterion_09_uncertainty(driven, sho, driven_beta, sho_beta,
         alt_gap = min(alt_gap, abs(oracle - base * cmp.alternative_factor)
                       / (base * cmp.alternative_factor))
         adopted_gap = max(adopted_gap,
-                          abs(uncertainty_product(n, frd, s).product
+                          abs(uncertainty(n, frd, s)
                               - base * cmp.generic_factor)
                           / (base * cmp.generic_factor))
     ok = (time_dev < 1e-9 and sho_err < 1e-10 and oracle_gap < 1e-6
@@ -322,8 +325,8 @@ def test_criterion_11_plain_oscillator_recovery(sho, sho_beta, capsys):
     state_err = float(max(np.max(np.abs(psi0.values - ref0)),
                           np.max(np.abs(psi1.values - ref1))))
     mean = compute_omega(sho, sho_beta).mean
-    ev_err = max(abs(e.eigenvalue - 2.0 * (e.n + 0.5))
-                 for e in build_spectrum(mean, 3))
+    ev_err = max(abs(ev - 2.0 * (n + 0.5))
+                 for n, ev in enumerate(build_spectrum(mean, 3)))
     ok = (beta_err < 1e-8 and f_err < 1e-12 and sigma_err < 1e-12
           and state_err < 1e-8 and ev_err < 1e-8)
     announce(capsys, 11, ok, "plain oscillator recovery",

@@ -23,7 +23,7 @@ from numpy.testing import assert_allclose
 import bckosc
 import bckosc.cli
 from bckosc import _accel, invariants, ode
-from bckosc.core import Scenario, tf_document
+from bckosc.core import Scenario, tf_document, write_csv
 from bckosc.cli import _sweep_scenario, main
 
 from conftest import SCENARIO_DIR
@@ -270,11 +270,21 @@ def test_csv_writers_print_each_value_as_17_digits(tmp_path):
     # |v|^2 overflows past 1e154, in the writer as in abs(v) ** 2
     with np.errstate(over="ignore"):
         bckosc.WaveFunction(qs=cols[0], values=values, t=0.0).to_csv(
-            path, footer="# end")
+            path, footer={"exp_q": -0.0, "norm": 1.0})
         abs2 = [abs(v) ** 2 for v in values]
     assert path.read_text() == expected(
         "q,re_psi,im_psi,abs2\n",
-        zip(cols[0], cols[1], cols[2], abs2)) + "# end\n"
+        zip(cols[0], cols[1], cols[2], abs2)) + "# exp_q=-0, norm=1\n"
+    # the spectrum's integer n column prints as an integer
+    bckosc.write_spectrum_csv(path, cols[3])
+    assert path.read_text() == expected("n,eigenvalue\n",
+                                        enumerate(cols[3]))
+    # sweep's str columns are written as they are
+    param, status = ["F0"] * col.size, [f"s{k}" for k in range(col.size)]
+    write_csv(path, "param,value,status", [param, cols[0], status])
+    assert path.read_text() == "param,value,status\n" + "".join(
+        f"{p},{float(v):.17g},{st}\n" for p, v, st in zip(param, cols[0],
+                                                        status))
 
 
 # ---------- spectrum ----------

@@ -321,6 +321,30 @@ def test_step_count_guard_names_the_system(monkeypatch):
         integrate_beta(s)
 
 
+@pytest.mark.parametrize("doc, edit", [
+    ("underdamped_driven.cfg", ("amplitude = 0.5\n", "amplitude = 1e308\n")),
+    ("sho.cfg", ("t1 = 6.2831853071795862\n", "t1 = 1e308\n"))],
+    ids=["force", "t1"])
+def test_step_count_guard_comes_before_the_grid(monkeypatch, doc, edit):
+    # the state overflows where the coefficients stay finite, so the grids
+    # refine toward MAX_STEPS: the grid past it is refused by its step count,
+    # before np.linspace is asked for its points (10^8 + 1 of them, 1.6 GB
+    # with their concatenation)
+    text = (SCENARIO_DIR / doc).read_text()
+    assert text.count(edit[0]) == 1
+    s = parse_scenario(text.replace(*edit))
+    linspace = np.linspace
+
+    def sized(start, stop, num=50, **kwargs):
+        assert num <= ode.MAX_STEPS + 1, f"np.linspace asked for {num} points"
+        return linspace(start, stop, num, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", sized)
+    with pytest.raises(StepSizeUnderflow,
+                       match=r"^amplitude system needs more than 1048576 "):
+        integrate_beta(s)
+
+
 @pytest.mark.parametrize("edit", [("value = 1\n", "value = 1e308\n"),
                                   ("t1 = 62.831853071795865",
                                    "t1 = 1e308")],

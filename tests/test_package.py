@@ -174,6 +174,39 @@ def test_no_module_reaches_numpy_linalg():
     assert found == set()
 
 
+def write_opens(path):
+    """The module.qualname of the function around each call of ``open``
+    in the module whose mode may write: any mode but a constant of r, b
+    and t."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}")
+                continue
+            if (isinstance(child, ast.Call)
+                    and getattr(child.func, "id", None) == "open"):
+                modes = [*child.args[1:2], *(k.value for k in child.keywords
+                                             if k.arg == "mode")]
+                if any(not (isinstance(m, ast.Constant)
+                            and set(m.value) <= set("rbt")) for m in modes):
+                    found.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(), str(path)), path.stem)
+    return found
+
+
+def test_only_write_csv_opens_a_file_to_write():
+    # the artifact format (header, rows at 17 digits, LF line ends, the
+    # "# name=value, ..." footer) is decided in one place
+    found = [owner for path in sorted((ROOT / "src" / "bckosc").glob("*.py"))
+             for owner in write_opens(path)]
+    assert found == ["core.write_csv"]
+
+
 # ---------- every function runs in a command ----------
 
 # the functions of the package that no command calls, each with the

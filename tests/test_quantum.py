@@ -12,8 +12,8 @@ from numpy.testing import assert_allclose
 
 from bckosc import (DegreeTooLarge, GridTooNarrow, OmegaNotPositive,
                     Scenario, TimeFunction, ValidationError, build_spectrum,
-                    eval_psin, expectation_qp, frame_from_beta,
-                    omega_of_frame, uncertainty_product, write_spectrum_csv)
+                    eval_psin, frame_from_beta, moments, omega_of_frame,
+                    write_spectrum_csv)
 from bckosc.quantum import MAX_DEGREE, WaveFunction, check_grid, l2_norm
 
 from oracles import (InsufficientSlices, NotUnderdamped,
@@ -248,12 +248,14 @@ def test_residual_needs_three_uniform_slices(driven, driven_beta):
 
 def test_expectations_are_n_independent(driven, driven_beta):
     fr = frame_from_beta(driven, driven_beta, 2.0)
-    assert expectation_qp(0, fr, driven) == expectation_qp(3, fr, driven)
+    q0, p0, var_q0, _ = moments(0, fr, driven)
+    q3, p3, var_q3, _ = moments(3, fr, driven)
+    assert (q0, p0) == (q3, p3) and var_q3 != var_q0
 
 
 def test_sho_expectations_vanish(sho, sho_beta):
     fr = frame_from_beta(sho, sho_beta, 1.0)
-    eq, ep = expectation_qp(0, fr, sho)
+    eq, ep, _, _ = moments(0, fr, sho)
     assert abs(eq) < 1e-10 and abs(ep) < 1e-10
 
 
@@ -268,29 +270,32 @@ def test_expectations_match_quadrature(driven, driven_beta):
     q_ref = np.trapezoid(psi.qs * dens, dx=dq) / nrm
     pv = -1j * s.hbar * diff4(psi.values, dq)
     p_ref = np.trapezoid((np.conjugate(psi.values) * pv).real, dx=dq) / nrm
-    eq, ep = expectation_qp(0, fr, s)
+    eq, ep, _, _ = moments(0, fr, s)
     assert_allclose([eq, ep], [q_ref, p_ref], rtol=0, atol=1e-8)
 
 
 def test_sho_uncertainty_is_exact(sho, sho_beta):
     fr = frame_from_beta(sho, sho_beta, 1.3)
     for n in (0, 1, 3):
-        prod = uncertainty_product(n, fr, sho).product
-        assert_allclose(prod, (n + 0.5) ** 2, rtol=0, atol=1e-10)
+        _, _, var_q, var_p = moments(n, fr, sho)
+        assert_allclose(var_q * var_p, (n + 0.5) ** 2, rtol=0, atol=1e-10)
 
 
 def test_uncertainty_report_parts(driven, driven_beta):
     fr = frame_from_beta(driven, driven_beta, 1.0)
-    rep = uncertainty_product(1, fr, driven)
-    assert rep.product == rep.var_q * rep.var_p
-    assert rep.var_q > 0 and rep.var_p > 0
+    # both variances are positive and grow as 2n + 1
+    _, _, var_q0, var_p0 = moments(0, fr, driven)
+    _, _, var_q, var_p = moments(1, fr, driven)
+    assert var_q0 > 0 and var_p0 > 0
+    assert_allclose([var_q, var_p], [3.0 * var_q0, 3.0 * var_p0], rtol=1e-15)
 
 
 def test_uncertainty_product_time_independent(driven, driven_beta):
     vals = []
     for t in (0.0, 1.0, 2.5, 4.0, 6.0):
         fr = frame_from_beta(driven, driven_beta, t)
-        vals.append(uncertainty_product(0, fr, driven).product)
+        _, _, var_q, var_p = moments(0, fr, driven)
+        vals.append(var_q * var_p)
     vals = np.asarray(vals)
     assert np.max(np.abs(vals - vals[0])) / vals[0] < 1e-9
 
@@ -308,9 +313,9 @@ def test_variances_match_quadrature(driven, driven_beta):
     pv = -1j * s.hbar * diff4(psi.values, dq)
     ep = np.trapezoid((np.conjugate(psi.values) * pv).real, dx=dq) / nrm
     vp = np.trapezoid(np.abs(pv) ** 2, dx=dq) / nrm - ep ** 2
-    rep = uncertainty_product(1, fr, s)
-    assert_allclose(rep.var_q, vq, rtol=1e-8)
-    assert_allclose(rep.var_p, vp, rtol=1e-7)
+    _, _, var_q, var_p = moments(1, fr, s)
+    assert_allclose(var_q, vq, rtol=1e-8)
+    assert_allclose(var_p, vp, rtol=1e-7)
 
 
 # ---------- constant-parameter closed forms ----------
@@ -393,10 +398,10 @@ def test_uncertainty_factor_candidates(driven):
 # ---------- spectra ----------
 
 def test_spectrum_values():
-    entries = build_spectrum(2.0 * OMEGA_BAR, 3)
-    assert [e.n for e in entries] == [0, 1, 2, 3]
+    eigenvalues = build_spectrum(2.0 * OMEGA_BAR, 3)
+    assert eigenvalues.shape == (4,)
     ref = [2.0 * OMEGA_BAR * (n + 0.5) for n in range(4)]
-    assert_allclose([e.eigenvalue for e in entries], ref, rtol=1e-15)
+    assert_allclose(eigenvalues, ref, rtol=1e-15)
 
 
 def test_spectrum_rejects_bad_omega():
@@ -416,7 +421,7 @@ def test_wavefunction_csv(tmp_path, sho, sho_beta):
     fr = frame_from_beta(sho, sho_beta, 0.0)
     psi = eval_psin(0, sho, fr, 0.0)
     path = tmp_path / "wf.csv"
-    psi.to_csv(path, footer="# norm=1")
+    psi.to_csv(path, footer={"norm": 1})
     lines = path.read_text().splitlines()
     assert lines[0] == "q,re_psi,im_psi,abs2"
     assert len(lines) == sho.npoints + 2
