@@ -145,8 +145,9 @@ def cmd_wavefunction(s, args, outdir):
 
 
 def cmd_propagate(s, args, outdir):
-    beta_sol = integrate_beta(s)
-    om = compute_omega(s, beta_sol, samples=args.samples)
+    # propagate_and_compare takes the solution's last reference and frees it
+    sol = [integrate_beta(s)]
+    om = compute_omega(s, sol[0], samples=args.samples)
     wbar_eff = om.mean / (2.0 * s.m * s.hbar)
     if wbar_eff <= 0:
         raise OmegaNotPositive("effective frequency not positive")
@@ -156,7 +157,7 @@ def cmd_propagate(s, args, outdir):
         t1 = s.t1
         _say(args, f"window clipped to scenario end t1={_fmt(t1)}")
     run = propagate_and_compare(s, args.n, s.t0, t1, args.dt,
-                                beta_sol=beta_sol)
+                                beta_sol=sol.pop())
     path = outdir / "propagation.csv"
     run.to_csv(path)
     return path, [("fidelity defect", 1.0 - run.min_overlap,
@@ -178,6 +179,17 @@ def _sweep_scenario(s, param, value):
     return replace(s, force=TimeFunction.sinusoid(**keys))
 
 
+def _sweep_row(s, args, v):
+    """One sweep row and its status; the row's solutions die on return,
+    before the next row integrates."""
+    sv = _sweep_scenario(s, args.param, v)
+    beta_sol, series, checks = _verify_checks(sv, args.samples, args.tol)
+    _, _, var_q, var_p = moments(0, frame_from_beta(sv, beta_sol, sv.t1), sv)
+    return ((series["omega_report"].mean, series["drift_I"],
+             series["drift_IQ"], var_q * var_p),
+            "ok" if _passed(checks) else "tolerance")
+
+
 def cmd_sweep(s, args, outdir):
     try:
         lo, hi = map(float, args.range.split(":"))
@@ -193,17 +205,11 @@ def cmd_sweep(s, args, outdir):
     results, status = [], []
     for v in values:
         try:
-            sv = _sweep_scenario(s, args.param, v)
-            beta_sol, series, checks = _verify_checks(sv, args.samples,
-                                                      args.tol)
-            _, _, var_q, var_p = moments(0, frame_from_beta(sv, beta_sol,
-                                                            sv.t1), sv)
-            results.append((series["omega_report"].mean, series["drift_I"],
-                            series["drift_IQ"], var_q * var_p))
-            status.append("ok" if _passed(checks) else "tolerance")
+            row, st = _sweep_row(s, args, v)
         except (BckoscError, FloatingPointError) as exc:
-            results.append((math.nan,) * 4)
-            status.append(f"failed:{type(exc).__name__}")
+            row, st = (math.nan,) * 4, f"failed:{type(exc).__name__}"
+        results.append(row)
+        status.append(st)
     results = np.array(results)
     path = outdir / "sweep.csv"
     write_csv(path, "param,value,Omega,drift_I,drift_IQ,uncertainty_n0_t1,"

@@ -242,10 +242,14 @@ class Scenario:
             raise ValidationError(f"hbar must be positive, got {self.hbar}")
         if not self.t1 > self.t0:
             raise ValidationError(f"need t1 > t0, got [{self.t0}, {self.t1}]")
+        if not math.isfinite(self.t1 - self.t0):
+            raise ValidationError(f"t1 - t0 overflows, got [{self.t0}, {self.t1}]")
         if self.npoints < 16:
             raise ValidationError(f"npoints must be >= 16, got {self.npoints}")
         if not self.qmin < self.qmax:
             raise ValidationError(f"need qmin < qmax, got [{self.qmin}, {self.qmax}]")
+        if not math.isfinite(self.qmax - self.qmin):
+            raise ValidationError(f"qmax - qmin overflows, got [{self.qmin}, {self.qmax}]")
         if not (self.rtol > 0 and self.atol > 0):
             raise ValidationError("tolerances must be positive")
         if self.max_step is not None and not self.max_step > 0:

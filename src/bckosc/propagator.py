@@ -50,7 +50,7 @@ import numpy as np
 from .core import write_csv
 from .errors import OutOfDomain, SolverBreakdown, ValidationError
 from .invariants import frame_from_beta
-from .ode import integrate_beta
+from .ode import MAX_STEPS, integrate_beta
 from .quantum import (WaveFunction, eval_psin, l2_norm, psin_values,
                       trapezoid_inner)
 
@@ -342,13 +342,20 @@ def propagate_and_compare(s, n, t0, t1, dt, max_slices=201, beta_sol=None):
     many intermediate comparisons are made; every step's norm is kept
     regardless.  The slices a block of steps reaches are compared together
     once the block is done, so at most ``BLOCK`` propagated states and as
-    many analytic ones are held at a time.
+    many analytic ones are held at a time.  ``beta_sol`` is dropped once
+    the frames exist, before the plan is built, so a caller that hands
+    over its last reference frees it there; perfbench/spans.py's wrapper
+    keeps it alive, but only in traced runs.  A window of more than
+    ``ode.MAX_STEPS`` steps raises ValidationError before any allocation.
     """
     if not (s.t0 <= t0 < t1 <= s.t1):
         raise OutOfDomain("propagation window must lie inside the scenario "
                           "window")
     if not 0 < dt < np.inf:
         raise ValidationError("dt must be positive and finite")
+    if not (t1 - t0) / dt <= MAX_STEPS:
+        raise ValidationError(f"propagation needs more than {MAX_STEPS} "
+                              f"steps of dt {dt:g}")
     if beta_sol is None:
         beta_sol = integrate_beta(s)
     nsteps = max(1, int(round((t1 - t0) / dt)))
@@ -365,6 +372,7 @@ def propagate_and_compare(s, n, t0, t1, dt, max_slices=201, beta_sol=None):
     # check of the block that reaches them raises first
     with np.errstate(all="ignore"):
         frames = frame_from_beta(s, beta_sol, slice_ts)
+    del beta_sol
     psi0 = eval_psin(n, s, frames.at(0), t0)
     qs, dq = psi0.qs, psi0.dq
     rows = min(BLOCK, nsteps)

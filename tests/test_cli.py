@@ -12,6 +12,7 @@ import subprocess
 import sys
 import types
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from numpy.testing import assert_allclose
 
 import bckosc
 import bckosc.cli
-from bckosc import _accel, invariants, ode
+from bckosc import _accel, invariants, ode, propagator
 from bckosc.core import Scenario, tf_document, write_csv
 from bckosc.cli import _sweep_scenario, main
 
@@ -410,6 +411,26 @@ def test_propagate_rejects_a_bad_dt(tmp_path, capsys, dt):
     assert not (tmp_path / "propagation.csv").exists()
 
 
+@pytest.mark.parametrize("dt", ["1e-9", "1e-320"])
+def test_propagate_refuses_more_steps_than_it_can_hold(tmp_path, capsys,
+                                                       monkeypatch, dt):
+    # 6.28e9 steps would ask np.empty for 50 GB of norms; at 1e-320 the
+    # step count is inf.  Both are refused before anything is allocated
+    empty = np.empty
+
+    def sized(shape, *args, **kwargs):
+        assert np.prod(shape) <= ode.MAX_STEPS + 1, f"np.empty({shape})"
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", sized)
+    rc = main(["propagate", "--scenario", SHO, "--out", str(tmp_path),
+               "--dt", dt])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: propagation needs more than 1048576 steps")
+    assert not (tmp_path / "propagation.csv").exists()
+
+
 def test_propagate_negative_omega_is_exit_3(tmp_path, capsys):
     # beta(t0) = 1, beta'(t0) = -i turns the sho.cfg oscillator's Omega to -2
     doc = tmp_path / "retrograde.cfg"
@@ -640,6 +661,34 @@ def test_non_finite_number_is_exit_2(tmp_path, capsys, edit, flags):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [
+    ["verify"], ["spectrum"], ["wavefunction"], ["propagate"],
+    ["sweep", "--param", "g", "--range", "0:0.1"]], ids=lambda c: c[0])
+@pytest.mark.parametrize("edits, message", [
+    ((("t0 = 0\n", "t0 = -1e308\n"),
+      ("t1 = 6.2831853071795862", "t1 = 1e308")), "t1 - t0 overflows"),
+    ((("qmin = -12", "qmin = -1e308"), ("qmax = 12", "qmax = 1e308")),
+     "qmax - qmin overflows"),
+], ids=["window", "grid"])
+def test_overflowing_width_is_exit_2(tmp_path, capsys, command, edits,
+                                     message):
+    # each end is finite, their difference is not
+    text = (SCENARIO_DIR / "sho.cfg").read_text()
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    doc = tmp_path / "wide.cfg"
+    doc.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([*command, "--scenario", str(doc), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {message}, got [-1e+308, 1e+308]")
+    assert "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 # a drawn token in place of one document value or of a numeric flag's value
 _TOKENS = st.sampled_from(["nan", "inf", "-inf", "1e308", "-0", "", "word"]) \
     | st.integers(-3, 12).map(str)
@@ -792,6 +841,37 @@ def test_commands_call_the_function_bound_on_cli(tmp_path, monkeypatch, argv,
     monkeypatch.delitem(vars(bckosc.cli), name, raising=False)
     assert main(argv) == 0
     assert vars(bckosc.cli)[name] is own
+
+
+def test_no_command_holds_a_solution_past_its_last_reader(tmp_path,
+                                                         monkeypatch):
+    # only weak references to each amplitude solution are kept: propagate
+    # frees it before Crank-Nicolson's plan is built, and sweep frees each
+    # row's before the next row integrates
+    refs, dead = [], []
+    integrate, plan = bckosc.cli.integrate_beta, propagator._Plan
+
+    def weak(s):
+        dead.append([r() is None for r in refs])
+        sol = integrate(s)
+        refs.append(weakref.ref(sol))
+        return sol
+
+    def planned(*args):
+        dead.append([r() is None for r in refs])
+        return plan(*args)
+
+    monkeypatch.setattr(bckosc.cli, "integrate_beta", weak)
+    monkeypatch.setattr(propagator, "_Plan", planned)
+    assert main(["propagate", "--scenario", SHO, "--out", str(tmp_path),
+                 "--dt", "0.01", "--periods", "0.2", "--quiet"]) == 0
+    assert dead[1:] == [[True]]
+    refs.clear()
+    dead.clear()
+    assert main(["sweep", "--scenario", DRIVEN, "--out", str(tmp_path),
+                 "--param", "g", "--range", "0:0.1", "--steps", "3",
+                 "--quiet"]) == 0
+    assert dead == [[], [True], [True, True]]
 
 
 def test_bench_trace_targets_resolve():
