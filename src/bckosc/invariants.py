@@ -3,11 +3,12 @@ the envelope first integral and its Ermakov-type residual.
 
 This module owns the quantities the paper derives from the amplitude beta:
 the envelope group (``envelope_group``, ``envelope_ics``), the five
-coefficients of I_Q (``iq_coefficients``) and Omega (``omega_of_frame``).
-The other modules call these definitions rather than restate them.  The
-references the tests compare them with, the constant-parameter closed
-forms, the five coefficient ODEs and the ladder and I_Q operators,
-restate them on purpose, outside the package, in ``tests/oracles.py``.
+coefficients of I_Q (``iq_coefficients``), Omega (``omega_of_frame``) and
+the packet of psi_n (``packet_of_frame``).  The other modules call these
+definitions rather than restate them.  The references the tests compare
+them with, the constant-parameter closed forms, the five coefficient ODEs
+and the ladder and I_Q operators, restate them on purpose, outside the
+package, in ``tests/oracles.py``.
 
 An InvariantFrame collects everything needed to evaluate the invariants at
 one instant.  Fields may be scalars or equally-shaped arrays; every
@@ -15,7 +16,8 @@ operation here is elementwise, so a "vector frame" sampled on a time grid
 evaluates whole drift series in one call.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,11 +56,10 @@ class InvariantFrame:
     phase: object = 0.0
     phase_integral: object = 0.0
 
-    def at(self, k):
-        """The frame at sample k of a vector frame."""
-        return replace(self, **{f.name: getattr(self, f.name)[k]
-                                for f in fields(self)
-                                if np.ndim(getattr(self, f.name))})
+    @cached_property
+    def packet(self):
+        """``packet_of_frame`` of the frame, formed once."""
+        return packet_of_frame(self)
 
 
 def envelope_group(b, bd, Fc, omega, damping, expG, force):
@@ -116,19 +117,41 @@ def eval_linear_invariant(fr, q, p):
 
 def _wronskian_omega(fr):
     """The Wronskian W = beta'* beta - beta* beta' and Omega, the real part
-    of i m hbar e^G W; raises OmegaNotPositive if Omega is not finite."""
+    of i m hbar e^G W, which may not be finite."""
     w = np.conjugate(fr.dbeta) * fr.beta - np.conjugate(fr.beta) * fr.dbeta
     with np.errstate(over="ignore", invalid="ignore"):
         om = (1j * fr.m * fr.hbar * fr.expG * w).real
-    if not np.all(np.isfinite(om)):
-        raise OmegaNotPositive("Omega = i m hbar e^G W is not finite")
     return w, om
 
 
 def omega_of_frame(fr):
     """Omega = i m hbar e^G (beta'* beta - beta* beta') evaluated on the
-    frame; real by construction."""
+    frame; real by construction, and not checked (``finite_omega``)."""
     return _wronskian_omega(fr)[1]
+
+
+def finite_omega(om):
+    """Raise OmegaNotPositive unless every sample of ``om`` is finite."""
+    if not np.all(np.isfinite(om)):
+        raise OmegaNotPositive("Omega = i m hbar e^G W is not finite")
+
+
+def packet_of_frame(fr):
+    """The packet of the eigenstates psi_n of I_Q at each sample of the
+    frame: (Omega, a, q0, chirp, lin, Theta, phi) with phi the unwrapped
+    argument of beta, a = Omega/(2 hbar^2 beta* beta), q0 = -(2 hbar/Omega)
+    Im(beta* F), chirp = m e^G Re(beta'/beta), lin = 2 Re(F/beta) and
+    Theta = -phi/2 - Re(P)/(2 m hbar).  Where Omega is not finite and
+    positive the entries mean nothing, and are formed without a warning."""
+    om = omega_of_frame(fr)
+    b = fr.beta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (om, om / (2.0 * fr.hbar ** 2 * (b.conjugate() * b).real),
+                -(2.0 * fr.hbar / om) * (b.conjugate() * fr.F).imag,
+                fr.m * fr.expG * (fr.dbeta / b).real, 2.0 * (fr.F / b).real,
+                -0.5 * fr.phase
+                - np.real(fr.phase_integral) / (2.0 * fr.m * fr.hbar),
+                fr.phase)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,9 +173,10 @@ def compute_omega(s, beta_sol, samples=512):
 
 
 def omega_report(fr):
-    """The OmegaReport of a vector frame.  Raises DegenerateSolutions if
-    the Wronskian vanishes at any sample."""
+    """The OmegaReport of a vector frame.  Raises OmegaNotPositive if
+    Omega is not finite, DegenerateSolutions if the Wronskian vanishes."""
     w, om = _wronskian_omega(fr)
+    finite_omega(om)
     if np.any(np.abs(w) < 1e-12 * (np.abs(fr.beta) * np.abs(fr.dbeta))):
         raise DegenerateSolutions(
             "Wronskian of (beta, beta*) vanishes: the two solutions are "

@@ -35,11 +35,11 @@ coupling that is not negligible, a non-finite one included, reaches the
 next level's diagonal, so checks of the first level's pivots and of the
 eliminated buffer replace pivot bookkeeping.  Each step's views are bound
 once per run and depth, so ``_cn_step`` indexes nothing.  Once a block's
-steps are taken its buffer is free, so the analytic states at the slices
-the block reaches are written into it, one evaluation per block, and
-compared with the propagated ones, views of the block's states, by
-trapezoid inner products (one ``np.vecdot`` each).  So after the plan a
-run allocates nothing of a block's size.
+steps are taken its buffer is free, so the analytic state at each slice
+the block reaches, from the run's one packet at the slice times, is
+written into its first row and compared with the propagated one, a row of
+the block's states, by trapezoid inner products (one ``np.vecdot`` each).
+So after the plan a run allocates nothing of a block's size.
 """
 
 from dataclasses import dataclass
@@ -51,8 +51,8 @@ from .core import write_csv
 from .errors import OutOfDomain, SolverBreakdown, ValidationError
 from .invariants import frame_from_beta
 from .ode import MAX_STEPS, integrate_beta
-from .quantum import (WaveFunction, eval_psin, l2_norm, psin_values,
-                      trapezoid_inner)
+from .quantum import (WaveFunction, check_packet, eval_psin, l2_norm,
+                      psin_values, trapezoid_inner)
 
 # Steps factored together.  A run's plan, its memory peak, holds one
 # block's buffer, the factors past it (about 2 * BLOCK * npoints complex
@@ -216,12 +216,11 @@ def _back(bound):
 class _Plan:
     """One propagation's arrays for blocks of up to ``rows`` steps: the
     buffer ``h``, eliminated in place, whose odd columns take the first
-    level's reciprocals, its ``levels`` and ``scratch``, the ``states``,
-    and ``work``, the float scratch of up to ``slices`` analytic states.
-    ``steps(depth)`` binds each slot's state, factor views and reduced
-    reciprocals once per depth."""
+    level's reciprocals, its ``levels`` and ``scratch``, and the
+    ``states``.  ``steps(depth)`` binds each slot's state, factor views
+    and reduced reciprocals once per depth."""
 
-    def __init__(self, npoints, rows, slices=0):
+    def __init__(self, npoints, rows):
         dtype = np.complex128
         self.h = np.empty((rows, npoints), dtype)
         # (w, lw, rw) of each level down to one unknown, p odd and q even
@@ -237,7 +236,6 @@ class _Plan:
             self.levels.append((w, lw, rw))
             n = q
         self.states = np.empty((rows, npoints), dtype)
-        self.work = np.empty((2, slices, npoints))
         # The elimination's scratch is the head of the states: a block is
         # factored before its steps write them, and in a run of several
         # blocks the state the next one starts from is the last of BLOCK
@@ -340,10 +338,11 @@ def propagate_and_compare(s, n, t0, t1, dt, max_slices=201, beta_sol=None):
 
     dt is adjusted to divide the window exactly.  ``max_slices`` bounds how
     many intermediate comparisons are made; every step's norm is kept
-    regardless.  The slices a block of steps reaches are compared together
-    once the block is done, so at most ``BLOCK`` propagated states and as
-    many analytic ones are held at a time.  ``beta_sol`` is dropped once
-    the frames exist, before the plan is built, so a caller that hands
+    regardless.  The packet at the slice times is formed once; once a block
+    of steps is done, the slices it reaches are checked (``check_packet``)
+    and compared one at a time, so a slice fails only after the blocks
+    before it are stepped.  ``beta_sol`` is dropped once the packet and
+    psi_n(t0) exist, before the plan is built, so a caller that hands
     over its last reference frees it there; perfbench/spans.py's wrapper
     keeps it alive, but only in traced runs.  A window of more than
     ``ode.MAX_STEPS`` steps raises ValidationError before any allocation.
@@ -361,36 +360,28 @@ def propagate_and_compare(s, n, t0, t1, dt, max_slices=201, beta_sol=None):
     nsteps = max(1, int(round((t1 - t0) / dt)))
     dt_eff = (t1 - t0) / nsteps
     stride = max(1, -(-nsteps // max(1, max_slices - 1)))  # ceiling
-    steps = np.arange(0, nsteps + 1, stride)
-    # steps[:regular] are every stride-th step, and the last step follows
-    # them when the stride does not divide it
-    regular = steps.shape[0]
-    if steps[-1] != nsteps:
-        steps = np.append(steps, nsteps)
+    steps = np.append(np.arange(0, nsteps, stride), nsteps)
     slice_ts = t0 + dt_eff * steps
-    # frames at slice times past a breakdown are never used: the pivot
-    # check of the block that reaches them raises first
+    # past a breakdown a slice's packet can overflow, or its Omega be
+    # negative or not finite: the block that reaches it raises first
     with np.errstate(all="ignore"):
-        frames = frame_from_beta(s, beta_sol, slice_ts)
+        packet = frame_from_beta(s, beta_sol, slice_ts).packet
+    psi0 = eval_psin(n, s, frame_from_beta(s, beta_sol, t0), t0)
     del beta_sol
-    psi0 = eval_psin(n, s, frames.at(0), t0)
     qs, dq = psi0.qs, psi0.dq
-    rows = min(BLOCK, nsteps)
-    plan = _Plan(qs.shape[0], rows, -(-rows // stride))
+    plan = _Plan(qs.shape[0], min(BLOCK, nsteps))
+    scratch = np.empty((2, 1, qs.shape[0]))
     overlaps = np.empty(steps.shape[0])
-    norms = np.empty(steps.shape[0])
 
-    def compare(lo, hi, values, values_norms):
-        # the analytic states at slices lo .. hi - 1 go to the buffer, free
-        # once a block is factored
-        k = hi - lo
-        ana = psin_values(n, s, frames.at(slice(lo, hi)), qs, plan.h[:k],
-                          plan.work[:, :k])
-        overlaps[lo:hi] = (np.abs(trapezoid_inner(ana, values, dq))
-                           / (l2_norm(ana, dq) * values_norms))
-        norms[lo:hi] = values_norms
+    def compare(k, values, values_norm):
+        # one-sample packets keep numpy's array loops, which round as on the
+        # whole packet: bit for bit eval_psin's on slice k's one-sample frame
+        ana = psin_values(n, s, [v[k:k + 1] for v in packet], qs,
+                          plan.h[:1], scratch)
+        overlaps[k:k + 1] = (np.abs(trapezoid_inner(ana, values, dq))
+                             / (l2_norm(ana, dq) * values_norm))
 
-    compare(0, 1, psi0.values[None], psi0.norm)
+    compare(0, psi0.values[None], psi0.norm)  # eval_psin checked t0
     step_norms = np.empty(nsteps)
     block_levels = np.empty(-(-nsteps // BLOCK), dtype=int)
     psi = psi0.values
@@ -405,15 +396,14 @@ def propagate_and_compare(s, n, t0, t1, dt, max_slices=201, beta_sol=None):
                 psi = _cn_step(step, psi)
             step_norms[ks] = l2_norm(block, dq)
         block_levels[start // BLOCK] = depth
-        # the slices at steps ks[0] + 1 .. ks[-1] + 1, as views of the
-        # block a stride apart, compared outside errstate: the analytic
-        # states' warnings are not muted
+        # the slices at steps ks[0] + 1 .. ks[-1] + 1, compared outside
+        # errstate: the analytic states' warnings are not muted
         lo, hi = np.searchsorted(steps, (ks[0] + 1, ks[-1] + 2))
-        for a, b in ((lo, min(hi, regular)), (max(lo, regular), hi)):
-            if a < b:
-                first, last = steps[a] - 1, steps[b - 1]
-                compare(a, b, block[first - start:last - start:stride],
-                        step_norms[first:last:stride])
+        check_packet(s, [v[lo:hi] for v in packet], n)
+        for k in range(lo, hi):
+            j = steps[k] - 1
+            compare(k, block[j - start:j - start + 1], step_norms[j])
+    norms = np.concatenate(([psi0.norm], step_norms[steps[1:] - 1]))
     return PropagationRun(initial=psi0, dt=dt_eff, slice_ts=slice_ts,
                           slice_norms=norms, overlaps=overlaps,
                           step_norms=step_norms, block_levels=block_levels)

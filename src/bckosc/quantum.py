@@ -5,21 +5,16 @@ ladder and I_Q operators as finite-difference operators, and the
 constant-parameter closed forms) live in ``tests/oracles.py``, outside the
 package.
 
-Construction summary.  With the amplitude beta, force functional F and
-conserved normalization Omega, the ground state annihilated by the linear
-invariant is a displaced Gaussian
-
-    psi_0 = (a/pi)^(1/4) exp(-x^2/2) exp(i(Theta + Phi(q)))
-
-with a = Omega/(2 hbar^2 beta* beta), center q0 = -(2 hbar/Omega) Im(beta* F),
-x = sqrt(a) (q - q0), local phase
-Phi(q) = [m e^G Re(beta'/beta) q^2 + 2 Re(F/beta) q]/(2 hbar), and global
-phase Theta = -phi/2 - Re(P)/(2 m hbar) where phi is the continuously
-unwrapped argument of beta and P accumulates exp(-G) (F/beta)^2.  Excited
-states multiply in i^n e^{-i n phi} times normalized Hermite functions of x;
-this phase convention makes the ladder relations a psi_n = sqrt(n) psi_{n-1}
-and a^dag psi_n = sqrt(n+1) psi_{n+1} exact, and the whole family solves the
-time-dependent Schrodinger equation of the scaled-mass Hamiltonian.
+Construction summary.  Time enters psi_n only through its packet
+(``invariants.packet_of_frame``); this module keeps what depends on n.
+The ground state, annihilated by the linear invariant, is the displaced
+Gaussian (a/pi)^(1/4) exp(-x^2/2) exp(i(Theta + Phi(q))) with
+x = sqrt(a) (q - q0) and Phi(q) = [chirp q^2 + lin q]/(2 hbar).  Excited
+states multiply in i^n e^{-i n phi} times normalized Hermite functions of
+x; this phase convention makes the ladder relations a psi_n =
+sqrt(n) psi_{n-1} and a^dag psi_n = sqrt(n+1) psi_{n+1} exact, and the
+whole family solves the time-dependent Schrodinger equation of the
+scaled-mass Hamiltonian.
 """
 
 import math
@@ -31,7 +26,7 @@ import numpy as np
 from .core import write_csv
 from .errors import (DegreeTooLarge, GridTooNarrow, OmegaNotPositive,
                      ValidationError)
-from .invariants import omega_of_frame
+from .invariants import finite_omega
 
 MAX_DEGREE = 200
 
@@ -101,93 +96,67 @@ def _normalized_hermite(n, x, h, h_prev, work):
     return h
 
 
-def _first(mask):
-    """Index of the first true sample of ``mask`` (a scalar or 1-d array),
-    or None."""
-    hits = np.flatnonzero(mask)
-    return hits[0] if hits.size else None
+def check_packet(s, packet, n=None):
+    """Raise for the first sample of ``packet`` (``packet_of_frame``) whose
+    Omega is not finite and positive, OmegaNotPositive, or, for psi_n
+    (n given), whose 8 sqrt(n+1) envelope widths 1/sqrt(a) on either side
+    of the center q0 leave the grid, GridTooNarrow with a symmetric
+    suggestion."""
+    om, a, q0 = packet[:3]
+    bad = ~(np.isfinite(om) & (om > 0.0))
+    if n is not None:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = 1.0 / np.sqrt(a)
+        need = 8.0 * w * math.sqrt(n + 1.0)
+        bad |= (s.qmax - q0 < need) | (q0 - s.qmin < need)
+    hits = np.flatnonzero(bad)
+    if not hits.size:
+        return
+    om = np.ravel(om)[hits[0]]
+    finite_omega(om)
+    if not om > 0.0:
+        raise OmegaNotPositive(f"Omega = {om:g} is not positive; the ladder "
+                               "construction requires Omega > 0")
+    q0, w, need = (np.ravel(v)[hits[0]] for v in (q0, w, need))
+    suggested = math.ceil((abs(q0) + need) * 10.0) / 10.0
+    # q0 + 0.0 prints an undriven centre -0.0 as 0
+    raise GridTooNarrow(
+        f"grid [{s.qmin:g}, {s.qmax:g}] clips the envelope centered at "
+        f"q = {q0 + 0.0:.4g} (width {w:.4g}, need +-{need:.4g}); "
+        f"suggested qmax = {suggested:g}", suggested_qmax=suggested)
 
 
-def _packet(s, fr):
-    """(Omega, a, q0) on a scalar or vector frame: Omega,
-    a = Omega/(2 hbar^2 beta* beta) and the packet center
-    q0 = -(2 hbar/Omega) Im(beta* F).  Raises OmegaNotPositive for the
-    first sample where Omega > 0 fails."""
-    om = omega_of_frame(fr)
-    k = _first(om <= 0.0)
-    if k is not None:
-        raise OmegaNotPositive(f"Omega = {np.ravel(om)[k]:g} is not "
-                               "positive; the ladder construction requires "
-                               "Omega > 0")
-    b = fr.beta
-    a = om / (2.0 * s.hbar ** 2 * (b.conjugate() * b).real)
-    q0 = -(2.0 * s.hbar / om) * (b.conjugate() * fr.F).imag
-    return om, a, q0
-
-
-def check_grid(s, fr, n):
-    """Require 8 sqrt(n+1) envelope widths 1/sqrt(a) on both sides of the
-    packet center at every sample of the frame; raise GridTooNarrow with a
-    symmetric suggestion for the first sample that fails.  Returns the
-    packet (Omega, a, q0) of ``_packet``."""
-    om, a, q0 = _packet(s, fr)
-    w = 1.0 / np.sqrt(a)
-    need = 8.0 * w * math.sqrt(n + 1.0)
-    k = _first((s.qmax - q0 < need) | (q0 - s.qmin < need))
-    if k is not None:
-        q0, w, need = (np.ravel(v)[k] for v in (q0, w, need))
-        suggested = math.ceil((abs(q0) + need) * 10.0) / 10.0
-        # q0 + 0.0 prints an undriven centre -0.0 as 0
-        raise GridTooNarrow(
-            f"grid [{s.qmin:g}, {s.qmax:g}] clips the envelope centered at "
-            f"q = {q0 + 0.0:.4g} (width {w:.4g}, need +-{need:.4g}); "
-            f"suggested qmax = {suggested:g}", suggested_qmax=suggested)
-    return om, a, q0
-
-
-def psin_values(n, s, frame, qs, out=None, scratch=None):
-    """Values of psi_n on the grid qs for a scalar frame, or one row per
-    sample of a vector frame.  The grid is checked at every sample
-    (``check_grid``); n is not validated here.
-
-    The values are written into ``out``, a C-contiguous complex array of
-    the result's shape, and formed with ``scratch``, a float array of
-    shape (2,) + the result's shape; either one is new when not given.
-    Nothing else of the result's shape is allocated.
-    """
-    _, a, q0 = check_grid(s, frame, n)
-
-    def col(v):
-        return np.asarray(v)[..., None]
-
-    shape = np.shape(a) + qs.shape
+def psin_values(n, s, packet, qs, out=None, scratch=None):
+    """Values of psi_n on the grid qs for a packet (``packet_of_frame``) of
+    one sample, scalars or one-sample arrays; nothing is checked
+    (``check_packet``) and n is not validated.  The values are written
+    into ``out``, a C-contiguous complex array of shape qs.shape or
+    (1,) + qs.shape, and formed with ``scratch``, a float array of shape
+    (2,) + out.shape; either one is new when not given, and nothing else
+    of out's shape is allocated."""
+    _, a, q0, chirp, lin, theta, phase = packet
     if out is None:
-        out = np.empty(shape, dtype=np.complex128)
+        out = np.empty(qs.shape, dtype=np.complex128)
     if scratch is None:
-        scratch = np.empty((2,) + shape)
+        scratch = np.empty((2,) + out.shape)
     # x and the recurrence's products live in the two halves of out's own
     # memory (a buffer of it, so never a copy) until the values fill it
-    x, work = np.ndarray((2,) + shape, buffer=out)
-    np.subtract(qs, col(q0), out=x)
-    x *= col(np.sqrt(a))
+    x, work = np.ndarray((2,) + out.shape, buffer=out)
+    np.subtract(qs, q0, out=x)
+    x *= np.sqrt(a)
     first, second = scratch
     h = _normalized_hermite(int(n), x, first, second, work)
     phi_q = second if h is first else first
-    b = frame.beta
-    ratio_bd = frame.dbeta / b
-    ratio_F = frame.F / b
-    np.multiply(col(s.m * frame.expG * ratio_bd.real), qs, out=phi_q)
-    phi_q += col(2.0 * ratio_F.real)
+    np.multiply(chirp, qs, out=phi_q)
+    phi_q += lin
     phi_q *= qs
     phi_q /= 2.0 * s.hbar
-    theta = (-0.5 * frame.phase
-             - np.real(frame.phase_integral) / (2.0 * s.m * s.hbar))
-    pref = (1j ** int(n)) * np.exp(1j * (theta - n * frame.phase))
+    pref = (1j ** int(n)) * np.exp(1j * (theta - n * phase))
     # h e^{i phi_q}, then times the prefactor
     np.sin(phi_q, out=out.imag)
     out.imag *= h
     np.multiply(np.cos(phi_q, out=phi_q), h, out=out.real)
-    out *= col(pref * a ** 0.25)
+    out *= pref * a ** 0.25
     return out
 
 
@@ -202,8 +171,9 @@ def eval_psin(n, s, frame, t):
         raise DegreeTooLarge(f"quantum number {n} exceeds {MAX_DEGREE}")
     if not abs(float(frame.t) - t) <= 1e-12 + 1e-12 * abs(t):
         raise ValidationError("frame timestamp does not match requested t")
+    check_packet(s, frame.packet, n)
     qs = s.grid()
-    return WaveFunction(qs=qs, values=psin_values(n, s, frame, qs),
+    return WaveFunction(qs=qs, values=psin_values(n, s, frame.packet, qs),
                         t=float(t), n=int(n))
 
 
@@ -227,7 +197,8 @@ def moments(n, frame, s):
     var_q = (hbar^2/Omega) beta* beta (2n+1)
     var_p = (hbar^2 m^2 e^{2G}/Omega) beta'* beta' (2n+1)
     """
-    om, _, q_exp = _packet(s, frame)
+    check_packet(s, frame.packet)
+    om, _, q_exp = frame.packet[:3]
     bdF = np.conjugate(frame.dbeta) * frame.F
     p_exp = -(2.0 * s.m * s.hbar * frame.expG / om) * np.asarray(bdF).imag
     bb = float((np.conjugate(frame.beta) * frame.beta).real)

@@ -135,20 +135,29 @@ def test_oracles_import_only_types_constants_and_errors():
 HAMILTONIAN_ROUTE = {"ode.integrate_classical", "propagator.build_hamiltonian"}
 
 
-def referrers(path, name):
+def owners(path, match):
     """The module's top-level functions, methods (Class.method) and other
-    statements that read ``name``, as a bare name or an attribute."""
-    owners = []
+    statements with a node that ``match`` accepts."""
+    found = []
     for node in ast.parse(path.read_text(), str(path)).body:
         if isinstance(node, ast.ClassDef):
-            owners += [(f"{node.name}.{getattr(n, 'name', '<body>')}", n)
-                       for n in node.body]
+            found += [(f"{node.name}.{getattr(n, 'name', '<body>')}", n)
+                      for n in node.body]
         else:
-            owners.append((getattr(node, "name", "<module>"), node))
-    return {f"{path.stem}.{owner}" for owner, node in owners
-            if any(isinstance(n, ast.Name) and n.id == name
-                   or isinstance(n, ast.Attribute) and n.attr == name
-                   for n in ast.walk(node))}
+            found.append((getattr(node, "name", "<module>"), node))
+    return {f"{path.stem}.{owner}" for owner, node in found
+            if any(match(n) for n in ast.walk(node))}
+
+
+def reads(name):
+    """Whether a node reads ``name``, as a bare name or an attribute."""
+    return lambda n: (isinstance(n, ast.Name) and n.id == name
+                      or isinstance(n, ast.Attribute) and n.attr == name)
+
+
+def referrers(path, name):
+    """The module's owners (``owners``) that read ``name``."""
+    return owners(path, reads(name))
 
 
 def test_only_the_hamiltonian_route_reads_its_coefficients():
@@ -157,6 +166,23 @@ def test_only_the_hamiltonian_route_reads_its_coefficients():
     found = set().union(*(referrers(p, "hamiltonian_coefficients")
                           for p in paths))
     assert found == HAMILTONIAN_ROUTE
+
+
+def test_only_the_packet_reads_the_phase_integral_and_beta_ratio():
+    # psi_n's packet is defined once: the global phase is the one reader of
+    # the accumulated phase integral (beside the frame's field), and the
+    # chirp the one division of beta' by beta
+    paths = sorted((ROOT / "src" / "bckosc").glob("*.py"))
+    found = set().union(*(referrers(p, "phase_integral") for p in paths))
+    assert found == {"invariants.InvariantFrame.<body>",
+                     "invariants.packet_of_frame"}
+
+    def divides_dbeta(n):
+        return (isinstance(n, ast.BinOp) and isinstance(n.op, ast.Div)
+                and any(map(reads("dbeta"), ast.walk(n.left))))
+
+    found = set().union(*(owners(p, divides_dbeta) for p in paths))
+    assert found == {"invariants.packet_of_frame"}
 
 
 def test_no_module_reaches_numpy_linalg():

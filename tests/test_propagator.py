@@ -5,7 +5,7 @@ the documented failure modes."""
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,11 +15,13 @@ from scipy.linalg import eigh_tridiagonal, solve_banded
 from bckosc import (GridTooNarrow, OutOfDomain, Scenario, SolverBreakdown,
                     TimeFunction, ValidationError, build_hamiltonian,
                     eval_psin, frame_from_beta, integrate_beta,
-                    propagate_and_compare)
+                    parse_scenario_file, propagate_and_compare)
 from bckosc import propagator
+from bckosc.cli import main
 from bckosc.propagator import BLOCK, _cn_step, _factor, _Plan
-from bckosc.quantum import WaveFunction
+from bckosc.quantum import WaveFunction, psin_values
 
+from conftest import SCENARIO_DIR
 from oracles import inner
 
 
@@ -33,6 +35,17 @@ def crank_nicolson_step(psi, s, t, dt):
         out = _cn_step(plan.steps(depth)[0],
                        np.asarray(psi.values, dtype=np.complex128))
     return WaveFunction(qs=psi.qs, values=out, t=t + dt, n=psi.n)
+
+
+def one_sample_frame(frames, k):
+    """Sample k of a vector frame, its fields one-sample arrays and its
+    time a scalar: the frame whose packet propagate_and_compare reads at
+    slice k.  numpy's scalar arithmetic rounds complex products otherwise
+    than its array loops, so a scalar frame's packet can differ in the
+    last bit."""
+    one = {f.name: getattr(frames, f.name)[k:k + 1] for f in fields(frames)
+           if np.ndim(getattr(frames, f.name))}
+    return replace(frames, **{**one, "t": frames.t[k]})
 
 
 def apply_h(diag, off, values):
@@ -491,6 +504,82 @@ def test_grid_clipped_in_mid_run_is_grid_too_narrow(driven):
     assert str(err.value) == first
 
 
+@pytest.mark.parametrize("name", ["driven", "ramp"])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_each_compared_state_is_eval_psin_on_its_slice(request, monkeypatch,
+                                                        name, n):
+    # 787 steps of 0.003 are compared every 4th step, so the last slice,
+    # at step 787, lies off the stride, 3 steps past the one before it.
+    # psi_2 needs qmax 13.9, past ramp_omega.cfg's 12; driven's grid is 16
+    s = replace(request.getfixturevalue(name), qmin=-16.0, qmax=16.0)
+    beta_sol = request.getfixturevalue(f"{name}_beta")
+    compared = []
+
+    def record(*args):
+        values = psin_values(*args)
+        compared.append(values.copy())
+        return values
+
+    monkeypatch.setattr(propagator, "psin_values", record)
+    dt = 0.003
+    run = propagate_and_compare(s, n, s.t0, s.t0 + 787 * dt, dt,
+                                beta_sol=beta_sol)
+    steps = np.rint((run.slice_ts - s.t0) / run.dt)
+    assert list(steps[-3:]) == [780, 784, 787]
+    assert len(compared) == steps.shape[0] == 198
+    frames = frame_from_beta(s, beta_sol, run.slice_ts)
+    for k, values in enumerate(compared):
+        wf = eval_psin(n, s, one_sample_frame(frames, k), run.slice_ts[k])
+        assert np.array_equal(wf.values[None], values), k
+
+
+def test_a_packet_leaving_the_grid_fails_at_its_slice(tmp_path, capsys,
+                                                      monkeypatch, depths):
+    # g = -0.05 widens the driven packet until, partway through, 8 widths
+    # no longer fit in +-8.5: the run exits 4 with eval_psin's error at the
+    # first slice that clips, once the blocks up to that slice are stepped
+    # and no later one
+    doc = tmp_path / "widening.cfg"
+    text = (SCENARIO_DIR / "underdamped_driven.cfg").read_text()
+    for old, new in (("value = 0.1", "value = -0.05"),
+                     ("qmin = -16", "qmin = -8.5"),
+                     ("qmax = 16", "qmax = 8.5"),
+                     ("npoints = 1024", "npoints = 256")):
+        assert old in text
+        text = text.replace(old, new)
+    doc.write_text(text)
+    slice_ts = []
+    build = propagator.frame_from_beta
+
+    def record(s, beta_sol, t):
+        if np.ndim(t):
+            slice_ts.append(t)
+        return build(s, beta_sol, t)
+
+    monkeypatch.setattr(propagator, "frame_from_beta", record)
+    rc = main(["propagate", "--scenario", str(doc), "--out", str(tmp_path),
+               "--periods", "2", "--dt", "0.01"])
+    err = capsys.readouterr().err
+    assert rc == 4
+    [ts] = slice_ts
+    s = parse_scenario_file(str(doc))
+    frames = frame_from_beta(s, integrate_beta(s), ts)
+    for k, t in enumerate(ts):
+        try:
+            eval_psin(0, s, one_sample_frame(frames, k), t)
+        except GridTooNarrow as exc:
+            expected = exc
+            break
+    assert err == (f"error: {expected}\n"
+                   f"suggested qmax: {expected.suggested_qmax:g}\n")
+    assert err.startswith("error: grid [-8.5, 8.5] clips the envelope "
+                          "centered at q = 0.0806 (width 1.055, need "
+                          "+-8.437); suggested qmax = 8.6\n")
+    nsteps = round((ts[-1] - ts[0]) / 0.01)
+    step = round((t - ts[0]) / ((ts[-1] - ts[0]) / nsteps))
+    assert 1 < len(depths) == (step - 1) // BLOCK + 1 < -(-nsteps // BLOCK)
+
+
 def test_propagation_memory_does_not_grow_with_steps(driven, driven_beta):
     # compared slices are not kept, so 4x the steps (65 against 202
     # slices) must not raise the peak allocation
@@ -526,7 +615,7 @@ def test_blocks_allocate_nothing_past_the_plan(driven, driven_beta, npoints):
     run()
     tracemalloc.start()
     try:
-        plan = _Plan(npoints, BLOCK, BLOCK)
+        plan = _Plan(npoints, BLOCK)
         plan_bytes = tracemalloc.get_traced_memory()[0]
         del plan
         tracemalloc.reset_peak()

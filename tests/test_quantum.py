@@ -14,7 +14,7 @@ from bckosc import (DegreeTooLarge, GridTooNarrow, OmegaNotPositive,
                     Scenario, TimeFunction, ValidationError, build_spectrum,
                     eval_psin, frame_from_beta, moments, omega_of_frame,
                     write_spectrum_csv)
-from bckosc.quantum import MAX_DEGREE, WaveFunction, check_grid, l2_norm
+from bckosc.quantum import MAX_DEGREE, WaveFunction, check_packet, l2_norm
 
 from oracles import (InsufficientSlices, NotUnderdamped,
                      UnsupportedForceShape, apply_IQ, apply_ladder, hermite,
@@ -116,7 +116,7 @@ def test_grid_too_narrow(driven, driven_beta):
     assert suggested > 4.0
     wide = replace(narrow, qmin=-suggested, qmax=suggested)
     fr = frame_from_beta(wide, driven_beta, t)
-    check_grid(wide, fr, 4)  # no raise
+    check_packet(wide, fr.packet, 4)  # no raise
     eval_psin(4, wide, fr, t)
 
 
