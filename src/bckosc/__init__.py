@@ -38,8 +38,7 @@ _EXPORTS = {
                    "write_verification_report"),
     "ode": ("ODESolution", "integrate_beta", "integrate_classical",
             "integrate_gamma", "integrate_sigma"),
-    "propagator": ("PropagationRun", "build_hamiltonian",
-                   "propagate_and_compare"),
+    "propagator": ("PropagationRun", "propagate_and_compare"),
     "quantum": ("WaveFunction", "build_spectrum", "eval_psin", "moments",
                 "write_spectrum_csv"),
 }

@@ -65,7 +65,7 @@ class DegreeTooLarge(BckoscError):
 
 
 class SolverBreakdown(BckoscError):
-    """A Crank-Nicolson factorisation is not finite: the Hamiltonian is
-    not, or its elimination overflows.  No pivot can vanish instead: for a
-    finite H every pivot of (1 + i a H)/2 has real part >= 1/2."""
+    """A split-operator step left a state that is not finite: the
+    Hamiltonian is not, or a phase exponent dt H/hbar overflows.  A finite
+    exponent gives a unimodular phase, however large."""
     exit_code = 3

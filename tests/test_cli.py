@@ -264,7 +264,7 @@ def test_csv_writers_print_each_value_as_17_digits(tmp_path):
         "# max_drift_I=-0, max_drift_IQ=1e-300, omega_drift=nan\n")
     run = bckosc.PropagationRun(
         initial=None, dt=0.1, slice_ts=cols[0], slice_norms=cols[1],
-        overlaps=cols[2], step_norms=cols[4], block_levels=np.array([6]))
+        overlaps=cols[2], step_norms=cols[4])
     run.to_csv(path)
     assert path.read_text() == expected("t,norm,overlap,fidelity_defect\n",
                                         zip(*cols[:3], 1.0 - cols[2]))
@@ -364,27 +364,14 @@ def test_propagate_sho(tmp_path, capsys):
     assert "min overlap" in capsys.readouterr().out
 
 
-def test_propagate_driven_matches_the_golden_csv(tmp_path, capsys,
-                                                monkeypatch):
-    # tests/data/propagate_driven.csv was written by the earlier
-    # Crank-Nicolson solver (level-by-level pivot checks, cyclic reduction
-    # of the reduced systems) with the bench's arguments: a rework of the
-    # solver, such as the reduction that stops where the couplings are
-    # negligible, must keep every column within 1e-14 of it.  Each block
-    # of these arguments stops after 6 levels
-    runs = []
-
-    def record(*args, **kwargs):
-        runs.append(bckosc.propagate_and_compare(*args, **kwargs))
-        return runs[-1]
-
-    monkeypatch.setattr(bckosc.cli, "propagate_and_compare", record,
-                        raising=False)
+def test_propagate_driven_matches_the_golden_csv(tmp_path, capsys):
+    # tests/data/propagate_driven.csv was written by the split-operator
+    # step with the bench's arguments: a rework of the step must keep
+    # every column within 1e-14 of it
     rc = main(["propagate", "--scenario", DRIVEN, "--out", str(tmp_path),
                "--n", "0", "--periods", "0.5", "--dt", "0.004",
                "--min-overlap", "0.9999"])
     assert rc == 0, capsys.readouterr().out
-    assert runs[0].block_levels.tolist() == [6] * 50
     golden = DATA_DIR / "propagate_driven.csv"
     lines = [(tmp_path / "propagation.csv").read_text().splitlines(),
              golden.read_text().splitlines()]
@@ -393,6 +380,17 @@ def test_propagate_driven_matches_the_golden_csv(tmp_path, capsys,
                            for row in rows[1:]]) for rows in lines)
     assert got.shape == want.shape == (199, 4)
     assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+def test_propagate_two_driven_periods_passes(tmp_path, capsys):
+    # the state is resolved on the driven grid over two periods, and the
+    # split-operator step holds it to 1.95e-10 at this dt; a three-point
+    # stencil's dispersion failed it at 3.04e-2
+    rc = main(["propagate", "--scenario", DRIVEN, "--out", str(tmp_path),
+               "--n", "0", "--periods", "2", "--dt", "0.004"])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert "fidelity defect" in out and "PASS" in out
 
 
 def test_propagate_coarse_step_fails_tolerance(tmp_path, capsys):
@@ -796,7 +794,7 @@ def test_each_entry_point_loads_only_the_code_it_runs(tmp_path, argv,
                                                       loaded):
     # each bckosc module a process imports is compiled from source where
     # no bytecode is cached: verify needs neither the quantum nor the
-    # Crank-Nicolson modules, and a spline solves its own system
+    # propagation modules, and a spline solves its own system
     code = ("import json, sys, bckosc\n"
             "if sys.argv[1:]:\n"
             "    from bckosc.cli import main\n"
@@ -846,10 +844,10 @@ def test_commands_call_the_function_bound_on_cli(tmp_path, monkeypatch, argv,
 def test_no_command_holds_a_solution_past_its_last_reader(tmp_path,
                                                          monkeypatch):
     # only weak references to each amplitude solution are kept: propagate
-    # frees it before Crank-Nicolson's plan is built, and sweep frees each
-    # row's before the next row integrates
+    # frees it before the split-operator step's buffers are made, and
+    # sweep frees each row's before the next row integrates
     refs, dead = [], []
-    integrate, plan = bckosc.cli.integrate_beta, propagator._Plan
+    integrate, step = bckosc.cli.integrate_beta, propagator._SplitStep
 
     def weak(s):
         dead.append([r() is None for r in refs])
@@ -857,12 +855,12 @@ def test_no_command_holds_a_solution_past_its_last_reader(tmp_path,
         refs.append(weakref.ref(sol))
         return sol
 
-    def planned(*args):
+    def buffered(*args):
         dead.append([r() is None for r in refs])
-        return plan(*args)
+        return step(*args)
 
     monkeypatch.setattr(bckosc.cli, "integrate_beta", weak)
-    monkeypatch.setattr(propagator, "_Plan", planned)
+    monkeypatch.setattr(propagator, "_SplitStep", buffered)
     assert main(["propagate", "--scenario", SHO, "--out", str(tmp_path),
                  "--dt", "0.01", "--periods", "0.2", "--quiet"]) == 0
     assert dead[1:] == [[True]]

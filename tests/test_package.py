@@ -4,7 +4,6 @@ README quotes."""
 
 import ast
 import json
-import math
 import os
 import pathlib
 import re
@@ -132,7 +131,7 @@ def test_oracles_import_only_types_constants_and_errors():
 # the functions that read H's coefficients, the Hamiltonian route; the
 # amplitude route (integrate_beta, integrate_gamma, integrate_sigma, the
 # invariants and the wavefunctions) and the oracles code the force apart
-HAMILTONIAN_ROUTE = {"ode.integrate_classical", "propagator.build_hamiltonian"}
+HAMILTONIAN_ROUTE = {"ode.integrate_classical", "propagator._SplitStep.phases"}
 
 
 def owners(path, match):
@@ -336,8 +335,6 @@ def test_every_function_runs_in_a_command(tmp_path):
 
 @pytest.mark.parametrize("pattern, value", [
     (r"`propagator\.BLOCK` \((\d+)\)", propagator.BLOCK),
-    (r"`propagator\.NEGLIGIBLE` \(2\^(-\d+)\)",
-     round(math.log2(propagator.NEGLIGIBLE))),
     (r"(\d+) steps at a time", ode._CHUNK),
 ])
 def test_readme_quotes_the_module_constants(pattern, value):
