@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import TimeFunction, parse_scenario_file, tf_document, write_csv
+from .core import (MAX_COUNT, TimeFunction, parse_scenario_file,
+                   tf_document, write_csv)
 from .errors import BckoscError, OmegaNotPositive, ValidationError
 from .invariants import (compute_omega, envelope_ics, frame_from_beta,
                          verification_series, write_verification_report)
@@ -55,12 +56,12 @@ def _fmt(v):
 
 # what each numeric flag must be, checked before any work
 _FLAG_RULES = {
-    "samples": (lambda v: v >= 2, ">= 2"),
+    "samples": (lambda v: 2 <= v <= MAX_COUNT, f"in [2, {MAX_COUNT}]"),
     "tol": (lambda v: 0 < v < math.inf, "positive and finite"),
     "min_overlap": (lambda v: 0 <= v <= 1, "in [0, 1]"),
     "periods": (lambda v: 0 < v < math.inf, "positive and finite"),
-    "nmax": (lambda v: v >= 0, ">= 0"),
-    "steps": (lambda v: v >= 1, ">= 1"),
+    "nmax": (lambda v: 0 <= v <= MAX_COUNT, f"in [0, {MAX_COUNT}]"),
+    "steps": (lambda v: 1 <= v <= MAX_COUNT, f"in [1, {MAX_COUNT}]"),
     "dt": (lambda v: 0 < v < math.inf, "positive and finite"),
     "n": (lambda v: v >= 0, ">= 0"),
     "t": (math.isfinite, "finite"),
@@ -132,14 +133,12 @@ def cmd_wavefunction(s, args, outdir):
     beta_sol = integrate_beta(s)
     t = s.t0 if args.t is None else args.t
     fr = frame_from_beta(s, beta_sol, t)
-    wf = eval_psin(args.n, s, fr, t)
+    wf = eval_psin(args.n, s, fr)
     q_exp, p_exp, var_q, var_p = moments(args.n, fr, s)
     product = var_q * var_p
     path = outdir / "wavefunction.csv"
-    # + 0.0 as in _fmt, so an exact zero never prints as "-0"
-    wf.to_csv(path, footer={k: v + 0.0 for k, v in dict(
-        exp_q=q_exp, exp_p=p_exp, var_q=var_q, var_p=var_p, product=product,
-        norm=wf.norm).items()})
+    wf.to_csv(path, footer=dict(exp_q=q_exp, exp_p=p_exp, var_q=var_q,
+                                var_p=var_p, product=product, norm=wf.norm))
     return path, [("norm defect", abs(wf.norm - 1.0), args.tol)], [
         f"<q>={_fmt(q_exp)}  <p>={_fmt(p_exp)}  product={_fmt(product)}"]
 

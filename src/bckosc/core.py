@@ -18,6 +18,10 @@ import numpy as np
 
 from .errors import InvalidIC, OutOfDomain, ParseError, ValidationError
 
+# The most steps, samples, grid points or levels a run may ask for; a
+# larger count is refused before any work, not left to fail an allocation
+MAX_COUNT = 1 << 20
+
 # TimeFunction kinds
 KIND_POLY = 0     # params: six ascending coefficients, a row per spline segment
 KIND_SIN = 1      # params: A, angular frequency, phase
@@ -244,8 +248,9 @@ class Scenario:
             raise ValidationError(f"need t1 > t0, got [{self.t0}, {self.t1}]")
         if not math.isfinite(self.t1 - self.t0):
             raise ValidationError(f"t1 - t0 overflows, got [{self.t0}, {self.t1}]")
-        if self.npoints < 16:
-            raise ValidationError(f"npoints must be >= 16, got {self.npoints}")
+        if not 16 <= self.npoints <= MAX_COUNT:
+            raise ValidationError(f"npoints must be in [16, {MAX_COUNT}], "
+                                  f"got {self.npoints}")
         if not self.qmin < self.qmax:
             raise ValidationError(f"need qmin < qmax, got [{self.qmin}, {self.qmax}]")
         if not math.isfinite(self.qmax - self.qmin):
@@ -380,7 +385,7 @@ def _parse_tf(cp, sect, base_dir):
             path = os.path.join(base_dir, path)
         try:
             ts, vs = _read_samples_csv(path)
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise ParseError(f"[{sect}] cannot read '{path}': {e}") from e
     else:
         ts, vs = _parse_inline_samples(sect, cp.get(sect, "samples"))
@@ -391,7 +396,7 @@ def _read_samples_csv(path):
     import csv
 
     ts, vs = [], []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         for i, row in enumerate(filter(None, csv.reader(fh))):
             try:
                 t, v = float(row[0]), float(row[1])
@@ -455,8 +460,13 @@ def parse_scenario(text, base_dir=None):
 
 
 def parse_scenario_file(path):
-    with open(path) as fh:
-        return parse_scenario(fh.read(), base_dir=os.path.dirname(os.path.abspath(path)))
+    """Parse the scenario document at ``path``, which must be UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"cannot read '{path}': {e}") from e
+    return parse_scenario(text, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def write_csv(path, header, columns, footer=None):
@@ -465,7 +475,8 @@ def write_csv(path, header, columns, footer=None):
     {name: value} as one line "# name=value, ...".  A column that is a
     list of str is written as is; every other value, the footer's too, as
     f"{float(v):.17g}", by one %-format per row over the columns' .tolist()
-    floats, which is faster than formatting numpy scalars one by one."""
+    floats, which is faster than formatting numpy scalars one by one.  A
+    footer value is written plus 0.0, so that -0.0 is written as 0."""
     fmts, cols = [], []
     for c in columns:
         text = isinstance(c, list) and bool(c) and isinstance(c[0], str)
@@ -476,7 +487,7 @@ def write_csv(path, header, columns, footer=None):
         fh.write(header + "\n")
         fh.writelines(line % row for row in zip(*cols))
         if footer:
-            fh.write("# " + ", ".join(f"{name}={value:.17g}"
+            fh.write("# " + ", ".join(f"{name}={value + 0.0:.17g}"
                                       for name, value in footer.items())
                      + "\n")
 

@@ -27,7 +27,7 @@ class InvalidIC(BckoscError):
 class StepSizeUnderflow(BckoscError):
     """The integrator cannot resolve the solution: a state or step map left
     the float range although the steps before it were fine enough, or the
-    grid would need more than ``ode.MAX_STEPS`` steps.  The message names
+    grid would need more than ``core.MAX_COUNT`` steps.  The message names
     the system and, for a non-finite state, the time."""
     exit_code = 3
 

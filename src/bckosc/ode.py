@@ -43,6 +43,7 @@ method does with them as extra states, so no separate pass is needed.
 
 import numpy as np
 
+from .core import MAX_COUNT
 from .errors import OutOfDomain, StepSizeUnderflow
 
 # ---------- Dormand-Prince 8(5,3) tableau (DOP853) ----------
@@ -237,8 +238,6 @@ _W = _weights()
 _NODES, _NODE_OF = np.unique(_C, return_inverse=True)
 # steps whose matrices are built together; bounds the working memory
 _CHUNK = 256
-# the finest grid tried; a solution that needs more steps is given up
-MAX_STEPS = 1 << 20
 # the error norm an equidistributing grid aims at, the extra steps a refined
 # grid takes over the count the last one asked for, and the largest
 # refinement from one grid to the next.  _TARGET = 0.5 would let the random
@@ -424,7 +423,7 @@ def _integrate(s, name, coef, y0, nout, rider=None):
 
     ``name`` names the system in errors.  A solution that leaves the float
     range while the steps before it were fine enough, or at a step where
-    A(t) is not finite, or that needs more than MAX_STEPS steps, raises
+    A(t) is not finite, or that needs more than MAX_COUNT steps, raises
     StepSizeUnderflow.
     """
     y0 = np.asarray(y0, dtype=float)
@@ -437,9 +436,9 @@ def _integrate(s, name, coef, y0, nout, rider=None):
             counts = [max(1, int(np.ceil((b - a) / h - 1e-9)))
                       for a, b in zip(bounds[:-1], bounds[1:])]
             n = sum(counts)
-            if n > MAX_STEPS:
+            if n > MAX_COUNT:
                 raise StepSizeUnderflow(
-                    f"{name} system needs more than {MAX_STEPS} steps "
+                    f"{name} system needs more than {MAX_COUNT} steps "
                     f"over [{s.t0}, {s.t1}]")
             ts = _grid(bounds, counts)
             ys, qs, errn, bad = _sweep(ts, coef, y0, nout, s.rtol, s.atol,

@@ -14,17 +14,18 @@ Fleck & Steiger, J. Comput. Phys. 47, 412 (1982)):
 
 with (K, V, D) at the step's midpoint and k = 2 pi fftfreq(N, dq).  The
 step is second order in dt, spectrally accurate in q and unitary up to
-round-off.  It treats the grid as periodic, which ``check_packet``'s 8
-sqrt(n+1) envelope widths between the packet and either end make
-harmless.  Each phase is the cos and sin of its exponent, written into
-the parts of a one-row buffer; a step's exponent that overflows leaves a
-state that is not finite, which its trapezoid norm shows.
+round-off in the grid's norm sqrt(dq sum |psi_j|^2) (``quantum.l2_norm``).
+It treats the grid as periodic, which ``check_packet``'s 8 sqrt(n+1)
+envelope widths between the packet and either end make harmless.  Each
+phase is the cos and sin of its exponent, written into the parts of a
+one-row buffer; a step's exponent that overflows leaves a state that is
+not finite, which its norm shows.
 
 A run evaluates (K, V, D) at ``BLOCK`` midpoints per call.  After each
 step it takes the state's norm, raises SolverBreakdown unless it is
 finite, and then checks (``check_packet``) and compares each slice the
 step reaches: psi_n from the run's one packet at the slice times, against
-the propagated state, by trapezoid inner products (one ``np.vecdot``
+the propagated state, by ``quantum.grid_inner`` (one ``np.vecdot``
 each).  So a run holds a few rows of the grid's size and nothing per step
 but its norm.
 """
@@ -33,12 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import write_csv
+from .core import MAX_COUNT, write_csv
 from .errors import OutOfDomain, SolverBreakdown, ValidationError
 from .invariants import frame_from_beta
-from .ode import MAX_STEPS, integrate_beta
-from .quantum import (WaveFunction, check_packet, eval_psin, l2_norm,
-                      psin_values, trapezoid_inner)
+from .ode import integrate_beta
+from .quantum import (WaveFunction, check_packet, eval_psin, grid_inner,
+                      l2_norm, psin_values)
 
 # Step midpoints whose (K, V, D) one call evaluates
 BLOCK = 16
@@ -67,7 +68,7 @@ class _SplitStep:
 
     def __call__(self, psi, a, b, c):
         """Step psi in place with the phases (a, b, c) and return its
-        trapezoid norm.  Raises SolverBreakdown, with no warning, unless
+        norm (``l2_norm``).  Raises SolverBreakdown, with no warning, unless
         the norm is finite."""
         qs, arg, half, kinetic = self.qs, self.arg, self.half, self.kinetic
         with np.errstate(all="ignore"):
@@ -99,7 +100,7 @@ class PropagationRun:
     slice_ts: np.ndarray
     slice_norms: np.ndarray
     overlaps: np.ndarray
-    step_norms: np.ndarray      # post-step trapezoid norms, every step
+    step_norms: np.ndarray      # post-step norms (l2_norm), every step
 
     @property
     def fidelity_defects(self):
@@ -134,7 +135,7 @@ def propagate_and_compare(s, n, t0, t1, dt, max_slices=201, beta_sol=None):
     psi_n(t0) exist, before the step's buffers are made, so a caller that
     hands over its last reference frees it there; perfbench/spans.py's
     wrapper keeps it alive, but only in traced runs.  A window of more
-    than ``ode.MAX_STEPS`` steps raises ValidationError before any
+    than ``core.MAX_COUNT`` steps raises ValidationError before any
     allocation.
     """
     if not (s.t0 <= t0 < t1 <= s.t1):
@@ -142,8 +143,8 @@ def propagate_and_compare(s, n, t0, t1, dt, max_slices=201, beta_sol=None):
                           "window")
     if not 0 < dt < np.inf:
         raise ValidationError("dt must be positive and finite")
-    if not (t1 - t0) / dt <= MAX_STEPS:
-        raise ValidationError(f"propagation needs more than {MAX_STEPS} "
+    if not (t1 - t0) / dt <= MAX_COUNT:
+        raise ValidationError(f"propagation needs more than {MAX_COUNT} "
                               f"steps of dt {dt:g}")
     if beta_sol is None:
         beta_sol = integrate_beta(s)
@@ -156,7 +157,7 @@ def propagate_and_compare(s, n, t0, t1, dt, max_slices=201, beta_sol=None):
     # negative or not finite: the step that reaches it raises first
     with np.errstate(all="ignore"):
         packet = frame_from_beta(s, beta_sol, slice_ts).packet
-    psi0 = eval_psin(n, s, frame_from_beta(s, beta_sol, t0), t0)
+    psi0 = eval_psin(n, s, frame_from_beta(s, beta_sol, t0))
     del beta_sol
     qs, dq = psi0.qs, psi0.dq
     step = _SplitStep(s, qs, dt_eff)
@@ -169,7 +170,7 @@ def propagate_and_compare(s, n, t0, t1, dt, max_slices=201, beta_sol=None):
         # frame.  It is written into the step's phase buffer, free here
         ana = psin_values(n, s, [v[k:k + 1] for v in packet], qs,
                           step.half[None], scratch)
-        overlaps[k:k + 1] = (np.abs(trapezoid_inner(ana, values, dq))
+        overlaps[k:k + 1] = (np.abs(grid_inner(ana, values, dq))
                              / (l2_norm(ana, dq) * values_norm))
 
     compare(0, psi0.values[None], psi0.norm)  # eval_psin checked t0

@@ -1,12 +1,13 @@
 """Eigenfunctions and spectra of the quadratic invariant on a spatial grid
 and uncertainty relations.  The references the tests check them with (the
 textbook Hermite polynomial, an independent Schrodinger operator, the
-ladder and I_Q operators as finite-difference operators, and the
-constant-parameter closed forms) live in ``tests/oracles.py``, outside the
-package.
+ladder and I_Q operators as finite-difference operators, the moments
+from beta and F, and the constant-parameter closed forms) live in
+``tests/oracles.py``, outside the package.
 
-Construction summary.  Time enters psi_n only through its packet
-(``invariants.packet_of_frame``); this module keeps what depends on n.
+Construction summary.  A frame enters psi_n, and its moments, only
+through its packet (``invariants.packet_of_frame``) and its time; this
+module keeps what depends on n.
 The ground state, annihilated by the linear invariant, is the displaced
 Gaussian (a/pi)^(1/4) exp(-x^2/2) exp(i(Theta + Phi(q))) with
 x = sqrt(a) (q - q0) and Phi(q) = [chirp q^2 + lin q]/(2 hbar).  Excited
@@ -46,7 +47,7 @@ class WaveFunction:
 
     @cached_property
     def norm(self):
-        """L2 norm by the trapezoid rule, cached after first use."""
+        """L2 norm (``l2_norm``), cached after first use."""
         return float(l2_norm(self.values, self.dq))
 
     def to_csv(self, path, footer=None):
@@ -59,18 +60,16 @@ class WaveFunction:
                    np.float_power(np.hypot(v.real, v.imag), 2)], footer)
 
 
-def trapezoid_inner(left, right, dq):
-    """Trapezoid rule for conj(left) * right along the last axis at spacing
-    dq: one ``np.vecdot`` less half the end terms, so no array of the
-    operands' shape is formed."""
-    ends = (np.conjugate(left[..., 0]) * right[..., 0]
-            + np.conjugate(left[..., -1]) * right[..., -1])
-    return dq * (np.vecdot(left, right) - 0.5 * ends)
+def grid_inner(left, right, dq):
+    """<left|right> along the last axis at spacing dq: dq sum conj(left)
+    right, one ``np.vecdot``.  This is the periodic grid's quadrature, the
+    one the split-operator step conserves (see ``propagator``)."""
+    return dq * np.vecdot(left, right)
 
 
 def l2_norm(values, dq):
-    """Trapezoid L2 norm of ``values`` along its last axis."""
-    return np.sqrt(trapezoid_inner(values, values, dq).real)
+    """L2 norm (``grid_inner``) of ``values`` along its last axis."""
+    return np.sqrt(grid_inner(values, values, dq).real)
 
 
 def _normalized_hermite(n, x, h, h_prev, work):
@@ -160,21 +159,17 @@ def psin_values(n, s, packet, qs, out=None, scratch=None):
     return out
 
 
-def eval_psin(n, s, frame, t):
-    """Eigenfunction psi_n of the quadratic invariant on the scenario grid.
-
-    The frame must be beta-derived and timestamped at t.
-    """
+def eval_psin(n, s, frame):
+    """Eigenfunction psi_n of the quadratic invariant on the scenario grid
+    at the time of ``frame``, a scalar beta-derived frame."""
     if n < 0 or int(n) != n:
         raise ValidationError("quantum number must be a nonnegative integer")
     if n > MAX_DEGREE:
         raise DegreeTooLarge(f"quantum number {n} exceeds {MAX_DEGREE}")
-    if not abs(float(frame.t) - t) <= 1e-12 + 1e-12 * abs(t):
-        raise ValidationError("frame timestamp does not match requested t")
     check_packet(s, frame.packet, n)
     qs = s.grid()
     return WaveFunction(qs=qs, values=psin_values(n, s, frame.packet, qs),
-                        t=float(t), n=int(n))
+                        t=float(frame.t), n=int(n))
 
 
 def build_spectrum(omega_value, nmax):
@@ -190,19 +185,11 @@ def write_spectrum_csv(path, eigenvalues):
 
 
 def moments(n, frame, s):
-    """(<q>, <p>, var_q, var_p) of psi_n on a scalar frame.  The
-    expectations sit at the packet center and do not depend on n:
-
-    <q> = q0, <p> = -(2 m hbar e^G/Omega) Im(beta'* F)
-    var_q = (hbar^2/Omega) beta* beta (2n+1)
-    var_p = (hbar^2 m^2 e^{2G}/Omega) beta'* beta' (2n+1)
-    """
+    """(<q>, <p>, var_q, var_p) of psi_n on a scalar frame, from its packet
+    (``packet_of_frame``): <q> = q0 and <p> = chirp q0 + lin/2 whatever n,
+    var_q = (n + 1/2)/a and var_p = (n + 1/2)(hbar^2 a + chirp^2/a)."""
     check_packet(s, frame.packet)
-    om, _, q_exp = frame.packet[:3]
-    bdF = np.conjugate(frame.dbeta) * frame.F
-    p_exp = -(2.0 * s.m * s.hbar * frame.expG / om) * np.asarray(bdF).imag
-    bb = float((np.conjugate(frame.beta) * frame.beta).real)
-    dd = float((np.conjugate(frame.dbeta) * frame.dbeta).real)
-    var_q = s.hbar ** 2 / om * bb * (2 * n + 1)
-    var_p = (s.hbar ** 2 * s.m ** 2 * frame.expG ** 2 / om) * dd * (2 * n + 1)
-    return float(q_exp), float(p_exp), float(var_q), float(var_p)
+    _, a, q0, chirp, lin = frame.packet[:5]
+    level = n + 0.5
+    return (float(q0), float(chirp * q0 + 0.5 * lin), float(level / a),
+            float(level * (s.hbar ** 2 * a + chirp ** 2 / a)))

@@ -9,6 +9,8 @@ paths they check:
   its own Omega and coefficients from the frame's fields, apart from
   ``bckosc.quantum`` and ``bckosc.invariants``, and ``inner``, the
   trapezoid inner product they are measured with;
+- ``beta_moments``, psi_n's expectations and variances from beta, beta'
+  and F, apart from psi_n's packet;
 - ``schrodinger_residual``, the Schrodinger equation with its own
   Hamiltonian and stencil, apart from the propagator's Hamiltonian;
 - ``underdamped_closed_forms`` and ``underdamped_uncertainty_factors``, the
@@ -139,6 +141,24 @@ def apply_IQ(values, qs, fr):
             + c4 * qs * values
             + fr.sigma * (-1j * fr.hbar) * dpsi
             - fr.F_sigma * values)
+
+
+def beta_moments(n, fr):
+    """(<q>, <p>, var_q, var_p) of psi_n on a scalar frame by the amplitude
+    route, from beta, beta', F and e^G with the frame's own Omega, apart
+    from the packet that ``bckosc.quantum.moments`` reads:
+
+    <q> = -(2 hbar/Omega) Im(beta* F),
+    <p> = -(2 m hbar e^G/Omega) Im(beta'* F),
+    var_q = (hbar^2/Omega) beta* beta (2n + 1),
+    var_p = (hbar^2 m^2 e^{2G}/Omega) beta'* beta' (2n + 1).
+    """
+    om = _omega(fr)
+    b, bd, Fc = complex(fr.beta), complex(fr.dbeta), complex(fr.F)
+    return (-(2.0 * fr.hbar / om) * (b.conjugate() * Fc).imag,
+            -(2.0 * fr.m * fr.hbar * fr.expG / om) * (bd.conjugate() * Fc).imag,
+            fr.hbar ** 2 / om * abs(b) ** 2 * (2 * n + 1),
+            (fr.hbar * fr.m * fr.expG) ** 2 / om * abs(bd) ** 2 * (2 * n + 1))
 
 
 def _l2_norm(values, dq):

@@ -136,7 +136,7 @@ def test_criterion_06_spectrum(driven, driven_beta, capsys):
     om = float(omega_of_frame(fr))
     worst_res, worst_ev = 0.0, 0.0
     for n in range(5):
-        psi = eval_psin(n, s, fr, t)
+        psi = eval_psin(n, s, fr)
         out = apply_IQ(psi.values, psi.qs, fr)
         ev = om * (n + 0.5)
         res = l2_norm((out - ev * psi.values)[2:-2], psi.dq)
@@ -159,7 +159,7 @@ def test_criterion_07_ladder_algebra(driven, driven_beta, capsys):
     s = replace(driven, qmin=-16.0, qmax=16.0, npoints=2048)
     t = 3.0
     fr = frame_from_beta(s, driven_beta, t)
-    psis = [eval_psin(n, s, fr, t).values for n in range(5)]
+    psis = [eval_psin(n, s, fr).values for n in range(5)]
     qs = s.grid()
     dq = float(qs[1] - qs[0])
     sl = slice(2, -2)
@@ -196,7 +196,7 @@ def test_criterion_08_dynamics(driven, driven_beta, capsys):
         for k in range(5):
             t = 1.0 + 1e-3 * (k - 2)
             fr = frame_from_beta(driven, driven_beta, t)
-            series.append(eval_psin(n, driven, fr, t))
+            series.append(eval_psin(n, driven, fr))
         worst_res = max(worst_res, schrodinger_residual(series, driven))
     # one full period of numeric propagation
     s = replace(driven, qmin=-13.0, qmax=13.0, npoints=1024)
@@ -250,7 +250,7 @@ def test_criterion_09_uncertainty(driven, sho, driven_beta, sho_beta,
     frd = frame_from_beta(s, driven_beta, t)
     oracle_gap, alt_gap, adopted_gap = 0.0, math.inf, 0.0
     for n in (0, 1):
-        psi = eval_psin(n, s, frd, t)
+        psi = eval_psin(n, s, frd)
         dq = psi.dq
         dens = np.abs(psi.values) ** 2
         nrm = np.trapezoid(dens, dx=dq)
@@ -317,9 +317,9 @@ def test_criterion_11_plain_oscillator_recovery(sho, sho_beta, capsys):
     sigma_err = float(np.max(np.abs(fr.sigma)))
     t = 1.5
     fr1 = frame_from_beta(sho, sho_beta, t)
-    psi0 = eval_psin(0, sho, fr1, t)
+    psi0 = eval_psin(0, sho, fr1)
     ref0 = PI_QUARTER * np.exp(-0.5 * psi0.qs ** 2) * np.exp(-0.5j * t)
-    psi1 = eval_psin(1, sho, fr1, t)
+    psi1 = eval_psin(1, sho, fr1)
     ref1 = (1j * math.sqrt(2.0) * psi1.qs * PI_QUARTER
             * np.exp(-0.5 * psi1.qs ** 2) * np.exp(-1.5j * t))
     state_err = float(max(np.max(np.abs(psi0.values - ref0)),

@@ -238,7 +238,8 @@ def test_reports_are_deterministic(tmp_path):
 def test_csv_writers_print_each_value_as_17_digits(tmp_path):
     # the per-row %-format of the writers against one f"{float(v):.17g}"
     # per value, and abs(v) ** 2 of a numpy scalar for the wavefunction's
-    # abs2, on random values of every magnitude and the special ones
+    # abs2, on random values of every magnitude and the special ones; a
+    # footer's -0.0 is written as 0
     rng = np.random.default_rng(20261019)
     col = np.concatenate([rng.normal(size=200), rng.normal(size=40)
                           * 10.0 ** rng.integers(-300, 300, 40),
@@ -261,7 +262,7 @@ def test_csv_writers_print_each_value_as_17_digits(tmp_path):
     bckosc.write_verification_report(path, series)
     assert path.read_text() == expected(
         "t,re_I,im_I,IQ,Omega,C,ermakov_residual\n", zip(*cols)) + (
-        "# max_drift_I=-0, max_drift_IQ=1e-300, omega_drift=nan\n")
+        "# max_drift_I=0, max_drift_IQ=1e-300, omega_drift=nan\n")
     run = bckosc.PropagationRun(
         initial=None, dt=0.1, slice_ts=cols[0], slice_norms=cols[1],
         overlaps=cols[2], step_norms=cols[4])
@@ -275,7 +276,7 @@ def test_csv_writers_print_each_value_as_17_digits(tmp_path):
         abs2 = [abs(v) ** 2 for v in values]
     assert path.read_text() == expected(
         "q,re_psi,im_psi,abs2\n",
-        zip(cols[0], cols[1], cols[2], abs2)) + "# exp_q=-0, norm=1\n"
+        zip(cols[0], cols[1], cols[2], abs2)) + "# exp_q=0, norm=1\n"
     # the spectrum's integer n column prints as an integer
     bckosc.write_spectrum_csv(path, cols[3])
     assert path.read_text() == expected("n,eigenvalue\n",
@@ -417,7 +418,7 @@ def test_propagate_refuses_more_steps_than_it_can_hold(tmp_path, capsys,
     empty = np.empty
 
     def sized(shape, *args, **kwargs):
-        assert np.prod(shape) <= ode.MAX_STEPS + 1, f"np.empty({shape})"
+        assert np.prod(shape) <= ode.MAX_COUNT + 1, f"np.empty({shape})"
         return empty(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "empty", sized)
@@ -602,12 +603,17 @@ def test_sweep_infinite_range_end_warns_nothing(tmp_path):
     ["wavefunction", "--n", "-1"],
     ["wavefunction", "--t", "nan"],
     ["wavefunction", "--t", "inf"],
+    ["verify", "--samples", str(10 ** 15)],
+    ["spectrum", "--nmax", str(10 ** 15)],
+    ["sweep", "--param", "g", "--range", "0:1", "--steps", str(10 ** 15)],
 ], ids=["samples-0", "samples-negative", "samples-1", "tol-inf", "tol-nan",
         "tol-0", "nmax-negative", "min-overlap-nan", "min-overlap-above-1",
         "periods-0", "periods-inf", "sweep-samples-1", "dt-0", "dt-nan",
         "dt-inf", "propagate-n-negative", "wavefunction-n-negative",
-        "t-nan", "t-inf"])
+        "t-nan", "t-inf", "samples-huge", "nmax-huge", "steps-huge"])
 def test_bad_numeric_flag_is_exit_2_before_any_work(tmp_path, capsys, argv):
+    # a count above core.MAX_COUNT is refused, not left to fail numpy's
+    # allocation
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -615,8 +621,22 @@ def test_bad_numeric_flag_is_exit_2_before_any_work(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith(f"error: {argv[-2]} must be ")
+    assert len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert not out.exists()     # refused before the output directory is made
+
+
+@pytest.mark.parametrize("command", ["wavefunction", "propagate"])
+def test_grid_too_large_to_allocate_is_exit_2(tmp_path, capsys, command):
+    doc = tmp_path / "huge.cfg"
+    text = (SCENARIO_DIR / "sho.cfg").read_text()
+    assert text.count("npoints = 1024") == 1
+    doc.write_text(text.replace("npoints = 1024", f"npoints = {10 ** 15}"))
+    rc = main([command, "--scenario", str(doc), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == ("error: npoints must be in [16, 1048576], "
+                   f"got {10 ** 15}\n")
 
 
 def test_missing_file_is_exit_2(tmp_path, capsys):
@@ -631,6 +651,25 @@ def test_malformed_document_is_exit_2(tmp_path, capsys):
     rc = main(["verify", "--scenario", str(bad), "--out", str(tmp_path)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["document", "samples"])
+def test_a_file_that_is_not_utf8_is_exit_2(tmp_path, capsys, kind):
+    # a \xff byte in the scenario document or in its tabulated sample file
+    doc, samples = tmp_path / "doc.cfg", tmp_path / "force.csv"
+    text = ("[scenario]\nt0 = 0\nt1 = 3\n[omega]\ntype = constant\n"
+            "value = 1\n[force]\ntype = tabulated\nfile = force.csv\n")
+    rows = "t,F\n0,0\n1,0.1\n2,0.2\n3,0.1\n"
+    bad = doc if kind == "document" else samples
+    doc.write_bytes((b"# \xff\n" if bad is doc else b"") + text.encode())
+    samples.write_bytes((b"# \xff\n" if bad is samples else b"")
+                        + rows.encode())
+    rc = main(["verify", "--scenario", str(doc), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and f"cannot read '{bad}': " in err
+    assert "can't decode byte 0xff" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_non_finite_tabulated_sample_is_exit_2(tmp_path, capsys):

@@ -16,7 +16,8 @@ from scipy.integrate import quad
 from bckosc import (InvalidIC, OutOfDomain, ParseError, Scenario,
                     TimeFunction, ValidationError, parse_scenario,
                     twice_integral)
-from bckosc.core import _SECTIONS, _TF_SECTIONS, KIND_POLY, tf_document
+from bckosc.core import (_SECTIONS, _TF_SECTIONS, KIND_POLY, MAX_COUNT,
+                         tf_document)
 
 from conftest import SCENARIO_DIR
 
@@ -303,10 +304,10 @@ def test_scenario_defaults():
 
 @pytest.mark.parametrize("kw", [
     dict(m=0.0), dict(hbar=-1.0), dict(t1=-1.0), dict(npoints=8),
-    dict(qmin=2.0, qmax=-2.0), dict(rtol=0.0), dict(atol=-1e-9),
-    dict(max_step=0.0), dict(beta0=(0.0, 0.0)),
-], ids=["m", "hbar", "window", "npoints", "grid", "rtol", "atol",
-        "max_step", "beta0"])
+    dict(npoints=MAX_COUNT + 1), dict(qmin=2.0, qmax=-2.0), dict(rtol=0.0),
+    dict(atol=-1e-9), dict(max_step=0.0), dict(beta0=(0.0, 0.0)),
+], ids=["m", "hbar", "window", "npoints", "npoints-above-max-count", "grid",
+        "rtol", "atol", "max_step", "beta0"])
 def test_scenario_rejects_invalid_fields(kw):
     with pytest.raises(ValidationError):
         _minimal(**kw)

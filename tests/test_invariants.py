@@ -54,7 +54,7 @@ def test_array_records_compare_and_hash_by_identity(driven, driven_beta):
     frames = [frame_from_beta(driven, driven_beta, ts) for _ in range(2)]
     omegas = [compute_omega(driven, driven_beta, 64) for _ in range(2)]
     fr = frame_from_beta(driven, driven_beta, 1.0)
-    psis = [eval_psin(0, driven, fr, 1.0) for _ in range(2)]
+    psis = [eval_psin(0, driven, fr) for _ in range(2)]
     for a, b in (frames, omegas, psis):
         assert a != b and a == a and len({a, b}) == 2
 

@@ -314,7 +314,7 @@ def test_step_size_underflow_names_system_and_time_quietly():
 
 def test_step_count_guard_names_the_system(monkeypatch):
     # the first grid of a hundred steps already exceeds a cap of ten
-    monkeypatch.setattr(ode, "MAX_STEPS", 10)
+    monkeypatch.setattr(ode, "MAX_COUNT", 10)
     s = Scenario(omega=TimeFunction.constant(1.0), t0=0.0, t1=1.0)
     with pytest.raises(StepSizeUnderflow,
                        match=r"^amplitude system needs more than 10 steps"):
@@ -327,7 +327,7 @@ def test_step_count_guard_names_the_system(monkeypatch):
     ids=["force", "t1"])
 def test_step_count_guard_comes_before_the_grid(monkeypatch, doc, edit):
     # the state overflows where the coefficients stay finite, so the grids
-    # refine toward MAX_STEPS: the grid past it is refused by its step count,
+    # refine toward MAX_COUNT: the grid past it is refused by its step count,
     # before np.linspace is asked for its points (10^8 + 1 of them, 1.6 GB
     # with their concatenation)
     text = (SCENARIO_DIR / doc).read_text()
@@ -336,7 +336,7 @@ def test_step_count_guard_comes_before_the_grid(monkeypatch, doc, edit):
     linspace = np.linspace
 
     def sized(start, stop, num=50, **kwargs):
-        assert num <= ode.MAX_STEPS + 1, f"np.linspace asked for {num} points"
+        assert num <= ode.MAX_COUNT + 1, f"np.linspace asked for {num} points"
         return linspace(start, stop, num, **kwargs)
 
     monkeypatch.setattr(np, "linspace", sized)

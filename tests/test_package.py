@@ -9,10 +9,11 @@ import pathlib
 import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
-from bckosc import ode, propagator
+from bckosc import InvariantFrame, core, ode, propagator
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -184,6 +185,20 @@ def test_only_the_packet_reads_the_phase_integral_and_beta_ratio():
     assert found == {"invariants.packet_of_frame"}
 
 
+def test_quantum_reads_a_frame_only_through_its_packet_and_time():
+    # psi_n and its moments follow from the packet alone: quantum reads no
+    # other field of an InvariantFrame (beta, F, e^G, ...).  Its scenario,
+    # always ``s``, shares some field names (m, hbar, omega, G) and may
+    # read them
+    frame_fields = {f.name for f in fields(InvariantFrame)} | {"packet"}
+    path = ROOT / "src" / "bckosc" / "quantum.py"
+    found = {node.attr for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in frame_fields
+             and not (isinstance(node.value, ast.Name)
+                      and node.value.id == "s")}
+    assert found == {"packet", "t"}
+
+
 def test_no_module_reaches_numpy_linalg():
     # the Crank-Nicolson solve's dense inverse was the package's one LAPACK
     # call, and its first call alone made about 1 MB of pages resident
@@ -336,6 +351,7 @@ def test_every_function_runs_in_a_command(tmp_path):
 @pytest.mark.parametrize("pattern, value", [
     (r"`propagator\.BLOCK` \((\d+)\)", propagator.BLOCK),
     (r"(\d+) steps at a time", ode._CHUNK),
+    (r"`core\.MAX_COUNT` \((\d+)", core.MAX_COUNT),
 ])
 def test_readme_quotes_the_module_constants(pattern, value):
     text = " ".join((ROOT / "README.md").read_text().split())

@@ -124,21 +124,21 @@ def test_free_plane_wave_gets_the_kinetic_phase():
 
 
 def test_split_step_keeps_the_norm(driven):
-    # the step is unitary in the grid's norm sqrt(sum |psi_j|^2).  The
-    # trapezoid norm also weighs the two ends by 1/2, and the white noise's
-    # highest modes, whose kinetic phases turn by up to 5 rad a step, reach
-    # them at once: it drifts by 5e-12 in the first step and 1.9e-9 in 20
+    # the step is unitary in the grid's norm sqrt(dq sum |psi_j|^2), and
+    # the norm it returns, l2_norm, is that norm: both hold over 20 steps
+    # of white noise, whose highest modes turn by up to 5 rad a step
     rng = np.random.default_rng(20260823)
     qs = driven.grid()
-    raw = rng.normal(size=qs.shape) + 1j * rng.normal(size=qs.shape)
-    raw *= np.exp(-0.1 * qs ** 2)
-    psi = WaveFunction(qs=qs, values=raw, t=0.0)
-    n0 = np.linalg.norm(raw)
-    t = 0.0
-    for _ in range(20):
-        psi = split_step(psi, driven, t, 1e-3)
-        t += 1e-3
-        assert abs(np.linalg.norm(psi.values) - n0) / n0 < 1e-12
+    psi = rng.normal(size=qs.shape) + 1j * rng.normal(size=qs.shape)
+    psi *= np.exp(-0.1 * qs ** 2)
+    n0 = np.linalg.norm(psi)
+    norm0 = math.sqrt(qs[1] - qs[0]) * n0
+    dt = 1e-3
+    step = propagator._SplitStep(driven, qs, dt)
+    for j in range(20):
+        norm = step(psi, *step.phases((j + 0.5) * dt))
+        assert abs(np.linalg.norm(psi) - n0) / n0 < 1e-12
+        assert abs(norm - norm0) / norm0 < 1e-13
 
 
 def test_non_finite_hamiltonian_is_a_breakdown():
@@ -278,13 +278,13 @@ def test_blocks_match_single_steps(driven, driven_beta):
         assert run.step_norms.shape == (nsteps,)
         assert_allclose(run.slice_ts, t0 + run.dt * np.arange(nsteps + 1),
                         rtol=0, atol=0)
-        psi = eval_psin(n, s, frame_from_beta(s, driven_beta, t0), t0)
+        psi = eval_psin(n, s, frame_from_beta(s, driven_beta, t0))
         assert_allclose(run.initial.values, psi.values, rtol=0, atol=1e-15)
         norms, overlaps = [psi.norm], [1.0]
         for k in range(nsteps):
             psi = split_step(psi, s, t0 + k * run.dt, run.dt)
             t = float(run.slice_ts[k + 1])
-            ana = eval_psin(n, s, frame_from_beta(s, driven_beta, t), t)
+            ana = eval_psin(n, s, frame_from_beta(s, driven_beta, t))
             norms.append(psi.norm)
             overlaps.append(abs(inner(ana.values, psi.values, psi.dq))
                             / (ana.norm * psi.norm))
@@ -303,7 +303,7 @@ def test_grid_clipped_in_mid_run_is_grid_too_narrow(driven):
     for k in range(151):
         t = 0.02 * k
         try:
-            eval_psin(0, s, frame_from_beta(s, beta_sol, t), t)
+            eval_psin(0, s, frame_from_beta(s, beta_sol, t))
         except GridTooNarrow as exc:
             first = str(exc)
             break
@@ -338,7 +338,7 @@ def test_each_compared_state_is_eval_psin_on_its_slice(request, monkeypatch,
     assert len(compared) == steps.shape[0] == 198
     frames = frame_from_beta(s, beta_sol, run.slice_ts)
     for k, values in enumerate(compared):
-        wf = eval_psin(n, s, one_sample_frame(frames, k), run.slice_ts[k])
+        wf = eval_psin(n, s, one_sample_frame(frames, k))
         assert np.array_equal(wf.values[None], values), k
 
 
@@ -376,7 +376,7 @@ def test_a_packet_leaving_the_grid_fails_at_its_slice(tmp_path, capsys,
     frames = frame_from_beta(s, integrate_beta(s), ts)
     for k, t in enumerate(ts):
         try:
-            eval_psin(0, s, one_sample_frame(frames, k), t)
+            eval_psin(0, s, one_sample_frame(frames, k))
         except GridTooNarrow as exc:
             expected = exc
             break
@@ -468,14 +468,14 @@ def test_propagation_distinguishes_states(driven, driven_beta):
     # the propagated ground state must stay orthogonal to psi_1 and aligned
     # with psi_0
     fr = frame_from_beta(driven, driven_beta, 0.0)
-    psi = eval_psin(0, driven, fr, 0.0)
+    psi = eval_psin(0, driven, fr)
     t, dt = 0.0, 0.01
     for _ in range(300):
         psi = split_step(psi, driven, t, dt)
         t += dt
     fr = frame_from_beta(driven, driven_beta, t)
-    ref0 = eval_psin(0, driven, fr, t)
-    ref1 = eval_psin(1, driven, fr, t)
+    ref0 = eval_psin(0, driven, fr)
+    ref1 = eval_psin(1, driven, fr)
     assert abs(inner(ref0.values, psi.values, psi.dq)) > 0.99
     assert abs(inner(ref1.values, psi.values, psi.dq)) < 0.1
 

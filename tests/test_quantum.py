@@ -17,9 +17,10 @@ from bckosc import (DegreeTooLarge, GridTooNarrow, OmegaNotPositive,
 from bckosc.quantum import MAX_DEGREE, WaveFunction, check_packet, l2_norm
 
 from oracles import (InsufficientSlices, NotUnderdamped,
-                     UnsupportedForceShape, apply_IQ, apply_ladder, hermite,
-                     inner, schrodinger_residual, underdamped_closed_forms,
-                     underdamped_params, underdamped_uncertainty_factors)
+                     UnsupportedForceShape, apply_IQ, apply_ladder,
+                     beta_moments, hermite, inner, schrodinger_residual,
+                     underdamped_closed_forms, underdamped_params,
+                     underdamped_uncertainty_factors)
 
 PI_QUARTER = math.pi ** -0.25          # 0.7511255444649425
 OMEGA_BAR = math.sqrt(0.99)
@@ -60,7 +61,7 @@ def test_hermite_guards():
 
 def test_sho_ground_state_is_textbook(sho, sho_beta):
     fr = frame_from_beta(sho, sho_beta, 0.0)
-    psi = eval_psin(0, sho, fr, 0.0)
+    psi = eval_psin(0, sho, fr)
     ref = PI_QUARTER * np.exp(-0.5 * psi.qs ** 2)
     assert_allclose(psi.values, ref, rtol=0, atol=1e-10)
     assert psi.n == 0 and psi.t == 0.0
@@ -69,14 +70,14 @@ def test_sho_ground_state_is_textbook(sho, sho_beta):
 def test_sho_ground_state_rotates_at_half_frequency(sho, sho_beta):
     t = 2.0
     fr = frame_from_beta(sho, sho_beta, t)
-    psi = eval_psin(0, sho, fr, t)
+    psi = eval_psin(0, sho, fr)
     ref = PI_QUARTER * np.exp(-0.5 * psi.qs ** 2) * np.exp(-0.5j * t)
     assert_allclose(psi.values, ref, rtol=0, atol=1e-9)
 
 
 def test_sho_first_excited_is_textbook_up_to_phase(sho, sho_beta):
     fr = frame_from_beta(sho, sho_beta, 0.0)
-    psi = eval_psin(1, sho, fr, 0.0)
+    psi = eval_psin(1, sho, fr)
     ref = math.sqrt(2.0) * psi.qs * PI_QUARTER * np.exp(-0.5 * psi.qs ** 2)
     # the ladder convention contributes a global factor i at t = 0
     assert_allclose(psi.values, 1j * ref, rtol=0, atol=1e-10)
@@ -90,7 +91,7 @@ def test_norms_stay_unit_over_time(driven, driven_beta):
     for t in (0.0, 1.5, 4.0, 6.2831853071795862):
         fr = frame_from_beta(driven, driven_beta, t)
         for n in (0, 2):
-            psi = eval_psin(n, driven, fr, t)
+            psi = eval_psin(n, driven, fr)
             assert abs(psi.norm - 1.0) < 1e-8, (n, t)
 
 
@@ -98,7 +99,7 @@ def test_orthonormality(driven, driven_beta):
     s = replace(driven, qmin=-20.0, qmax=20.0, npoints=2048)
     t = 2.0
     fr = frame_from_beta(s, driven_beta, t)
-    states = [eval_psin(n, s, fr, t) for n in range(6)]
+    states = [eval_psin(n, s, fr) for n in range(6)]
     gram = np.array([[inner(a.values, b.values, a.dq) for b in states]
                      for a in states])
     assert np.max(np.abs(gram - np.eye(6))) < 1e-9
@@ -111,38 +112,28 @@ def test_grid_too_narrow(driven, driven_beta):
     t = 3.0
     fr = frame_from_beta(narrow, driven_beta, t)
     with pytest.raises(GridTooNarrow) as exc:
-        eval_psin(4, narrow, fr, t)
+        eval_psin(4, narrow, fr)
     suggested = exc.value.suggested_qmax
     assert suggested > 4.0
     wide = replace(narrow, qmin=-suggested, qmax=suggested)
     fr = frame_from_beta(wide, driven_beta, t)
     check_packet(wide, fr.packet, 4)  # no raise
-    eval_psin(4, wide, fr, t)
-
-
-def test_frame_time_must_match(driven, driven_beta):
-    fr = frame_from_beta(driven, driven_beta, 1.0)
-    with pytest.raises(ValidationError):
-        eval_psin(0, driven, fr, 2.0)
-    # the tolerance is 1e-12 absolute plus 1e-12 relative to t
-    with pytest.raises(ValidationError):
-        eval_psin(0, driven, fr, 1.0 + 1e-9)
-    eval_psin(0, driven, fr, 1.0 + 1e-13)
+    eval_psin(4, wide, fr)
 
 
 def test_degree_limit(driven, driven_beta):
     fr = frame_from_beta(driven, driven_beta, 1.0)
     with pytest.raises(DegreeTooLarge):
-        eval_psin(MAX_DEGREE + 1, driven, fr, 1.0)
+        eval_psin(MAX_DEGREE + 1, driven, fr)
     with pytest.raises(ValidationError):
-        eval_psin(-1, driven, fr, 1.0)
+        eval_psin(-1, driven, fr)
 
 
 def test_omega_must_be_positive(driven, driven_beta):
     fr = frame_from_beta(driven, driven_beta, 1.0)
     bad = replace(fr, beta=1.0 + 0.0j, dbeta=0.5 + 0.0j)
     with pytest.raises(OmegaNotPositive):
-        eval_psin(0, driven, bad, 1.0)
+        eval_psin(0, driven, bad)
 
 
 # ---------- ladder algebra ----------
@@ -150,7 +141,7 @@ def test_omega_must_be_positive(driven, driven_beta):
 def test_lowering_annihilates_ground_state(driven, driven_beta):
     t = 2.0
     fr = frame_from_beta(driven, driven_beta, t)
-    psi0 = eval_psin(0, driven, fr, t)
+    psi0 = eval_psin(0, driven, fr)
     down = apply_ladder("down", psi0.values, psi0.qs, fr)
     assert l2_norm(down[2:-2], psi0.dq) < 1e-6
 
@@ -158,7 +149,7 @@ def test_lowering_annihilates_ground_state(driven, driven_beta):
 def test_ladder_maps_between_neighbors(driven, driven_beta):
     t = 2.0
     fr = frame_from_beta(driven, driven_beta, t)
-    psis = [eval_psin(n, driven, fr, t).values for n in range(4)]
+    psis = [eval_psin(n, driven, fr).values for n in range(4)]
     qs = driven.grid()
     dq = float(qs[1] - qs[0])
     sl = slice(2, -2)
@@ -177,7 +168,7 @@ def test_ladder_maps_between_neighbors(driven, driven_beta):
 def test_number_operator(driven, driven_beta):
     t = 2.0
     fr = frame_from_beta(driven, driven_beta, t)
-    psi2 = eval_psin(2, driven, fr, t)
+    psi2 = eval_psin(2, driven, fr)
     down = apply_ladder("down", psi2.values, psi2.qs, fr)
     num = apply_ladder("up", down, psi2.qs, fr)
     err = l2_norm((num - 2.0 * psi2.values)[4:-4], psi2.dq)
@@ -189,7 +180,7 @@ def test_quadratic_operator_consistent_with_ladder(driven, driven_beta):
     t = 1.0
     fr = frame_from_beta(driven, driven_beta, t)
     om = float(omega_of_frame(fr))
-    psi = eval_psin(1, driven, fr, t)
+    psi = eval_psin(1, driven, fr)
     via_iq = apply_IQ(psi.values, psi.qs, fr)
     lowered = apply_ladder("down", psi.values, psi.qs, fr)
     via_ladder = apply_ladder("up", lowered, psi.qs, fr)
@@ -203,7 +194,7 @@ def test_eigenvalue_equation(driven, driven_beta):
     fr = frame_from_beta(driven, driven_beta, t)
     om = float(omega_of_frame(fr))
     for n in (0, 1, 2):
-        psi = eval_psin(n, driven, fr, t)
+        psi = eval_psin(n, driven, fr)
         out = apply_IQ(psi.values, psi.qs, fr)
         res = l2_norm((out - om * (n + 0.5) * psi.values)[2:-2], psi.dq)
         assert res < 1e-5, n
@@ -216,7 +207,7 @@ def _state_series(s, sol, n, tc, dt, count):
     out = []
     for t in ts:
         fr = frame_from_beta(s, sol, t)
-        out.append(eval_psin(n, s, fr, t))
+        out.append(eval_psin(n, s, fr))
     return out
 
 
@@ -260,18 +251,20 @@ def test_sho_expectations_vanish(sho, sho_beta):
 
 
 def test_expectations_match_quadrature(driven, driven_beta):
+    # psi_0's quadrature and moments, which reads psi_n's packet, each
+    # against the amplitude route's closed forms (oracles.beta_moments)
     s = replace(driven, qmin=-16.0, qmax=16.0, npoints=8192)
-    t = 1.0
-    fr = frame_from_beta(s, driven_beta, t)
-    psi = eval_psin(0, s, fr, t)
+    fr = frame_from_beta(s, driven_beta, 1.0)
+    psi = eval_psin(0, s, fr)
     dq = psi.dq
     dens = np.abs(psi.values) ** 2
     nrm = np.trapezoid(dens, dx=dq)
     q_ref = np.trapezoid(psi.qs * dens, dx=dq) / nrm
     pv = -1j * s.hbar * diff4(psi.values, dq)
     p_ref = np.trapezoid((np.conjugate(psi.values) * pv).real, dx=dq) / nrm
-    eq, ep, _, _ = moments(0, fr, s)
-    assert_allclose([eq, ep], [q_ref, p_ref], rtol=0, atol=1e-8)
+    eq, ep, _, _ = beta_moments(0, fr)
+    assert_allclose([q_ref, p_ref], [eq, ep], rtol=0, atol=1e-8)
+    assert_allclose(moments(0, fr, s)[:2], [eq, ep], rtol=1e-14)
 
 
 def test_sho_uncertainty_is_exact(sho, sho_beta):
@@ -301,10 +294,10 @@ def test_uncertainty_product_time_independent(driven, driven_beta):
 
 
 def test_variances_match_quadrature(driven, driven_beta):
+    # psi_1's quadrature and moments against oracles.beta_moments
     s = replace(driven, qmin=-16.0, qmax=16.0, npoints=8192)
-    t = 1.0
-    fr = frame_from_beta(s, driven_beta, t)
-    psi = eval_psin(1, s, fr, t)
+    fr = frame_from_beta(s, driven_beta, 1.0)
+    psi = eval_psin(1, s, fr)
     dq = psi.dq
     dens = np.abs(psi.values) ** 2
     nrm = np.trapezoid(dens, dx=dq)
@@ -313,9 +306,10 @@ def test_variances_match_quadrature(driven, driven_beta):
     pv = -1j * s.hbar * diff4(psi.values, dq)
     ep = np.trapezoid((np.conjugate(psi.values) * pv).real, dx=dq) / nrm
     vp = np.trapezoid(np.abs(pv) ** 2, dx=dq) / nrm - ep ** 2
-    _, _, var_q, var_p = moments(1, fr, s)
-    assert_allclose(var_q, vq, rtol=1e-8)
-    assert_allclose(var_p, vp, rtol=1e-7)
+    _, _, var_q, var_p = beta_moments(1, fr)
+    assert_allclose(vq, var_q, rtol=1e-8)
+    assert_allclose(vp, var_p, rtol=1e-7)
+    assert_allclose(moments(1, fr, s)[2:], [var_q, var_p], rtol=1e-14)
 
 
 # ---------- constant-parameter closed forms ----------
@@ -419,7 +413,7 @@ def test_spectrum_csv(tmp_path):
 
 def test_wavefunction_csv(tmp_path, sho, sho_beta):
     fr = frame_from_beta(sho, sho_beta, 0.0)
-    psi = eval_psin(0, sho, fr, 0.0)
+    psi = eval_psin(0, sho, fr)
     path = tmp_path / "wf.csv"
     psi.to_csv(path, footer={"norm": 1})
     lines = path.read_text().splitlines()
